@@ -131,7 +131,7 @@ def _verify_cubic(args) -> int:
 
 
 def cmd_rotations(args) -> int:
-    counts = cubic.rotation_counts(args.bound, args.scan_factor)
+    counts = cubic.rotation_counts(args.bound)
     rows = [(m, c) for m, c in sorted(counts.items()) if c]
     if args.format == "json":
         _emit_json({
@@ -180,6 +180,13 @@ class UsageError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simsub",
@@ -217,14 +224,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute-force counts vs series coefficients")
     p.add_argument("--module", required=True,
                    choices=sorted(_AMBIENTS) + ["cubic3"])
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_positive_int, required=True)
     p.add_argument("--max-candidates", type=int,
                    default=lattice.DEFAULT_MAX_CANDIDATES)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("rotations", help="rotation counts by denominator norm")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--scan-factor", type=int, default=cubic.DEFAULT_SCAN_FACTOR)
+    p.add_argument("--bound", type=_positive_int, required=True)
     add_format(p)
     p.set_defaults(fn=cmd_rotations)
 

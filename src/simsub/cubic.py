@@ -5,12 +5,26 @@ with Z[tau] components through the Euler-Rodrigues quadratic forms.  A
 rotation R gets a denominator den(R), the canonical associate of the
 least beta with beta*R integral, and a scaled map alpha*den(R)*R has
 integer index |N(alpha)|^3 * |N(den R)|^3.
+
+Every R in SO(3, Q(tau)) is M(q)/s for a primitive quaternion q over
+Z[tau], where M(q) is the Euler-Rodrigues matrix and s = |q|^2.  q is
+unique up to a unit factor e, which multiplies s by the totally positive
+unit e^2, so exactly one choice (up to the sign of q) makes s a
+canonical associate.  den(R) = s / g with g = gcd(s, entries of M(q)),
+and g divides 4: the combinations s + M11 + M22 + M33, s + M11 - M22 -
+M33, s - M11 + M22 - M33 and s - M11 - M22 + M33 are 4a^2, 4b^2, 4c^2
+and 4d^2 for q = (a, b, c, d), and gcd(a^2, b^2, c^2, d^2) = 1 for
+primitive q.  As 2 is inert in Z[tau], g is 1, 2 or 4, so the rotations
+with canonical denominator d are exactly those from primitive q with
+|q|^2 in {d, 2d, 4d} and content g = |q|^2 / d; that is the enumeration
+below, and |N(s)| <= 16 |N(den R)| always.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -20,6 +34,7 @@ from .quadratic import (
     QuadInt,
     TAU,
     canonical_associate,
+    elements_in_embedding_box,
     exact_div,
     gcd as qgcd,
     norm_equation,
@@ -28,12 +43,12 @@ from .quadratic import (
     unit_inverse,
 )
 
-DEFAULT_SCAN_FACTOR = 16
-DEFAULT_MAX_LEAVES = 10_000_000
+# Ceiling on the predicted component triples of one rotation enumeration.
+MAX_COMPONENT_TRIPLES = 10_000_000
 
 
-class RotationScanShortfall(RuntimeError):
-    """Rotation counts stayed short of the expected profile after rescans."""
+class InvariantViolation(RuntimeError):
+    """A proven identity of the rotation or submodule machinery failed."""
 
 
 class QuadRat:
@@ -161,7 +176,7 @@ class Rotation3:
         elif det == -one:
             self.det_sign = -1
         else:
-            raise AssertionError("orthogonal matrix must have determinant +-1")
+            raise InvariantViolation("orthogonal matrix must have determinant +-1")
 
     def _det(self) -> QuadRat:
         r = self.rows
@@ -249,14 +264,19 @@ class QuatTau:
             raise ValueError("quaternion is not primitive")
 
     def content(self) -> QuadInt:
-        g = None
-        for c in self.components:
-            if c:
-                g = c if g is None else qgcd(g, c)
-        return canonical_associate(g)
+        return _content(self.components)
 
     def norm_sq(self) -> QuadInt:
         return sum((c * c for c in self.components), TAU.zero())
+
+
+def _content(components: Sequence[QuadInt]) -> QuadInt:
+    """Canonical gcd of the nonzero components."""
+    g = None
+    for c in components:
+        if c:
+            g = c if g is None else qgcd(g, c)
+    return canonical_associate(g)
 
 
 def _euler_rodrigues(a: QuadInt, b: QuadInt, c: QuadInt, d: QuadInt):
@@ -274,7 +294,8 @@ def quat_to_rotation(q: QuatTau) -> Rotation3:
     m = _euler_rodrigues(*q.components)
     s = q.norm_sq()
     rot = Rotation3(tuple(tuple(QuadRat(e, s) for e in row) for row in m))
-    assert rot.det_sign == 1
+    if rot.det_sign != 1:
+        raise InvariantViolation("Euler-Rodrigues matrix must have determinant 1")
     return rot
 
 
@@ -347,7 +368,8 @@ def similarity_index(alpha: QuadInt, rotation: Rotation3) -> int:
             for r in range(2):
                 for c in range(2):
                     z6[2 * i + r][2 * j + c] = blk[r][c]
-    assert ind == abs(_int_det(z6)), "index formula disagrees with the Z-rank-6 determinant"
+    if ind != abs(_int_det(z6)):
+        raise InvariantViolation("index formula disagrees with the Z-rank-6 determinant")
     return ind
 
 
@@ -360,137 +382,143 @@ def is_unit_similarity(alpha: QuadInt, rotation: Rotation3) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# quaternion scan
+# rotation enumeration
 
 
-def _component_box(emb1_cap: float, emb2_cap: float):
-    """Tau integers whose squares fit under both embedding caps."""
-    from .quadratic import elements_in_embedding_box
+def _components(s: QuadInt):
+    """(x, x^2 coordinates, x^2 embeddings) for each x with s - x^2 totally >= 0."""
+    e1 = s.embedding_float()
+    e2 = s.conj_embedding_float()
     out = []
-    for x in elements_in_embedding_box(TAU, math.sqrt(emb1_cap) * 1.000001,
-                                       math.sqrt(emb2_cap) * 1.000001):
+    for x in elements_in_embedding_box(TAU, math.sqrt(e1) * 1.000001,
+                                       math.sqrt(e2) * 1.000001):
         sq = x * x
-        e1 = sq.embedding_float()
-        e2 = sq.conj_embedding_float()
-        if e1 <= emb1_cap * 1.000001 + 1e-9 and e2 <= emb2_cap * 1.000001 + 1e-9:
-            out.append((x, sq, e1, e2))
-    out.sort(key=lambda t: (t[0].a, t[0].b))
+        r = s - sq
+        if sign_embedding(r) >= 0 and sign_embedding(r.conj()) >= 0:
+            out.append((x, sq.a, sq.b, sq.embedding_float(), sq.conj_embedding_float()))
     return out
 
 
-def _scan_leaf_estimate(s1cap: float, s2cap: float) -> int:
-    # lattice points of Z[tau]^4 in a product of two 4-balls
-    vol = (math.pi ** 2 / 2) ** 2 * (s1cap * s2cap) ** 2
-    return int(vol / 25.0) + 1
+def _primitive_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, QuadInt]]:
+    """Every primitive q in Z[tau]^4 with |q|^2 = s exactly, one of each pair +-q.
 
-
-_scan_cache: dict[tuple[int, int], dict] = {}
-
-
-def _scan_rotations(bound: int, scan_factor: int, max_leaves: int):
-    """All rotations with |N(den)| <= bound from one quaternion box scan.
-
-    Scans quaternion tuples whose squared-magnitude embeddings fit a
-    fundamental-domain box for |N(|q|^2)| <= scan_factor * bound.  The
-    scan factor absorbs the entry content of the quadratic-form matrix,
-    which divides 4 (norm up to 16).  Deduplication is by the reduced
-    pair (den, den * R).
+    Three nested loops run over components whose squares fit under s in
+    both embeddings (floats only prune partial sums, with padding); the
+    fourth component is the exact square root of what is left, looked up
+    in a dict of squares.  The first nonzero component of each listed q
+    has positive real embedding.
     """
-    key = (bound, scan_factor)
-    if key in _scan_cache:
-        return _scan_cache[key]
-    nb = scan_factor * bound
-    tau1 = TAU.fundamental_unit.embedding_float()
-    s1cap = math.sqrt(nb) * tau1 * tau1
-    s2cap = math.sqrt(nb)
-    estimate = _scan_leaf_estimate(s1cap, s2cap)
-    if estimate > max_leaves:
-        raise EnumerationBudgetExceeded(
-            f"quaternion scan estimate {estimate} exceeds ceiling {max_leaves}")
-    comps = _component_box(s1cap, s2cap)
-    positive = [t for t in comps if sign_embedding(t[0]) > 0]
-    eps = 1e-6
-    found: dict[tuple, tuple] = {}
-    zero = TAU.zero()
-
-    def leaf(c0, c1, c2, c3):
-        s = c0[1] + c1[1] + c2[1] + c3[1]
-        if not s:
-            return
-        m = _euler_rodrigues(c0[0], c1[0], c2[0], c3[0])
-        g = s
-        for row in m:
-            for e in row:
-                if e:
-                    g = qgcd(g, e)
-        d0 = exact_div(s, g)
-        d = canonical_associate(d0)
-        if abs(d.norm()) > bound:
-            return
-        uinv = unit_inverse(exact_div(d0, d))
-        scaled = tuple(tuple(exact_div(e, g) * uinv for e in row) for row in m)
-        k = (d.a, d.b) + tuple(x for row in scaled for e in row for x in (e.a, e.b))
-        if k not in found:
-            found[k] = (d, scaled)
-
-    # first nonzero component constrained to positive embedding: q and -q
-    # give the same rotation.
-    zero_comp = (zero, zero, 0.0, 0.0)
-    for i0, c0 in enumerate([zero_comp] + positive):
-        e1_0, e2_0 = c0[2], c0[3]
-        first0 = i0 > 0
-        for c1 in (comps if first0 else [zero_comp] + positive):
-            e1_1 = e1_0 + c1[2]
-            e2_1 = e2_0 + c1[3]
-            if e1_1 > s1cap + eps or e2_1 > s2cap + eps:
+    comps = _components(s)
+    lead = [c for c in comps if not c[0] or sign_embedding(c[0]) > 0]
+    roots = {(c[1], c[2]): c[0] for c in lead}
+    cap1 = s.embedding_float() * (1 + 1e-9) + 1e-9
+    cap2 = s.conj_embedding_float() * (1 + 1e-9) + 1e-9
+    sa, sb = s.a, s.b
+    out = []
+    for x0, a0, b0, f0, g0 in lead:
+        for x1, a1, b1, f1, g1 in (comps if x0 else lead):
+            f01 = f0 + f1
+            g01 = g0 + g1
+            if f01 > cap1 or g01 > cap2:
                 continue
-            first1 = first0 or bool(c1[0])
-            for c2 in (comps if first1 else [zero_comp] + positive):
-                e1_2 = e1_1 + c2[2]
-                e2_2 = e2_1 + c2[3]
-                if e1_2 > s1cap + eps or e2_2 > s2cap + eps:
+            for x2, a2, b2, f2, g2 in (comps if x0 or x1 else lead):
+                if f01 + f2 > cap1 or g01 + g2 > cap2:
                     continue
-                first2 = first1 or bool(c2[0])
-                for c3 in (comps if first2 else positive):
-                    if e1_2 + c3[2] > s1cap + eps or e2_2 + c3[3] > s2cap + eps:
-                        continue
-                    leaf(c0, c1, c2, c3)
-
-    records = []
-    for d, scaled in found.values():
-        rot = Rotation3(tuple(tuple(QuadRat(e, d) for e in row) for row in scaled))
-        dd = den(rot)
-        assert dd == d, "reduced common denominator must agree with den(R)"
-        records.append((rot, d, abs(d.norm())))
-    records.sort(key=lambda rec: (rec[2], rec[0].key()))
-    result = {"records": records, "bound": bound}
-    _scan_cache[key] = result
-    return result
+                x3 = roots.get((sa - a0 - a1 - a2, sb - b0 - b1 - b2))
+                if x3 is None:
+                    continue
+                out.append((x0, x1, x2, x3))
+                if x3 and (x0 or x1 or x2):
+                    out.append((x0, x1, x2, -x3))
+    return [q for q in out if _content(q) == TAU.one()]
 
 
-def enumerate_rotations(bound: int, scan_factor: int = DEFAULT_SCAN_FACTOR,
-                        max_leaves: int = DEFAULT_MAX_LEAVES) -> tuple[Rotation3, ...]:
-    """All R in SO(3, Q(tau)) with |N(den R)| <= bound, each exactly once."""
+def _form_content(s: QuadInt, m) -> int:
+    """gcd(s, entries of m) for the Euler-Rodrigues matrix m of a primitive q.
+
+    The gcd divides 4 (module docstring), so it is the largest of 4, 2, 1
+    dividing s and all nine entries.
+    """
+    entries = (s,) + tuple(e for row in m for e in row)
+    for k in (4, 2):
+        if all(e.a % k == 0 and e.b % k == 0 for e in entries):
+            return k
+    return 1
+
+
+def _rotations_of_norm(n: int) -> tuple[tuple[Rotation3, QuadInt], ...]:
+    """Every (R, den R) with |N(den R)| = n, sorted by R.key(), each exactly once.
+
+    For each canonical d of norm n and g in (1, 2, 4), the primitive q with
+    |q|^2 = g * d and Euler-Rodrigues content g give den = d; by the
+    argument in the module docstring no other q does.
+    """
+    found: dict[tuple, tuple[Rotation3, QuadInt]] = {}
+    for d in norm_equation(TAU, n):
+        for g in (1, 2, 4):
+            s = d * g
+            for q in _primitive_quaternions(s):
+                if _form_content(s, _euler_rodrigues(*q)) != g:
+                    continue
+                rot = quat_to_rotation(QuatTau(q))
+                if den(rot) != d:
+                    raise InvariantViolation(f"den of {q!r} is not {d!r}")
+                key = rot.key()
+                if key in found:
+                    raise InvariantViolation(f"rotation of {q!r} listed twice")
+                found[key] = (rot, d)
+    return tuple(found[k] for k in sorted(found))
+
+
+def _predicted_triples(bound: int) -> int:
+    """Estimated component triples that enumerating norms 1..bound visits.
+
+    For one s the loops visit about the Z[tau]^3 points of a product of two
+    3-balls of squared radii emb(s) and emb'(s), (4 pi/3)^2 |N(s)|^1.5 / 5^1.5.
+    Canonical d of norm n average 0.4304 per n (the residue of the Dedekind
+    zeta function of Q(sqrt 5)), and s = g d over g = 1, 2, 4 weighs
+    |N(d)|^1.5 by 1 + 8 + 64 = 73; summing n^1.5 up to the bound gives
+    bound^2.5 / 2.5.  Bounds past 10^9, far over any ceiling, are clamped
+    so that the estimate stays a finite float.
+    """
+    per_s = (4 * math.pi / 3) ** 2 / 5 ** 1.5
+    return math.ceil(per_s * 73 * 0.4304 * min(bound, 10 ** 9) ** 2.5 / 2.5)
+
+
+# norm -> tuple of (R, den R); filled on demand, shared by every bound
+_norm_cache: dict[int, tuple[tuple[Rotation3, QuadInt], ...]] = {}
+_norm_cache_lock = threading.Lock()
+
+
+def _rotations_by_norm(bound: int) -> dict[int, tuple[tuple[Rotation3, QuadInt], ...]]:
+    """{n: every (R, den R) with |N(den R)| = n} for n = 1..bound."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    recs = _scan_rotations(bound, scan_factor, max_leaves)["records"]
-    return tuple(r[0] for r in recs)
+    predicted = _predicted_triples(bound)
+    if predicted > MAX_COMPONENT_TRIPLES:
+        raise EnumerationBudgetExceeded(
+            f"rotation enumeration predicts {predicted} component triples, "
+            f"over the ceiling {MAX_COMPONENT_TRIPLES}")
+    with _norm_cache_lock:
+        for n in range(1, bound + 1):
+            if n not in _norm_cache:
+                _norm_cache[n] = _rotations_of_norm(n)
+        return {n: _norm_cache[n] for n in range(1, bound + 1)}
 
 
-def rotation_counts(bound: int, scan_factor: int = DEFAULT_SCAN_FACTOR,
-                    max_leaves: int = DEFAULT_MAX_LEAVES) -> dict[int, int]:
+def enumerate_rotations(bound: int) -> tuple[Rotation3, ...]:
+    """All R in SO(3, Q(tau)) with |N(den R)| <= bound, each exactly once."""
+    return tuple(rot for recs in _rotations_by_norm(bound).values() for rot, _ in recs)
+
+
+def rotation_counts(bound: int) -> dict[int, int]:
     """Rotation count per denominator norm, for norms up to the bound."""
-    recs = _scan_rotations(bound, scan_factor, max_leaves)["records"]
-    counts = {m: 0 for m in range(1, bound + 1)}
-    for _, _, nd in recs:
-        counts[nd] += 1
-    return counts
+    return {n: len(recs) for n, recs in _rotations_by_norm(bound).items()}
 
 
 @dataclass(frozen=True)
 class RotationCountReport:
     bound: int
-    scan_factor: int
     rows: tuple[tuple[int, int, int], ...]  # (norm, found, expected)
 
     @property
@@ -503,34 +531,20 @@ class RotationCountReport:
 
     def summary(self) -> str:
         matched = len(self.rows) - len(self.mismatches)
-        text = f"{matched}/{len(self.rows)} match (scan factor {self.scan_factor})"
+        # The wording is part of the stable output; 16 = N(4) is the proven
+        # bound on |N(|q|^2)| / |N(den R)| (module docstring).
+        text = f"{matched}/{len(self.rows)} match (scan factor 16)"
         if self.mismatches:
             text += "".join(f"\n  |N(den)|={m}: found {got} != expected {want}"
                             for m, got, want in self.mismatches)
         return text
 
 
-def verify_rotation_counts(bound: int, expected: Mapping[int, int],
-                           scan_factor: int = DEFAULT_SCAN_FACTOR,
-                           max_doublings: int = 2,
-                           max_leaves: int = DEFAULT_MAX_LEAVES) -> RotationCountReport:
-    """Compare scan counts to an expected profile, rescanning wider on shortfall.
-
-    A shortfall can mean the quaternion box was too small, so the scan
-    factor is doubled up to max_doublings times; a persistent mismatch is
-    reported, never hidden.
-    """
-    factor = scan_factor
-    for attempt in range(max_doublings + 1):
-        counts = rotation_counts(bound, factor, max_leaves)
-        rows = tuple((m, counts.get(m, 0), expected.get(m, 0))
-                     for m in range(1, bound + 1))
-        report = RotationCountReport(bound, factor, rows)
-        shortfall = any(got < want for _, got, want in rows)
-        if report.ok or not shortfall or attempt == max_doublings:
-            return report
-        factor *= 2
-    return report
+def verify_rotation_counts(bound: int, expected: Mapping[int, int]) -> RotationCountReport:
+    """Compare the rotation count per denominator norm to an expected profile."""
+    counts = rotation_counts(bound)
+    rows = tuple((m, counts[m], expected.get(m, 0)) for m in range(1, bound + 1))
+    return RotationCountReport(bound, rows)
 
 
 def icbrt(m: int) -> int:
@@ -542,25 +556,23 @@ def icbrt(m: int) -> int:
     return n
 
 
-def count_submodules_3d(m: int, scan_factor: int = DEFAULT_SCAN_FACTOR,
-                        max_leaves: int = DEFAULT_MAX_LEAVES) -> int:
+def count_submodules_3d(m: int) -> int:
     """Distinct submodules alpha * den(R) * R * Z[tau]^3 of index m.
 
-    m must be a cube n^3; scales alpha run over canonical associates with
-    |N(alpha)| * |N(den R)| = n and deduplication is by the canonical
+    m must be a cube n^3 >= 1; scales alpha run over canonical associates
+    with |N(alpha)| * |N(den R)| = n and deduplication is by the canonical
     Hermite basis over Z[tau].
     """
+    if m < 1:
+        raise ValueError(f"index must be >= 1, got {m}")
     n = icbrt(m)
     if n ** 3 != m:
         raise ValueError(f"index {m} is not a cube")
-    recs = _scan_rotations(n, scan_factor, max_leaves)["records"]
-    by_norm: dict[int, list] = {}
-    for rot, d, nd in recs:
-        by_norm.setdefault(nd, []).append((rot, d))
+    by_norm = _rotations_by_norm(n)
     seen = set()
     for dn in divisors(n):
         alphas = norm_equation(TAU, n // dn)
-        if not alphas or dn not in by_norm:
+        if not alphas:
             continue
         for rot, d in by_norm[dn]:
             integral = _integral_matrix(rot, d)
@@ -568,7 +580,9 @@ def count_submodules_3d(m: int, scan_factor: int = DEFAULT_SCAN_FACTOR,
                 cols = [tuple(alpha * integral[i][j] for i in range(3))
                         for j in range(3)]
                 sub = hnf_over_ztau(cols)
-                assert sub.index == m
+                if sub.index != m:
+                    raise InvariantViolation(
+                        f"submodule index {sub.index} differs from {m}")
                 seen.add(sub.basis)
     return len(seen)
 

@@ -117,6 +117,25 @@ def test_rotations_command(capsys):
     assert payload["counts"] == [{"den_norm": 1, "rotations": 24}]
 
 
+def test_bound_below_one_is_usage_error(capsys):
+    for argv in (("rotations", "--bound", "0"),
+                 ("rotations", "--bound", "-3"),
+                 ("verify", "--module", "cubic3", "--limit", "0"),
+                 ("rotations", "--bound", "4", "--scan-factor", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "error" in err
+
+
+def test_rotation_budget_guard_is_usage_error(capsys):
+    for bound in (10 ** 6, 10 ** 400):
+        code, out, err = run_cli(capsys, "rotations", "--bound", str(bound))
+        assert code == 2
+        assert out == ""
+        assert "ceiling" in err
+
+
 def test_units_command(capsys):
     code, out, _ = run_cli(capsys, "units", "--ring", "tau", "--height", "10")
     assert code == 0

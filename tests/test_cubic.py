@@ -1,10 +1,15 @@
 import random
+import subprocess
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
-from simsub import catalog
+from simsub import catalog, cubic
 from simsub.cubic import (
     AffineSimilarity,
+    InvariantViolation,
     QuadRat,
     QuatTau,
     Rotation3,
@@ -22,8 +27,8 @@ from simsub.cubic import (
     similarity_index,
     verify_rotation_counts,
 )
-from simsub.lattice import Ambient
-from simsub.quadratic import QuadInt, TAU, canonical_associate
+from simsub.lattice import Ambient, EnumerationBudgetExceeded
+from simsub.quadratic import QuadInt, TAU, canonical_associate, gcd, norm_equation
 
 
 def tau(a, b):
@@ -180,12 +185,125 @@ def test_verify_rotation_counts_against_phi():
     assert report.ok, report.summary()
 
 
+def test_euler_rodrigues_content_divides_4():
+    four = tau(4, 0)
+    for n in range(1, 10):
+        for d in norm_equation(TAU, n):
+            for g in (1, 2, 4):
+                s = d * g
+                for q in cubic._primitive_quaternions(s):
+                    assert QuatTau(q).norm_sq() == s
+                    content = s
+                    for row in cubic._euler_rodrigues(*q):
+                        for e in row:
+                            content = gcd(content, e)
+                    assert content in (TAU.one(), tau(2, 0), four)
+
+
+def test_rotation_counts_agree_across_bounds():
+    full = rotation_counts(9)
+    rotations = enumerate_rotations(9)
+    for b in range(1, 9):
+        counts = rotation_counts(b)
+        assert counts == {n: full[n] for n in range(1, b + 1)}
+        prefix = enumerate_rotations(b)
+        assert prefix == rotations[:len(prefix)]
+        by_den = Counter(abs(den(r).norm()) for r in prefix)
+        assert by_den == {n: c for n, c in counts.items() if c}
+
+
+def test_duplicate_rotation_raises(monkeypatch):
+    plain = cubic._primitive_quaternions
+
+    def with_negatives(s):
+        qs = plain(s)
+        return qs + [tuple(-c for c in q) for q in qs]
+
+    monkeypatch.setattr(cubic, "_primitive_quaternions", with_negatives)
+    with pytest.raises(InvariantViolation):
+        cubic._rotations_of_norm(1)
+
+
+def _no_enumeration(n):
+    raise AssertionError(f"norm {n} enumerated again")
+
+
+def test_norm_cache_serves_smaller_bounds(monkeypatch):
+    full = rotation_counts(9)
+    monkeypatch.setattr(cubic, "_rotations_of_norm", _no_enumeration)
+    assert rotation_counts(4) == {n: full[n] for n in range(1, 5)}
+    assert count_submodules_3d(64) == 9
+
+
+def test_norm_cache_shared_across_threads(monkeypatch):
+    monkeypatch.setattr(cubic, "_norm_cache", {})
+    calls = Counter()
+    plain = cubic._rotations_of_norm
+
+    def counted(n):
+        calls[n] += 1
+        return plain(n)
+
+    monkeypatch.setattr(cubic, "_rotations_of_norm", counted)
+    results = [None] * 4
+
+    def work(k):
+        results[k] = rotation_counts(5)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [{1: 24, 2: 0, 3: 0, 4: 192, 5: 144}] * 4
+    assert calls == {n: 1 for n in range(1, 6)}
+
+
+def test_enumeration_budget_refuses_before_enumerating(monkeypatch):
+    monkeypatch.setattr(cubic, "_norm_cache", {})
+    monkeypatch.setattr(cubic, "_rotations_of_norm", _no_enumeration)
+    with pytest.raises(EnumerationBudgetExceeded):
+        rotation_counts(10 ** 6)
+    with pytest.raises(EnumerationBudgetExceeded):
+        count_submodules_3d(1000 ** 3)
+    assert cubic._norm_cache == {}
+
+
+def test_invariant_violation_is_raised(monkeypatch):
+    monkeypatch.setattr(cubic, "_int_det", lambda mat: 0)
+    with pytest.raises(InvariantViolation):
+        similarity_index(tau(2, 0), Rotation3.identity())
+
+
+def test_invariant_violation_survives_optimize():
+    script = ("from simsub import cubic\n"
+              "cubic._int_det = lambda mat: 0\n"
+              "try:\n"
+              "    cubic.similarity_index(cubic.TAU.one(), cubic.Rotation3.identity())\n"
+              "except cubic.InvariantViolation:\n"
+              "    print('raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
+
+
 def test_count_submodules_3d_examples():
     assert count_submodules_3d(1) == 1
     assert count_submodules_3d(64) == 9
     assert count_submodules_3d(125) == 7
-    with pytest.raises(ValueError):
-        count_submodules_3d(10)
+    for m in (10, 0, -8):
+        with pytest.raises(ValueError):
+            count_submodules_3d(m)
+    for bound in (0, -3):
+        with pytest.raises(ValueError):
+            rotation_counts(bound)
 
 
 def test_hnf_over_ztau_examples():
