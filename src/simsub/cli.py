@@ -199,13 +199,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="coefficient table of a catalog series")
     p.add_argument("--series", required=True, choices=catalog.CLI_SERIES)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_positive_int, required=True)
     add_format(p)
     p.set_defaults(fn=cmd_coeffs)
 
     p = sub.add_parser("summatory", help="partial sums of a catalog series")
     p.add_argument("--series", required=True, choices=catalog.CLI_SERIES)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_positive_int, required=True)
     p.add_argument("--at", type=int, action="append",
                    help="evaluation point; repeatable (default: the limit)")
     add_format(p)
@@ -213,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list submodules of one index in HNF")
     p.add_argument("--ambient", required=True, choices=sorted(_AMBIENTS))
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", type=_positive_int, required=True)
     p.add_argument("--filter", choices=("all", "ideals", "principal"),
                    default="ideals")
     p.add_argument("--max-candidates", type=int,

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .dirichlet import divisors
+from .errors import InvariantViolation
 from .lattice import Ambient, EnumerationBudgetExceeded, Submodule
 from .quadratic import (
     QuadInt,
@@ -45,10 +46,6 @@ from .quadratic import (
 
 # Ceiling on the predicted component triples of one rotation enumeration.
 MAX_COMPONENT_TRIPLES = 10_000_000
-
-
-class InvariantViolation(RuntimeError):
-    """A proven identity of the rotation or submodule machinery failed."""
 
 
 class QuadRat:

@@ -115,24 +115,6 @@ class EulerFactor:
         return out
 
 
-ONE_FACTOR = EulerFactor((1,), (1,))
-
-
-def poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
-def poly_pow(p: tuple[int, ...], k: int) -> tuple[int, ...]:
-    out = (1,)
-    for _ in range(k):
-        out = poly_mul(out, p)
-    return out
-
-
 def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> CoeffSeries:
     """Multiplicative series from per-prime local factors.
 

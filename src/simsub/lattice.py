@@ -6,10 +6,36 @@ with product m, off-diagonal entries of row i reduced mod the diagonal
 entry d_i.  Invariance under ring multiplier actions is tested by exact
 triangular solves, vectorized over blocks of candidates with numpy so
 the rank-4 scans stay desk-scale.
+
+Flag pruning.  Let V_k = span(e_1..e_k) and let an action T keep V_k,
+that is T[i][l] == 0 for all i >= k > l.  Write an HNF basis B in
+blocks: the leading k x k block B11, the trailing block B22 on the
+coordinates k+1..r, and the off-block entries B12 (rows i < k, columns
+j >= k).  If L = B Z^r is T-invariant, then
+
+- L meets V_k in the lattice spanned by the first k columns (B is
+  upper triangular with nonzero diagonal, so Bx lies in V_k only when
+  x_{k+1..r} = 0); T maps V_k into itself, so that lattice, whose HNF
+  is B11, is invariant under the block T11;
+- the projection P of L onto the coordinates k+1..r is spanned by B22
+  (the first k columns project to 0); T is block upper triangular, so
+  P(Tv) = T22 P(v) and P(L) is invariant under T22.
+
+Both blocks are reduced HNFs in their own right, and a restriction of T
+satisfies T's minimal polynomial.  So the kernel finds the invariant
+leading and trailing blocks by running itself on the restricted actions,
+and enumerates only their cross product with the free off-block digits.
+This discards only candidates that provably fail; every survivor still
+passes the full test under every action, and collected bases are sorted
+back into flat HNF order.  For Z[i,tau] and Z[i,sqrt2] the action of i
+keeps span(1, i), so k = 2; rank-2 Z[tau] has no split and takes the
+flat path.  The budget check (max_candidates) still counts the full HNF
+set, not the pruned one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -264,7 +290,7 @@ def hnf_sublattices(rank: int, m: int, ambient: Ambient | None = None,
     _check_budget(hnf_candidate_count(rank, m), max_candidates)
     out = []
     for diag in ordered_diagonals(m, rank):
-        ranges = [(i, j) for j in range(1, rank) for i in range(j)]
+        ranges = _positions(rank)
         shape = [diag[i] for i, _ in ranges]
 
         def fill(pos: int, digits: list[int]):
@@ -337,21 +363,79 @@ def _stabilizer_mask(diag, digits, action, length):
     return ok
 
 
-def _invariant_for_diagonal(diag, actions, collect):
-    """(count, bases) of invariant candidates over one diagonal type."""
+@functools.lru_cache(maxsize=32)
+def flag_split(actions: tuple[MultiplierAction, ...]):
+    """Smallest split of the ambient that some actions keep, or None.
+
+    Returns (k, lead, trail) for the smallest k whose flag space
+    V_k = span(e_1..e_k) is kept by at least one action, that is
+    matrix[i][l] == 0 for all i >= k > l.  lead and trail hold each such
+    action restricted to V_k and to the coordinates k+1..r; a
+    restriction satisfies the same minimal polynomial, which
+    MultiplierAction checks again.
+    """
+    r = len(actions[0].matrix)
+    for k in range(1, r):
+        kept = [a for a in actions
+                if not any(a.matrix[i][l] for i in range(k, r) for l in range(k))]
+        if kept:
+            return k, tuple(_restrict(a, 0, k) for a in kept), \
+                tuple(_restrict(a, k, r) for a in kept)
+    return None
+
+
+def _restrict(action: MultiplierAction, lo: int, hi: int) -> MultiplierAction:
+    block = tuple(tuple(row[lo:hi]) for row in action.matrix[lo:hi])
+    return MultiplierAction(action.name, block, action.minimal_poly)
+
+
+@functools.lru_cache(maxsize=8)
+def _positions(r: int) -> tuple[tuple[int, int], ...]:
+    """Strictly-upper HNF positions in flat enumeration order."""
+    return tuple((i, j) for j in range(1, r) for i in range(j))
+
+
+def _candidate_factors(diag, actions):
+    """Factors whose cross product is the candidate set over one diagonal.
+
+    A factor is (size, table), where table maps strictly-upper positions
+    to arrays of that size, or to None when the entry is the factor's
+    index itself.  Without a flag split every position is such a free
+    factor over [0, d_i).  With a split at k the invariant leading and
+    trailing blocks are two factors, found by this kernel on the
+    restricted actions, and each off-block position (i < k <= j) is a
+    free factor.
+    """
     r = len(diag)
-    positions = [(i, j) for j in range(1, r) for i in range(j)]
-    shape = tuple(diag[i] for i, _ in positions)
-    total = 1
-    for s in shape:
-        total *= s
+    split = flag_split(actions)
+    if split is None:
+        return [(diag[i], {(i, j): None}) for i, j in _positions(r)]
+    k, lead, trail = split
+    factors = []
+    for lo, hi, block_actions in ((0, k, lead), (k, r, trail)):
+        n, digits = _invariant_for_diagonal(diag[lo:hi], block_actions, True)
+        factors.append((n, {(i + lo, j + lo): arr for (i, j), arr in digits.items()}))
+    factors += [(diag[i], {(i, j): None}) for j in range(k, r) for i in range(k)]
+    return factors
+
+
+def _invariant_for_diagonal(diag, actions, collect):
+    """(count, digits) of the invariant candidates over one diagonal type.
+
+    In collect mode digits maps each strictly-upper position to the
+    survivors' entries in flat HNF order; in count mode it is empty.
+    Every action is tested on every candidate the factors produce.
+    """
+    factors = _candidate_factors(diag, actions)
+    sizes = tuple(n for n, _ in factors)
+    total = math.prod(sizes)
     count = 0
-    bases = []
+    kept = []
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        block = np.unravel_index(idx, shape) if positions else ()
-        digits = {pos: arr for pos, arr in zip(positions, block)}
+        idx = np.unravel_index(np.arange(lo, hi, dtype=np.int64), sizes) if sizes else ()
+        digits = {pos: f if arr is None else arr[f]
+                  for (_, table), f in zip(factors, idx) for pos, arr in table.items()}
         length = hi - lo
         for act in actions:
             mask = _stabilizer_mask(diag, digits, act, length)
@@ -361,27 +445,43 @@ def _invariant_for_diagonal(diag, actions, collect):
                 break
         count += length
         if collect and length:
-            for k in range(length):
-                basis = [[0] * r for _ in range(r)]
-                for i in range(r):
-                    basis[i][i] = diag[i]
-                for pos, arr in digits.items():
-                    basis[pos[0]][pos[1]] = int(arr[k])
-                bases.append(tuple(tuple(row) for row in basis))
-    return count, bases
+            kept.append(digits)
+    positions = _positions(len(diag)) if collect else ()
+    if not (kept and positions):
+        return count, {}
+    merged = {pos: np.concatenate([d[pos] for d in kept]) for pos in positions}
+    flat = np.ravel_multi_index([merged[pos] for pos in positions],
+                                [diag[i] for i, _ in positions])
+    order = np.argsort(flat, kind="stable")
+    return count, {pos: arr[order] for pos, arr in merged.items()}
+
+
+def _bases(diag, digits, count):
+    r = len(diag)
+    columns = {pos: arr.tolist() for pos, arr in digits.items()}
+    for k in range(count):
+        basis = [[0] * r for _ in range(r)]
+        for i in range(r):
+            basis[i][i] = diag[i]
+        for (i, j), col in columns.items():
+            basis[i][j] = col[k]
+        yield tuple(tuple(row) for row in basis)
 
 
 def _invariant_sublattices(ambient: Ambient, m: int, max_candidates: int,
                            collect: bool):
+    if m < 1:
+        raise ValueError("index must be >= 1")
     r = ambient_rank(ambient)
     _check_budget(hnf_candidate_count(r, m), max_candidates)
     actions = ambient_actions(ambient)
     count = 0
     found = []
     for diag in ordered_diagonals(m, r):
-        c, bases = _invariant_for_diagonal(diag, actions, collect)
+        c, digits = _invariant_for_diagonal(diag, actions, collect)
         count += c
-        found.extend(bases)
+        if collect:
+            found.extend(_bases(diag, digits, c))
     return count, [Submodule(ambient, b) for b in found]
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from .errors import InvariantViolation
+
 
 class QuadRing:
     """One of the two supported real quadratic rings.
@@ -228,14 +230,11 @@ def sign_embedding(x: QuadInt) -> int:
     if s < 0 and b < 0:
         return -1
     d = s * s - x.ring.discriminant * b * b
-    assert d != 0, "non-square discriminant cannot give a tie"
+    if d == 0:
+        raise InvariantViolation("non-square discriminant cannot give a tie")
     if s > 0:  # b < 0
         return 1 if d > 0 else -1
     return -1 if d > 0 else 1
-
-
-def is_totally_positive(x: QuadInt) -> bool:
-    return sign_embedding(x) > 0 and sign_embedding(x.conj()) > 0
 
 
 def is_canonical_associate(x: QuadInt) -> bool:
@@ -448,7 +447,8 @@ def prime_factors(x: QuadInt) -> list[tuple[QuadInt, int]]:
     if n > 1:
         rest, found = _strip_primes_above(rest, n, ring)
         out.extend(found)
-    assert rest.is_unit()
+    if not rest.is_unit():
+        raise InvariantViolation(f"cofactor {rest!r} of {x!r} is not a unit")
     return out
 
 

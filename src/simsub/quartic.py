@@ -165,27 +165,10 @@ class QuarticInt:
         return f"QuarticInt({self.coeffs}, {self.ring.name})"
 
 
-def qmul(x: QuarticInt, y: QuarticInt) -> QuarticInt:
-    return x * y
-
-
 def regular_rep(x: QuarticInt) -> tuple[tuple[int, ...], ...]:
     """4x4 integer matrix of multiplication by x; columns are x * basis_j."""
     cols = [(x * e).coeffs for e in x.ring.basis()]
     return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
-
-
-def det4(m) -> int:
-    """Determinant of a 4x4 integer matrix by cofactor expansion."""
-    def det3(a, b, c, d, e, f, g, h, i):
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    (m00, m01, m02, m03), (m10, m11, m12, m13), \
-        (m20, m21, m22, m23), (m30, m31, m32, m33) = m
-    return (m00 * det3(m11, m12, m13, m21, m22, m23, m31, m32, m33)
-            - m01 * det3(m10, m12, m13, m20, m22, m23, m30, m32, m33)
-            + m02 * det3(m10, m11, m13, m20, m21, m23, m30, m31, m33)
-            - m03 * det3(m10, m11, m12, m20, m21, m22, m30, m31, m32))
 
 
 def abs_norm(x: QuarticInt) -> int:

@@ -128,6 +128,17 @@ def test_bound_below_one_is_usage_error(capsys):
         assert "error" in err
 
 
+def test_nonpositive_limit_or_index_is_parser_error(capsys):
+    for argv in (("coeffs", "--series", "phi-c", "--limit", "0"),
+                 ("summatory", "--series", "zeta-qtau", "--limit", "-1"),
+                 ("enumerate", "--ambient", "zitau", "--index", "0"),
+                 ("enumerate", "--ambient", "zitau", "--index", "-4")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "must be >= 1" in err, argv
+
+
 def test_rotation_budget_guard_is_usage_error(capsys):
     for bound in (10 ** 6, 10 ** 400):
         code, out, err = run_cli(capsys, "rotations", "--bound", str(bound))

@@ -12,6 +12,7 @@ from simsub.lattice import (
     ambient_actions,
     count_ideals,
     count_similarity_submodules,
+    flag_split,
     hnf_canonical,
     hnf_candidate_count,
     hnf_sublattices,
@@ -115,14 +116,26 @@ def test_is_invariant_examples():
 
 def test_vector_kernel_agrees_with_scalar_invariance():
     # the numpy block kernel and the direct per-submodule test are
-    # independent code paths; they must select identical bases
+    # independent code paths; they must select identical bases, and the
+    # pruned kernel must return them in flat HNF order
     for ambient in (Ambient.Z_ISQRT2_AS_Z4, Ambient.Z_ITAU_AS_Z4):
         actions = ambient_actions(ambient)
-        for m in (4, 6, 8, 12):
-            scalar = sorted(s.basis for s in hnf_sublattices(4, m, ambient)
-                            if is_invariant(s, actions))
-            kernel = sorted(s.basis for s in list_ideals(ambient, m))
-            assert scalar == kernel
+        for m in range(1, 17):
+            scalar = [s.basis for s in hnf_sublattices(4, m, ambient)
+                      if is_invariant(s, actions)]
+            kernel = [s.basis for s in list_ideals(ambient, m)]
+            assert scalar == kernel, (ambient, m)
+
+
+def test_flag_split_detection():
+    # i keeps span(1, i) in both rank-4 rings; tau and sqrt2 keep no flag
+    # space, and rank-2 Z[tau] has no split at all
+    for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
+        k, lead, trail = flag_split(ambient_actions(ambient))
+        assert k == 2
+        assert [a.name for a in lead] == [a.name for a in trail] == ["i"]
+        assert lead[0].matrix == trail[0].matrix == ((0, -1), (1, 0))
+    assert flag_split(ambient_actions(Ambient.Z_TAU_AS_Z2)) is None
 
 
 def test_count_ideals_examples():
@@ -130,6 +143,11 @@ def test_count_ideals_examples():
     assert count_ideals(Ambient.Z_TAU_AS_Z2, 11) == 2
     assert count_ideals(Ambient.Z_TAU_AS_Z2, 2) == 0
     assert count_ideals(Ambient.Z_ITAU_AS_Z4, 25) == 3
+    for m in (0, -4):
+        with pytest.raises(ValueError):
+            count_ideals(Ambient.Z_ITAU_AS_Z4, m)
+        with pytest.raises(ValueError):
+            list_ideals(Ambient.Z_TAU_AS_Z2, m)
 
 
 def test_invariant_counts_multiplicative_for_ztau():
@@ -188,6 +206,17 @@ def test_verify_series_ztau_41():
 def test_verify_series_small_ranges():
     assert verify_series(Ambient.Z_ITAU_AS_Z4, 30).ok
     assert verify_series(Ambient.Z_ISQRT2_AS_Z4, 20).ok
+
+
+def test_verify_series_zitau_200():
+    # the budget still counts the full HNF set: 869,173,474 for m <= 200
+    report = verify_series(Ambient.Z_ITAU_AS_Z4, 200, max_candidates=10 ** 9)
+    assert report.summary() == "200/200 match"
+
+
+def test_verify_series_zisqrt2_150():
+    report = verify_series(Ambient.Z_ISQRT2_AS_Z4, 150, max_candidates=10 ** 9)
+    assert report.summary() == "150/150 match"
 
 
 def test_resource_guard():

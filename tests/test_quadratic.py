@@ -1,7 +1,10 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
+from simsub import cubic, errors, quadratic
 from simsub.quadratic import (
     QuadInt,
     QuadRing,
@@ -202,3 +205,24 @@ def test_prime_factors_reassemble():
                 assert abs(pi.norm()) > 1
                 prod = prod * pi ** mult
             assert is_associate(prod, x)
+
+
+def test_prime_factors_invariant_raises(monkeypatch):
+    assert cubic.InvariantViolation is errors.InvariantViolation
+    monkeypatch.setattr(quadratic, "_strip_primes_above",
+                        lambda x, p, ring: (x, []))
+    with pytest.raises(errors.InvariantViolation):
+        prime_factors(tau(2, 0))
+
+
+def test_prime_factors_invariant_survives_optimize():
+    script = ("from simsub import quadratic\n"
+              "quadratic._strip_primes_above = lambda x, p, ring: (x, [])\n"
+              "try:\n"
+              "    quadratic.prime_factors(quadratic.QuadInt(2, 0, quadratic.TAU))\n"
+              "except quadratic.InvariantViolation:\n"
+              "    print('raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
