@@ -236,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("units", help="exhaustive unit scan and normal forms")
     p.add_argument("--ring", required=True, choices=sorted(_UNIT_RINGS))
-    p.add_argument("--height", type=int, default=None)
+    p.add_argument("--height", type=_positive_int, default=None)
     add_format(p)
     p.set_defaults(fn=cmd_units)
 

@@ -8,7 +8,7 @@ silently, and no floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 
@@ -47,17 +47,10 @@ def divisors(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CoeffSeries:
-    """Exact coefficients a(1..limit) of a Dirichlet series.
-
-    `multiplicative` records that the series is known multiplicative by
-    construction (e.g. it came from an Euler product); it is a promise
-    that check_multiplicative verifies, not something inferred from the
-    table.
-    """
+    """Exact coefficients a(1..limit) of a Dirichlet series."""
 
     limit: int
     coeffs: tuple[int, ...]
-    multiplicative: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.limit < 1:
@@ -85,7 +78,7 @@ class CoeffSeries:
 
 def epsilon(limit: int) -> CoeffSeries:
     """The identity under Dirichlet convolution: indicator of m = 1."""
-    return CoeffSeries(limit, (1,) + (0,) * (limit - 1), multiplicative=True)
+    return CoeffSeries(limit, (1,) + (0,) * (limit - 1))
 
 
 @dataclass(frozen=True)
@@ -114,6 +107,19 @@ class EulerFactor:
             out.append(c)
         return out
 
+    def __mul__(self, other: EulerFactor) -> EulerFactor:
+        """Product of two local factors at the same prime."""
+        return EulerFactor(_poly_mul(self.num, other.num),
+                           _poly_mul(self.den, other.den))
+
+
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
 
 def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> CoeffSeries:
     """Multiplicative series from per-prime local factors.
@@ -141,7 +147,7 @@ def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> Coef
             rest //= p
             e += 1
         coeffs[m] = coeffs[rest] * expansions[p][e]
-    return CoeffSeries(limit, tuple(coeffs[1:]), multiplicative=True)
+    return CoeffSeries(limit, tuple(coeffs[1:]))
 
 
 def _require_same_limit(a: CoeffSeries, b: CoeffSeries) -> int:
@@ -163,8 +169,7 @@ def convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
             bq = cb[q - 1]
             if bq:
                 out[d * q] += ad * bq
-    return CoeffSeries(n, tuple(out[1:]),
-                       multiplicative=a.multiplicative and b.multiplicative)
+    return CoeffSeries(n, tuple(out[1:]))
 
 
 def dirichlet_inverse(a: CoeffSeries) -> CoeffSeries:
@@ -184,7 +189,7 @@ def dirichlet_inverse(a: CoeffSeries) -> CoeffSeries:
         for d in divs[m]:
             s += ca[d - 1] * inv[m // d]
         inv[m] = -s
-    return CoeffSeries(n, tuple(inv[1:]), multiplicative=a.multiplicative)
+    return CoeffSeries(n, tuple(inv[1:]))
 
 
 def scale_argument(a: CoeffSeries, k: int) -> CoeffSeries:
@@ -199,7 +204,7 @@ def scale_argument(a: CoeffSeries, k: int) -> CoeffSeries:
     while r ** k <= n:
         out[r ** k] = a.coeffs[r - 1]
         r += 1
-    return CoeffSeries(n, tuple(out[1:]), multiplicative=a.multiplicative)
+    return CoeffSeries(n, tuple(out[1:]))
 
 
 def shift(a: CoeffSeries, k: int) -> CoeffSeries:
@@ -209,7 +214,7 @@ def shift(a: CoeffSeries, k: int) -> CoeffSeries:
     if k == 0:
         return a
     out = tuple(m ** k * c for m, c in enumerate(a.coeffs, start=1))
-    return CoeffSeries(a.limit, out, multiplicative=a.multiplicative)
+    return CoeffSeries(a.limit, out)
 
 
 def dirichlet_polynomial(terms: Mapping[int, int], limit: int) -> CoeffSeries:
@@ -219,23 +224,7 @@ def dirichlet_polynomial(terms: Mapping[int, int], limit: int) -> CoeffSeries:
         if not 1 <= m <= limit:
             raise ValueError(f"term index {m} outside 1..{limit}")
         out[m] = c
-    # A polynomial supported on powers of a single prime (with a(1) = 1)
-    # is multiplicative; anything else gets no promise.
-    mult = out[1] == 1 and _single_prime_support(terms)
-    return CoeffSeries(limit, tuple(out[1:]), multiplicative=mult)
-
-
-def _single_prime_support(terms: Mapping[int, int]) -> bool:
-    support = sorted(m for m, c in terms.items() if c and m > 1)
-    if not support:
-        return True
-    p = next(d for d in range(2, support[0] + 1) if support[0] % d == 0)
-    for m in support:
-        while m % p == 0:
-            m //= p
-        if m != 1:
-            return False
-    return True
+    return CoeffSeries(limit, tuple(out[1:]))
 
 
 def summatory(a: CoeffSeries, x: int) -> int:

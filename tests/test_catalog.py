@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from simsub.catalog import (
+    CLI_SERIES,
     CatalogEntry,
     SeriesName,
     catalog_entry,
@@ -14,7 +15,16 @@ from simsub.catalog import (
     zeta_q_xi8,
     zeta_zi_sqrt2,
 )
-from simsub.dirichlet import check_multiplicative, primes_up_to
+from simsub.dirichlet import (
+    CoeffSeries,
+    check_multiplicative,
+    convolve,
+    dirichlet_inverse,
+    dirichlet_polynomial,
+    primes_up_to,
+    scale_argument,
+    shift,
+)
 from simsub.quadratic import TAU, norm_equation
 
 # The printed coefficient tables being reproduced.
@@ -38,6 +48,41 @@ def expand_local(num, den, terms):
         out.append(c)
     assert all(c.denominator == 1 for c in out)
     return [int(c) for c in out]
+
+
+# Reference oracles: the catalog's earlier constructions by Dirichlet
+# polynomials, convolutions and inverses, kept to check the local factors.
+
+def phi_c_by_convolution(limit):
+    num = {m: c for m, c in {1: 1, 4: 4}.items() if m <= limit}
+    den = {m: c for m, c in {1: 1, 4: 1}.items() if m <= limit}
+    pre = convolve(dirichlet_polynomial(num, limit),
+                   dirichlet_inverse(dirichlet_polynomial(den, limit)))
+    zt = zeta_q_tau(limit)
+    core = convolve(zt, shift(zt, 1))
+    core = convolve(core, dirichlet_inverse(scale_argument(zt, 2)))
+    return convolve(pre, core)
+
+
+def zeta_zi_sqrt2_by_convolution(limit):
+    pre = {m: c for m, c in {1: 1, 2: -1, 4: 2}.items() if m <= limit}
+    return convolve(dirichlet_polynomial(pre, limit), zeta_q_xi8(limit))
+
+
+def f_cubic_by_convolution(limit):
+    return convolve(scale_argument(zeta_q_tau(limit), 3),
+                    scale_argument(phi_c_by_convolution(limit), 3))
+
+
+@pytest.mark.parametrize("build, oracle, limit", [
+    (phi_c, phi_c_by_convolution, 5000),
+    (zeta_zi_sqrt2, zeta_zi_sqrt2_by_convolution, 5000),
+    (f_cubic, f_cubic_by_convolution, 24389),
+])
+def test_local_factors_match_convolution_oracle(build, oracle, limit):
+    got, want = build(limit), oracle(limit)
+    for m in range(1, limit + 1):
+        assert got.a(m) == want.a(m), m
 
 
 def test_zeta_q_tau_printed_terms():
@@ -141,8 +186,6 @@ def test_phi_c_against_local_expansions():
 
 
 def test_scale_argument_on_zeta_q_tau():
-    from simsub.dirichlet import scale_argument, shift
-
     z = zeta_q_tau(64)
     assert scale_argument(z, 3).a(64) == z.a(4) == 1
     assert shift(zeta_q_tau(10), 1).a(5) == 5
@@ -179,7 +222,6 @@ def test_catalog_entries_multiplicative():
         entry = catalog_entry(name, 150)
         assert isinstance(entry, CatalogEntry)
         assert entry.series.a(1) == 1
-        assert entry.series.multiplicative
         assert check_multiplicative(entry.series), name
 
 
@@ -188,6 +230,10 @@ def test_catalog_entry_by_cli_name():
     assert entry.name is SeriesName.ZETA_Q_TAU
     with pytest.raises(ValueError):
         catalog_entry("no-such-series", 10)
+    with pytest.raises(ValueError):
+        CatalogEntry(SeriesName.PHI_C, CoeffSeries(2, (2, 0)), "a(1) != 1")
+    assert CLI_SERIES == ("zeta-qtau", "zeta-qitau", "zeta-zisqrt2", "zeta-qxi8",
+                          "phi-c", "f-cubic")
 
 
 def test_expand_euler_equals_per_prime_convolution_for_zeta_q_tau():

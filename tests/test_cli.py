@@ -132,7 +132,9 @@ def test_nonpositive_limit_or_index_is_parser_error(capsys):
     for argv in (("coeffs", "--series", "phi-c", "--limit", "0"),
                  ("summatory", "--series", "zeta-qtau", "--limit", "-1"),
                  ("enumerate", "--ambient", "zitau", "--index", "0"),
-                 ("enumerate", "--ambient", "zitau", "--index", "-4")):
+                 ("enumerate", "--ambient", "zitau", "--index", "-4"),
+                 ("units", "--ring", "tau", "--height", "-1"),
+                 ("units", "--ring", "itau", "--height", "0")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""

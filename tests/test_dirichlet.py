@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from simsub.dirichlet import (
     CoeffSeries,
@@ -29,7 +30,7 @@ def random_series(limit, rng):
 def test_expand_euler_riemann():
     z = riemann(10)
     assert z.coeffs == (1,) * 10
-    assert z.multiplicative
+    assert check_multiplicative(z)
 
 
 def test_expand_euler_empty_factors_gives_epsilon():
@@ -42,6 +43,21 @@ def test_non_expandable_factor_rejected():
         EulerFactor((1,), (2, -1))
     with pytest.raises(ValueError):
         EulerFactor((1,), ())
+
+
+_small_ints = st.integers(-5, 5)
+_factors = st.builds(
+    EulerFactor,
+    st.lists(_small_ints, min_size=1, max_size=4).map(tuple),
+    st.lists(_small_ints, max_size=3).map(lambda tail: (1, *tail)),
+)
+
+
+@given(_factors, _factors, st.integers(1, 12))
+def test_euler_factor_product_is_cauchy_product(a, b, n):
+    ea, eb = a.expand(n), b.expand(n)
+    cauchy = [sum(ea[j] * eb[k - j] for j in range(k + 1)) for k in range(n)]
+    assert (a * b).expand(n) == cauchy
 
 
 def test_expand_euler_matches_single_prime_convolution():
@@ -119,7 +135,7 @@ def test_shift_examples():
 def test_dirichlet_polynomial_examples():
     pre = dirichlet_polynomial({1: 1, 2: -1, 4: 2}, 10)
     assert pre.coeffs[:4] == (1, -1, 0, 2)
-    assert pre.multiplicative  # supported on powers of 2
+    assert check_multiplicative(pre)  # supported on powers of 2
     assert dirichlet_polynomial({1: 1}, 6).coeffs == epsilon(6).coeffs
     with pytest.raises(ValueError):
         dirichlet_polynomial({12: 1}, 10)
