@@ -2,7 +2,9 @@
 
 Subcommands: coeffs, enumerate, verify, rotations, units, summatory.
 Output goes to stdout as JSON (default) or CSV; diagnostics go to
-stderr.  Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+stderr.  Exit codes: 0 success, 1 verification mismatch, 2 usage error
+or exceeded enumeration budget, 3 internal error (with a traceback on
+stderr).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 
 from . import catalog, cubic, lattice, quadratic, quartic
 from .lattice import Ambient, EnumerationBudgetExceeded
@@ -216,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=_positive_int, required=True)
     p.add_argument("--filter", choices=("all", "ideals", "principal"),
                    default="ideals")
-    p.add_argument("--max-candidates", type=int,
+    p.add_argument("--max-candidates", type=_positive_int,
                    default=lattice.DEFAULT_MAX_CANDIDATES)
     add_format(p)
     p.set_defaults(fn=cmd_enumerate)
@@ -225,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", required=True,
                    choices=sorted(_AMBIENTS) + ["cubic3"])
     p.add_argument("--limit", type=_positive_int, required=True)
-    p.add_argument("--max-candidates", type=int,
+    p.add_argument("--max-candidates", type=_positive_int,
                    default=lattice.DEFAULT_MAX_CANDIDATES)
     p.set_defaults(fn=cmd_verify)
 
@@ -251,12 +254,14 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (UsageError, ValueError, KeyError) as exc:
+    except (UsageError, EnumerationBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EnumerationBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # arguments are validated by the parser, so anything else is a bug
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -18,6 +18,13 @@ primitive q.  As 2 is inert in Z[tau], g is 1, 2 or 4, so the rotations
 with canonical denominator d are exactly those from primitive q with
 |q|^2 in {d, 2d, 4d} and content g = |q|^2 / d; that is the enumeration
 below, and |N(s)| <= 16 |N(den R)| always.
+
+A Rotation3 is stored as one integral matrix over its denominator, R =
+mat / den, and its invariants are checked once, on integers:
+mat mat^T = den^2 I, det mat = +-den^3, den canonical, and no prime of den
+dividing every entry (so den is least).  The enumeration builds mat as
+M(q) / g and den as s / g, with no fraction arithmetic; the QuadRat
+entries are derived only when asked for.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .dirichlet import divisors
@@ -38,6 +46,7 @@ from .quadratic import (
     elements_in_embedding_box,
     exact_div,
     gcd as qgcd,
+    is_canonical_associate,
     norm_equation,
     prime_factors,
     sign_embedding,
@@ -75,10 +84,6 @@ class QuadRat:
             den = dc
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_int(cls, n: int, ring) -> QuadRat:
-        return cls(ring.from_int(n))
 
     def _coerce(self, other):
         if isinstance(other, QuadRat):
@@ -150,36 +155,76 @@ class QuadRat:
 
 
 class Rotation3:
-    """3x3 orthogonal matrix with exact golden-ratio-rational entries."""
+    """3x3 orthogonal matrix over Q(tau), stored as mat / den.
 
-    __slots__ = ("rows", "det_sign")
+    mat is an integral 3x3 QuadInt matrix and den its least denominator, a
+    canonical associate.  Every construction checks, on integers only, that
+    mat mat^T = den^2 I, det mat = +-den^3, den is canonical and no prime
+    of den divides every entry.  The QuadRat entries (`rows`) are derived
+    on demand.
+    """
+
+    __slots__ = ("mat", "den", "det_sign", "_key", "_rows")
 
     def __init__(self, rows: Sequence[Sequence[QuadRat]]):
         rows = tuple(tuple(row) for row in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("need a 3x3 matrix")
-        self.rows = rows
-        ring = rows[0][0].num.ring
-        one = QuadRat(ring.one())
-        zero = QuadRat(ring.zero())
+        d = rows[0][0].num.ring.one()
+        for row in rows:
+            for e in row:
+                d = exact_div(d * e.den, qgcd(d, e.den))
+        d = canonical_associate(d)
+        self._set(tuple(tuple(e.num * exact_div(d, e.den) for e in row) for row in rows), d)
+
+    @classmethod
+    def from_integral(cls, mat: Sequence[Sequence[QuadInt]], den: QuadInt) -> Rotation3:
+        """The rotation mat / den; den must be the canonical least denominator."""
+        rot = cls.__new__(cls)
+        rot._set(tuple(tuple(row) for row in mat), den)
+        return rot
+
+    def _set(self, mat, den: QuadInt) -> None:
+        if len(mat) != 3 or any(len(r) != 3 for r in mat):
+            raise ValueError("need a 3x3 matrix")
+        ring = den.ring
+        if any(e.ring != ring for row in mat for e in row):
+            raise ValueError("mixed-ring operands")
+        if not is_canonical_associate(den):
+            raise InvariantViolation(f"denominator {den!r} is not a canonical associate")
+        c1, c0 = ring.c1, ring.c0
+        m = [(e.a, e.b) for row in mat for e in row]
+        dd = _pmul((den.a, den.b), (den.a, den.b), c1, c0)
         for i in range(3):
             for j in range(i, 3):
-                dot = sum((rows[i][k] * rows[j][k] for k in range(3)), zero)
-                if dot != (one if i == j else zero):
+                s0 = s1 = 0
+                for k in range(3):
+                    x0, x1 = m[3 * i + k]
+                    y0, y1 = m[3 * j + k]
+                    t = x1 * y1
+                    s0 += x0 * y0 + c0 * t
+                    s1 += x0 * y1 + x1 * y0 + c1 * t
+                if (s0, s1) != (dd if i == j else (0, 0)):
                     raise ValueError("matrix is not orthogonal")
-        det = self._det()
-        if det == one:
+        det = _pdet(m, c1, c0)
+        ddd = _pmul(dd, (den.a, den.b), c1, c0)
+        if det == ddd:
             self.det_sign = 1
-        elif det == -one:
+        elif det == (-ddd[0], -ddd[1]):
             self.det_sign = -1
         else:
             raise InvariantViolation("orthogonal matrix must have determinant +-1")
+        self._key = _lowest_terms_key(m, den)
+        self.mat = mat
+        self.den = den
+        self._rows = None
 
-    def _det(self) -> QuadRat:
-        r = self.rows
-        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+    @property
+    def rows(self) -> tuple[tuple[QuadRat, ...], ...]:
+        """The entries as QuadRat in lowest terms."""
+        if self._rows is None:
+            self._rows = tuple(tuple(QuadRat(e, self.den) for e in row) for row in self.mat)
+        return self._rows
 
     @classmethod
     def identity(cls, ring=TAU) -> Rotation3:
@@ -187,20 +232,21 @@ class Rotation3:
 
     @classmethod
     def from_int_rows(cls, rows, ring=TAU) -> Rotation3:
-        return cls(tuple(tuple(QuadRat.from_int(v, ring) for v in row) for row in rows))
+        return cls.from_integral(tuple(tuple(ring.from_int(v) for v in row) for row in rows),
+                                 ring.one())
 
     def key(self):
-        return tuple((e.num.a, e.num.b, e.den.a, e.den.b)
-                     for row in self.rows for e in row)
+        """(num.a, num.b, den.a, den.b) of each entry in lowest terms, row by row."""
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Rotation3) and self.key() == other.key()
+        return isinstance(other, Rotation3) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __matmul__(self, other: Rotation3) -> Rotation3:
-        ring = self.rows[0][0].num.ring
+        ring = self.den.ring
         zero = QuadRat(ring.zero())
         rows = tuple(tuple(sum((self.rows[i][k] * other.rows[k][j] for k in range(3)),
                                zero)
@@ -208,26 +254,114 @@ class Rotation3:
         return Rotation3(rows)
 
     def apply(self, vector):
-        ring = self.rows[0][0].num.ring
-        zero = QuadRat(ring.zero())
+        zero = QuadRat(self.den.ring.zero())
         return tuple(sum((self.rows[i][k] * vector[k] for k in range(3)), zero)
                      for i in range(3))
 
     def is_integral(self) -> bool:
-        return all(e.is_integral() for row in self.rows for e in row)
+        return self.den == self.den.ring.one()
 
     def is_signed_permutation(self) -> bool:
-        ring = self.rows[0][0].num.ring
-        one = QuadRat(ring.one())
-        for rows in (self.rows, tuple(zip(*self.rows))):
+        if not self.is_integral():
+            return False
+        for rows in (self.mat, tuple(zip(*self.mat))):
             for row in rows:
                 hits = [e for e in row if e]
-                if len(hits) != 1 or (hits[0] != one and hits[0] != -one):
+                if len(hits) != 1 or hits[0].b != 0 or abs(hits[0].a) != 1:
                     return False
         return True
 
     def __repr__(self):
         return f"Rotation3({self.rows!r})"
+
+
+def _pmul(x, y, c1: int, c0: int) -> tuple[int, int]:
+    """Product of two ring elements given as (a, b) pairs, w^2 = c1 w + c0."""
+    t = x[1] * y[1]
+    return (x[0] * y[0] + c0 * t, x[0] * y[1] + x[1] * y[0] + c1 * t)
+
+
+def _pdet(m, c1: int, c0: int) -> tuple[int, int]:
+    """Determinant of a 3x3 matrix given as nine (a, b) pairs, row by row."""
+    out = (0, 0)
+    for j in range(3):  # cyclic cofactors along the first row
+        j1, j2 = (j + 1) % 3, (j + 2) % 3
+        p = _pmul(m[3 + j1], m[6 + j2], c1, c0)
+        q = _pmul(m[3 + j2], m[6 + j1], c1, c0)
+        t = _pmul(m[j], (p[0] - q[0], p[1] - q[1]), c1, c0)
+        out = (out[0] + t[0], out[1] + t[1])
+    return out
+
+
+def _div_prime(x, conj_pi, n: int, c1: int, c0: int):
+    """x / pi for an (a, b) pair x, or None when pi does not divide x.
+
+    conj_pi is conj(pi) as a pair and n = N(pi) > 0: x / pi = x conj(pi) / n.
+    """
+    ta, tb = _pmul(x, conj_pi, c1, c0)
+    if ta % n or tb % n:
+        return None
+    return ta // n, tb // n
+
+
+@lru_cache(maxsize=4096)
+def _den_reducer(den: QuadInt):
+    """Primes of a canonical den and, per divisor g of den, den / g made canonical.
+
+    Returns (primes, table): primes lists (conj(pi) as a pair, N(pi),
+    exponent) for each canonical prime pi of den; table maps the exponent
+    vector of g to (c.a, c.b, w.a, w.b) with c the canonical associate of
+    den / g and w the unit c / (den / g).
+    """
+    ring = den.ring
+    factors = prime_factors(den)
+    primes = tuple(((pi.conj().a, pi.conj().b), pi.norm(), k) for pi, k in factors)
+    table = {}
+    for vec in itertools.product(*(range(k + 1) for _, k in factors)):
+        g = ring.one()
+        for (pi, _), v in zip(factors, vec):
+            g = g * pi ** v
+        q = exact_div(den, g)
+        c = canonical_associate(q)
+        w = unit_inverse(exact_div(q, c))
+        table[vec] = (c.a, c.b, w.a, w.b)
+    return primes, table
+
+
+def _lowest_terms_key(m, den: QuadInt):
+    """Key of mat / den from the nine (a, b) entries of mat, row by row.
+
+    Each entry e is divided by the largest divisor g of den dividing it,
+    prime by prime, and e / den is written as (e / g) w over the canonical
+    c = (den / g) w, which is the QuadRat lowest-terms form.  Raises
+    InvariantViolation when some prime of den divides every entry, that
+    is when den is not the least denominator.
+    """
+    c1, c0 = den.ring.c1, den.ring.c0
+    primes, table = _den_reducer(den)
+    covered = [True] * len(primes)
+    out = []
+    for x in m:
+        if x == (0, 0):
+            out.append((0, 0, 1, 0))
+            continue
+        vec = []
+        for idx, (conj_pi, n, k) in enumerate(primes):
+            v = 0
+            while v < k:
+                quotient = _div_prime(x, conj_pi, n, c1, c0)
+                if quotient is None:
+                    break
+                x = quotient
+                v += 1
+            if not v:
+                covered[idx] = False
+            vec.append(v)
+        ca, cb, wa, wb = table[tuple(vec)]
+        out.append(_pmul(x, (wa, wb), c1, c0) + (ca, cb))
+    if any(covered):
+        raise InvariantViolation(f"{den!r} is not the least denominator")
+    return tuple(out)
 
 
 def signed_permutations(ring=TAU, det_sign: int | None = None):
@@ -276,39 +410,54 @@ def _content(components: Sequence[QuadInt]) -> QuadInt:
     return canonical_associate(g)
 
 
-def _euler_rodrigues(a: QuadInt, b: QuadInt, c: QuadInt, d: QuadInt):
-    """Unnormalized rotation matrix of a quaternion: divide by |q|^2."""
-    two = TAU.from_int(2)
-    return (
-        (a * a + b * b - c * c - d * d, two * (b * c - a * d), two * (b * d + a * c)),
-        (two * (b * c + a * d), a * a - b * b + c * c - d * d, two * (c * d - a * b)),
-        (two * (b * d - a * c), two * (c * d + a * b), a * a - b * b - c * c + d * d),
-    )
+def _euler_rodrigues(q) -> list[tuple[int, int]]:
+    """Unnormalized rotation matrix of a Z[tau] quaternion, to be divided by |q|^2.
+
+    The nine entries come as (a, b) pairs, row by row.
+    """
+    a, b, c, d = ((x.a, x.b) for x in q)
+    aa, bb, cc, dd, bc, ad, bd, ac, cd, ab = (
+        _pmul(x, y, 1, 1) for x, y in ((a, a), (b, b), (c, c), (d, d), (b, c),
+                                       (a, d), (b, d), (a, c), (c, d), (a, b)))
+    coords = [(aa[k] + bb[k] - cc[k] - dd[k], 2 * (bc[k] - ad[k]), 2 * (bd[k] + ac[k]),
+               2 * (bc[k] + ad[k]), aa[k] - bb[k] + cc[k] - dd[k], 2 * (cd[k] - ab[k]),
+               2 * (bd[k] - ac[k]), 2 * (cd[k] + ab[k]), aa[k] - bb[k] - cc[k] + dd[k])
+              for k in (0, 1)]
+    return list(zip(*coords))
+
+
+def _er_rotation(m, s: QuadInt, g: int) -> Rotation3:
+    """M / s for the Euler-Rodrigues matrix M of q, s = |q|^2, g = gcd(s, M).
+
+    M / s = (M / g) / (s / g), with s / g turned into its canonical
+    associate c by the unit w = c / (s / g).
+    """
+    d = QuadInt(s.a // g, s.b // g, TAU)
+    c = canonical_associate(d)
+    mat = [QuadInt(a // g, b // g, TAU) for a, b in m]
+    if c != d:
+        w = unit_inverse(exact_div(d, c))
+        mat = [e * w for e in mat]
+    rot = Rotation3.from_integral((mat[0:3], mat[3:6], mat[6:9]), c)
+    if rot.det_sign != 1:
+        raise InvariantViolation("Euler-Rodrigues matrix must have determinant 1")
+    return rot
 
 
 def quat_to_rotation(q: QuatTau) -> Rotation3:
     """Exact Euler-Rodrigues rotation of a primitive quaternion."""
-    m = _euler_rodrigues(*q.components)
+    m = _euler_rodrigues(q.components)
     s = q.norm_sq()
-    rot = Rotation3(tuple(tuple(QuadRat(e, s) for e in row) for row in m))
-    if rot.det_sign != 1:
-        raise InvariantViolation("Euler-Rodrigues matrix must have determinant 1")
-    return rot
+    return _er_rotation(m, s, _form_content(s, m))
 
 
 def den(rotation: Rotation3) -> QuadInt:
     """Canonical least common denominator of the nine entries.
 
     den(R) * R is integral and no proper divisor of den(R) clears every
-    denominator, because each entry is stored in lowest terms.
+    denominator; Rotation3 checks both when it is built.
     """
-    ring = rotation.rows[0][0].num.ring
-    d = ring.one()
-    for row in rotation.rows:
-        for e in row:
-            g = qgcd(d, e.den)
-            d = exact_div(d * e.den, g)
-    return canonical_associate(d)
+    return rotation.den
 
 
 def _block2(x: QuadInt):
@@ -341,10 +490,8 @@ def _int_det(mat) -> int:
 
 def _integral_matrix(rotation: Rotation3, scale: QuadInt):
     """scale * rotation as a 3x3 QuadInt matrix; scale must clear den(R)."""
-    d = den(rotation)
-    factor = exact_div(scale, d)
-    return tuple(tuple((e.num * factor) * exact_div(d, e.den) for e in row)
-                 for row in rotation.rows)
+    factor = exact_div(scale, rotation.den)
+    return tuple(tuple(e * factor for e in row) for row in rotation.mat)
 
 
 def similarity_index(alpha: QuadInt, rotation: Rotation3) -> int:
@@ -403,7 +550,8 @@ def _primitive_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, 
     both embeddings (floats only prune partial sums, with padding); the
     fourth component is the exact square root of what is left, looked up
     in a dict of squares.  The first nonzero component of each listed q
-    has positive real embedding.
+    has positive real embedding.  A prime pi dividing all of q has pi^2 | s,
+    so only those primes are tested for primitivity.
     """
     comps = _components(s)
     lead = [c for c in comps if not c[0] or sign_embedding(c[0]) > 0]
@@ -427,43 +575,48 @@ def _primitive_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, 
                 out.append((x0, x1, x2, x3))
                 if x3 and (x0 or x1 or x2):
                     out.append((x0, x1, x2, -x3))
-    return [q for q in out if _content(q) == TAU.one()]
+    square_primes = [((pi.conj().a, pi.conj().b), pi.norm())
+                     for pi, k in prime_factors(s) if k >= 2]
+    return [q for q in out
+            if not any(all(_div_prime((c.a, c.b), conj_pi, n, 1, 1) is not None for c in q)
+                       for conj_pi, n in square_primes)]
 
 
 def _form_content(s: QuadInt, m) -> int:
     """gcd(s, entries of m) for the Euler-Rodrigues matrix m of a primitive q.
 
-    The gcd divides 4 (module docstring), so it is the largest of 4, 2, 1
-    dividing s and all nine entries.
+    m holds (a, b) pairs.  The gcd divides 4 (module docstring), so it is
+    the largest of 4, 2, 1 dividing s and all nine entries.
     """
-    entries = (s,) + tuple(e for row in m for e in row)
+    entries = [(s.a, s.b)] + m
     for k in (4, 2):
-        if all(e.a % k == 0 and e.b % k == 0 for e in entries):
+        if all(a % k == 0 and b % k == 0 for a, b in entries):
             return k
     return 1
 
 
-def _rotations_of_norm(n: int) -> tuple[tuple[Rotation3, QuadInt], ...]:
-    """Every (R, den R) with |N(den R)| = n, sorted by R.key(), each exactly once.
+def _rotations_of_norm(n: int) -> tuple[Rotation3, ...]:
+    """Every R with |N(den R)| = n, sorted by R.key(), each exactly once.
 
     For each canonical d of norm n and g in (1, 2, 4), the primitive q with
     |q|^2 = g * d and Euler-Rodrigues content g give den = d; by the
     argument in the module docstring no other q does.
     """
-    found: dict[tuple, tuple[Rotation3, QuadInt]] = {}
+    found: dict[tuple, Rotation3] = {}
     for d in norm_equation(TAU, n):
         for g in (1, 2, 4):
             s = d * g
             for q in _primitive_quaternions(s):
-                if _form_content(s, _euler_rodrigues(*q)) != g:
+                m = _euler_rodrigues(q)
+                if _form_content(s, m) != g:
                     continue
-                rot = quat_to_rotation(QuatTau(q))
-                if den(rot) != d:
+                rot = _er_rotation(m, s, g)
+                if rot.den != d:
                     raise InvariantViolation(f"den of {q!r} is not {d!r}")
                 key = rot.key()
                 if key in found:
                     raise InvariantViolation(f"rotation of {q!r} listed twice")
-                found[key] = (rot, d)
+                found[key] = rot
     return tuple(found[k] for k in sorted(found))
 
 
@@ -482,13 +635,13 @@ def _predicted_triples(bound: int) -> int:
     return math.ceil(per_s * 73 * 0.4304 * min(bound, 10 ** 9) ** 2.5 / 2.5)
 
 
-# norm -> tuple of (R, den R); filled on demand, shared by every bound
-_norm_cache: dict[int, tuple[tuple[Rotation3, QuadInt], ...]] = {}
+# norm -> tuple of rotations; filled on demand, shared by every bound
+_norm_cache: dict[int, tuple[Rotation3, ...]] = {}
 _norm_cache_lock = threading.Lock()
 
 
-def _rotations_by_norm(bound: int) -> dict[int, tuple[tuple[Rotation3, QuadInt], ...]]:
-    """{n: every (R, den R) with |N(den R)| = n} for n = 1..bound."""
+def _rotations_by_norm(bound: int) -> dict[int, tuple[Rotation3, ...]]:
+    """{n: every R with |N(den R)| = n} for n = 1..bound."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     predicted = _predicted_triples(bound)
@@ -505,12 +658,12 @@ def _rotations_by_norm(bound: int) -> dict[int, tuple[tuple[Rotation3, QuadInt],
 
 def enumerate_rotations(bound: int) -> tuple[Rotation3, ...]:
     """All R in SO(3, Q(tau)) with |N(den R)| <= bound, each exactly once."""
-    return tuple(rot for recs in _rotations_by_norm(bound).values() for rot, _ in recs)
+    return tuple(rot for rots in _rotations_by_norm(bound).values() for rot in rots)
 
 
 def rotation_counts(bound: int) -> dict[int, int]:
     """Rotation count per denominator norm, for norms up to the bound."""
-    return {n: len(recs) for n, recs in _rotations_by_norm(bound).items()}
+    return {n: len(rots) for n, rots in _rotations_by_norm(bound).items()}
 
 
 @dataclass(frozen=True)
@@ -571,8 +724,8 @@ def count_submodules_3d(m: int) -> int:
         alphas = norm_equation(TAU, n // dn)
         if not alphas:
             continue
-        for rot, d in by_norm[dn]:
-            integral = _integral_matrix(rot, d)
+        for rot in by_norm[dn]:
+            integral = rot.mat
             for alpha in alphas:
                 cols = [tuple(alpha * integral[i][j] for i in range(3))
                         for j in range(3)]
@@ -667,19 +820,8 @@ def compose_affine(f: AffineSimilarity, g: AffineSimilarity) -> AffineSimilarity
 
 def den_is_minimal(rotation: Rotation3) -> bool:
     """den(R)/pi fails to clear denominators for every prime pi | den(R)."""
-    d = den(rotation)
+    d = rotation.den
     if d.is_unit():
         return True
-    for pi, _ in prime_factors(d):
-        smaller = exact_div(d, pi)
-        ok = True
-        for row in rotation.rows:
-            for e in row:
-                if (smaller * e.num) % e.den:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return False
-    return True
+    return not any(all(not e % pi for row in rotation.mat for e in row)
+                   for pi, _ in prime_factors(d))

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from simsub import catalog, cli, lattice
+from simsub import catalog, cli, cubic, lattice
 
 
 def run_cli(capsys, *argv):
@@ -134,11 +134,28 @@ def test_nonpositive_limit_or_index_is_parser_error(capsys):
                  ("enumerate", "--ambient", "zitau", "--index", "0"),
                  ("enumerate", "--ambient", "zitau", "--index", "-4"),
                  ("units", "--ring", "tau", "--height", "-1"),
-                 ("units", "--ring", "itau", "--height", "0")):
+                 ("units", "--ring", "itau", "--height", "0"),
+                 ("verify", "--module", "ztau", "--limit", "5", "--max-candidates", "0"),
+                 ("verify", "--module", "ztau", "--limit", "5", "--max-candidates", "-1"),
+                 ("enumerate", "--ambient", "ztau", "--index", "4",
+                  "--max-candidates", "0")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert "must be >= 1" in err, argv
+
+
+def test_internal_error_is_not_usage_error(capsys, monkeypatch):
+    def broken(n):
+        raise ValueError("does not divide")
+
+    monkeypatch.setattr(cubic, "_norm_cache", {})
+    monkeypatch.setattr(cubic, "_rotations_of_norm", broken)
+    code, out, err = run_cli(capsys, "verify", "--module", "cubic3", "--limit", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "does not divide" in err
 
 
 def test_rotation_budget_guard_is_usage_error(capsys):

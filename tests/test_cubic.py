@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -28,7 +29,15 @@ from simsub.cubic import (
     verify_rotation_counts,
 )
 from simsub.lattice import Ambient, EnumerationBudgetExceeded
-from simsub.quadratic import QuadInt, TAU, canonical_associate, gcd, norm_equation
+from simsub.quadratic import (
+    QuadInt,
+    TAU,
+    canonical_associate,
+    exact_div,
+    gcd,
+    norm_equation,
+    sign_embedding,
+)
 
 
 def tau(a, b):
@@ -41,6 +50,36 @@ def quat(*pairs):
 
 def rat(a, b, c=1, d=0):
     return QuadRat(tau(a, b), tau(c, d))
+
+
+# Reference route: the Euler-Rodrigues matrix in QuadInt arithmetic, each
+# entry put in lowest terms by QuadRat, and den(R) as the lcm of the entry
+# denominators.  Rotation3 builds the same objects from one integral matrix.
+
+def euler_rodrigues_by_quadint(a, b, c, d):
+    two = TAU.from_int(2)
+    return (
+        (a * a + b * b - c * c - d * d, two * (b * c - a * d), two * (b * d + a * c)),
+        (two * (b * c + a * d), a * a - b * b + c * c - d * d, two * (c * d - a * b)),
+        (two * (b * d - a * c), two * (c * d + a * b), a * a - b * b - c * c + d * d),
+    )
+
+
+def rows_by_quadrat(q):
+    s = QuatTau(q).norm_sq()
+    return tuple(tuple(QuadRat(e, s) for e in row) for row in euler_rodrigues_by_quadint(*q))
+
+
+def key_by_quadrat(rows):
+    return tuple((e.num.a, e.num.b, e.den.a, e.den.b) for row in rows for e in row)
+
+
+def den_by_quadrat(rows):
+    d = TAU.one()
+    for row in rows:
+        for e in row:
+            d = exact_div(d * e.den, gcd(d, e.den))
+    return canonical_associate(d)
 
 
 def test_quadrat_normalization():
@@ -93,6 +132,62 @@ def test_quat_validation():
 def test_rotation_validation():
     with pytest.raises(ValueError):
         Rotation3.from_int_rows(((1, 0, 0), (0, 1, 0), (0, 1, 1)))
+
+
+def _integral(rows):
+    return tuple(tuple(tau(*e) if isinstance(e, tuple) else tau(e, 0) for e in row)
+                 for row in rows)
+
+
+def test_integral_check_rejects_non_orthogonal():
+    # rows of the right length but not perpendicular: only the
+    # off-diagonal entries of mat mat^T are wrong
+    with pytest.raises(ValueError, match="orthogonal"):
+        Rotation3.from_integral(_integral(((1, 2, 2), (2, 1, 2), (2, 2, 1))), tau(3, 0))
+    with pytest.raises(ValueError, match="orthogonal"):
+        Rotation3.from_integral(_integral(((1, 0, 0), (1, 0, 0), (0, 0, 1))), TAU.one())
+    ok = Rotation3.from_integral(_integral(((1, 2, 2), (2, 1, -2), (-2, 2, -1))), tau(3, 0))
+    assert ok == quat_to_rotation(quat((1, 0), (1, 0), (1, 0), (0, 0)))
+
+
+def test_integral_check_rejects_non_least_denominator():
+    with pytest.raises(InvariantViolation, match="least"):
+        Rotation3.from_integral(_integral(((2, 0, 0), (0, 2, 0), (0, 0, 2))), tau(2, 0))
+    with pytest.raises(InvariantViolation, match="least"):
+        Rotation3.from_integral(_integral(((3, 6, 6), (6, 3, -6), (-6, 6, -3))), tau(9, 0))
+
+
+def test_integral_check_rejects_non_canonical_denominator():
+    # tau * I / tau is the identity, but tau is not a canonical associate
+    with pytest.raises(InvariantViolation, match="canonical"):
+        Rotation3.from_integral(_integral((((0, 1), 0, 0), (0, (0, 1), 0), (0, 0, (0, 1)))),
+                                tau(0, 1))
+    with pytest.raises(InvariantViolation, match="canonical"):
+        Rotation3.from_integral(_integral(((-1, 0, 0), (0, -1, 0), (0, 0, -1))), tau(-1, 0))
+
+
+def test_lowest_terms_key_matches_quadrat():
+    # dens with repeated and mixed primes, where den / g is often not a
+    # canonical associate; the entry 1 keeps den least
+    rng = random.Random(54)
+    dens = [d for n in (1, 4, 5, 11, 25, 44, 55, 121, 209, 605, 1331)
+            for d in norm_equation(TAU, n)]
+    for d in dens:
+        for _ in range(40):
+            e = tau(rng.randint(-60, 60), rng.randint(-60, 60)) * rng.choice(dens)
+            if rng.random() < 0.5:
+                e = e * tau(0, 1) ** rng.randrange(4)
+            got = cubic._lowest_terms_key([(e.a, e.b), (1, 0)], d)
+            x = QuadRat(e, d)
+            assert got == ((x.num.a, x.num.b, x.den.a, x.den.b), (1, 0, d.a, d.b)), (e, d)
+
+
+def test_reflections_keep_negative_determinant():
+    reflections = list(signed_permutations(det_sign=-1))
+    assert len(reflections) == 24
+    assert all(r.det_sign == -1 and r.den == TAU.one() for r in reflections)
+    minus = Rotation3.from_integral(_integral(((-1, 0, 0), (0, -1, 0), (0, 0, -1))), TAU.one())
+    assert minus.det_sign == -1 and minus in reflections
 
 
 def test_den_examples():
@@ -185,6 +280,17 @@ def test_verify_rotation_counts_against_phi():
     assert report.ok, report.summary()
 
 
+def test_cubic_oracle_to_bound_16():
+    bound = 16
+    phi = catalog.phi_c(bound)
+    expected = {m: 24 * phi.a(m) for m in range(1, bound + 1)}
+    report = verify_rotation_counts(bound, expected)
+    assert report.ok, report.summary()
+    fc = catalog.f_cubic(bound ** 3)
+    for n in range(1, bound + 1):
+        assert count_submodules_3d(n ** 3) == fc.a(n ** 3), n
+
+
 def test_euler_rodrigues_content_divides_4():
     four = tau(4, 0)
     for n in range(1, 10):
@@ -194,10 +300,49 @@ def test_euler_rodrigues_content_divides_4():
                 for q in cubic._primitive_quaternions(s):
                     assert QuatTau(q).norm_sq() == s
                     content = s
-                    for row in cubic._euler_rodrigues(*q):
+                    for row in euler_rodrigues_by_quadint(*q):
                         for e in row:
                             content = gcd(content, e)
                     assert content in (TAU.one(), tau(2, 0), four)
+
+
+def test_primitive_quaternions_match_brute_force():
+    # s with square factors, where non-primitive q = pi q' exist
+    for s in (tau(4, 0), tau(8, 0), tau(9, 0), tau(8, 4)):
+        squares = {x: x * x for x, *_ in cubic._components(s)}
+        expected = set()
+        for q in itertools.product(squares, repeat=4):
+            if (sum(squares[c].a for c in q) == s.a
+                    and sum(squares[c].b for c in q) == s.b
+                    and sign_embedding(next(c for c in q if c)) > 0
+                    and cubic._content(q) == TAU.one()):
+                expected.add(q)
+        got = cubic._primitive_quaternions(s)
+        assert len(got) == len(set(got)) and set(got) == expected, s
+
+
+def test_integral_route_matches_quadrat_route():
+    # every primitive q with |q|^2 = g d, content any of 1, 2, 4, N(d) <= 9
+    seen = 0
+    for n in range(1, 10):
+        for d in norm_equation(TAU, n):
+            for g in (1, 2, 4):
+                for q in cubic._primitive_quaternions(d * g):
+                    rows = rows_by_quadrat(q)
+                    rot = quat_to_rotation(QuatTau(q))
+                    assert rot.key() == key_by_quadrat(rows)
+                    assert rot.den == den(rot) == den_by_quadrat(rows)
+                    via_rows = Rotation3(rows)
+                    assert via_rows == rot and via_rows.den == rot.den
+                    seen += 1
+    assert seen > 600
+    # |q|^2 = tau^2 is not a canonical associate; the unit moves into mat
+    r = quat_to_rotation(quat((0, 1), (0, 0), (0, 0), (0, 0)))
+    assert r == Rotation3.identity() and r.den == TAU.one()
+    q = (tau(0, 1), tau(1, 1), tau(0, 0), tau(0, 0))
+    r = quat_to_rotation(QuatTau(q))
+    assert r.key() == key_by_quadrat(rows_by_quadrat(q))
+    assert r.den == den_by_quadrat(rows_by_quadrat(q))
 
 
 def test_rotation_counts_agree_across_bounds():
