@@ -3,8 +3,8 @@
 Subcommands: coeffs, enumerate, verify, rotations, units, summatory.
 Output goes to stdout as JSON (default) or CSV; diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification mismatch, 2 usage error
-or exceeded enumeration budget, 3 internal error (with a traceback on
-stderr).
+(including an invalid SIMSUB_THREADS) or exceeded enumeration budget,
+3 internal error (with a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import traceback
 
 from . import catalog, cubic, lattice, quadratic, quartic
 from .lattice import Ambient, EnumerationBudgetExceeded
+from .parallel import SettingError
 
 _AMBIENTS = {
     "ztau": Ambient.Z_TAU_AS_Z2,
@@ -254,11 +255,12 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (UsageError, EnumerationBudgetExceeded) as exc:
+    except (UsageError, EnumerationBudgetExceeded, SettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # arguments are validated by the parser, so anything else is a bug
+        # arguments are validated by the parser and SIMSUB_THREADS by
+        # worker_count, so anything else is a bug
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 3

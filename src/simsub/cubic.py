@@ -550,8 +550,7 @@ def _primitive_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, 
     both embeddings (floats only prune partial sums, with padding); the
     fourth component is the exact square root of what is left, looked up
     in a dict of squares.  The first nonzero component of each listed q
-    has positive real embedding.  A prime pi dividing all of q has pi^2 | s,
-    so only those primes are tested for primitivity.
+    has positive real embedding.
     """
     comps = _components(s)
     lead = [c for c in comps if not c[0] or sign_embedding(c[0]) > 0]
@@ -575,11 +574,7 @@ def _primitive_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, 
                 out.append((x0, x1, x2, x3))
                 if x3 and (x0 or x1 or x2):
                     out.append((x0, x1, x2, -x3))
-    square_primes = [((pi.conj().a, pi.conj().b), pi.norm())
-                     for pi, k in prime_factors(s) if k >= 2]
-    return [q for q in out
-            if not any(all(_div_prime((c.a, c.b), conj_pi, n, 1, 1) is not None for c in q)
-                       for conj_pi, n in square_primes)]
+    return [q for q in out if _content(q) == TAU.one()]
 
 
 def _form_content(s: QuadInt, m) -> int:
@@ -817,11 +812,3 @@ def compose_affine(f: AffineSimilarity, g: AffineSimilarity) -> AffineSimilarity
                   for i in range(3))
     return AffineSimilarity(f.scale * g.scale, f.rotation @ g.rotation, moved)
 
-
-def den_is_minimal(rotation: Rotation3) -> bool:
-    """den(R)/pi fails to clear denominators for every prime pi | den(R)."""
-    d = rotation.den
-    if d.is_unit():
-        return True
-    return not any(all(not e % pi for row in rotation.mat for e in row)
-                   for pi, _ in prime_factors(d))

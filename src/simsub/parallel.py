@@ -11,13 +11,20 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 
+class SettingError(ValueError):
+    """An environment setting such as SIMSUB_THREADS has an invalid value."""
+
+
 def worker_count() -> int:
     """Workers to use: SIMSUB_THREADS if set, else all cores."""
     raw = os.environ.get("SIMSUB_THREADS")
     if raw:
-        n = int(raw)
+        try:
+            n = int(raw)
+        except ValueError:
+            n = 0
         if n < 1:
-            raise ValueError("SIMSUB_THREADS must be >= 1")
+            raise SettingError(f"SIMSUB_THREADS must be an integer >= 1, got {raw!r}")
         return n
     return os.cpu_count() or 1
 

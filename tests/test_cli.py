@@ -145,6 +145,15 @@ def test_nonpositive_limit_or_index_is_parser_error(capsys):
         assert "must be >= 1" in err, argv
 
 
+def test_invalid_thread_setting_is_usage_error(capsys, monkeypatch):
+    for raw in ("0", "abc"):
+        monkeypatch.setenv("SIMSUB_THREADS", raw)
+        code, out, err = run_cli(capsys, "verify", "--module", "ztau", "--limit", "3")
+        assert code == 2, raw
+        assert out == ""
+        assert err.startswith("error: SIMSUB_THREADS must be an integer >= 1"), raw
+
+
 def test_internal_error_is_not_usage_error(capsys, monkeypatch):
     def broken(n):
         raise ValueError("does not divide")

@@ -17,7 +17,6 @@ from simsub.cubic import (
     compose_affine,
     count_submodules_3d,
     den,
-    den_is_minimal,
     enumerate_rotations,
     hnf_over_ztau,
     identity_affine,
@@ -36,6 +35,7 @@ from simsub.quadratic import (
     exact_div,
     gcd,
     norm_equation,
+    prime_factors,
     sign_embedding,
 )
 
@@ -207,7 +207,9 @@ def test_den_times_rotation_integral_and_minimal():
         for row in r.rows:
             for e in row:
                 assert not (d * e.num) % e.den
-        assert den_is_minimal(r)
+        # no prime of den(R) clears every denominator on its own
+        for pi, _ in prime_factors(d):
+            assert any((exact_div(d, pi) * e.num) % e.den for row in r.rows for e in row)
 
 
 def test_similarity_index_examples():
@@ -273,14 +275,6 @@ def test_enumerated_rotations_exactly_orthogonal():
 
 
 def test_verify_rotation_counts_against_phi():
-    bound = 5
-    phi = catalog.phi_c(bound)
-    expected = {m: 24 * phi.a(m) for m in range(1, bound + 1)}
-    report = verify_rotation_counts(bound, expected)
-    assert report.ok, report.summary()
-
-
-def test_cubic_oracle_to_bound_16():
     bound = 16
     phi = catalog.phi_c(bound)
     expected = {m: 24 * phi.a(m) for m in range(1, bound + 1)}
