@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-# convolve, dirichlet_inverse and shift are unused here; perfbench/tracer.py patches them by name.
+# convolve, dirichlet_inverse, scale_argument and shift are unused here; perfbench/tracer.py
+# patches them by name.
 from .dirichlet import (  # noqa: F401
     CoeffSeries,
     EulerFactor,
@@ -158,9 +159,29 @@ def phi_c(limit: int) -> CoeffSeries:
 
 
 def f_cubic(limit: int) -> CoeffSeries:
-    """Similarity submodule count of Z[tau]^3; supported on cubes."""
-    return scale_argument(
-        expand_euler(lambda p: _tau_factor(p) * _phi_c_factor(p), limit), 3)
+    """Similarity submodule count of Z[tau]^3; supported on cubes.
+
+    The product of the zeta_q_tau and phi_c factors is expanded only up
+    to the integer cube root of limit, and a(r) is placed at r^3.
+    """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    r_max = _icbrt(limit)
+    base = expand_euler(lambda p: _tau_factor(p) * _phi_c_factor(p), r_max)
+    out = [0] * limit
+    for r, c in enumerate(base.coeffs, start=1):
+        out[r ** 3 - 1] = c
+    return CoeffSeries(limit, tuple(out))
+
+
+def _icbrt(n: int) -> int:
+    """Largest r with r^3 <= n, for n >= 0; the float guess is corrected exactly."""
+    r = round(n ** (1 / 3))
+    while r ** 3 > n:
+        r -= 1
+    while (r + 1) ** 3 <= n:
+        r += 1
+    return r
 
 
 def sigma1(m: int) -> int:

@@ -31,6 +31,18 @@ back into flat HNF order.  For Z[i,tau] and Z[i,sqrt2] the action of i
 keeps span(1, i), so k = 2; rank-2 Z[tau] has no split and takes the
 flat path.  The budget check (max_candidates) still counts the full HNF
 set, not the pruned one.
+
+A block's invariant HNFs depend only on its diagonal (d1, d2) and the
+restricted actions, and the restriction of i is the same on both
+blocks.  So each block is computed once per process, in a bounded cache
+of small read-only digit arrays (`_invariant_block`), however many
+diagonals share it.
+
+Principality.  A generator re + i*im (re, im in the real quadratic
+ring) has relative norm re^2 + im^2.  The search squares each element
+of its box once, as an integer pair, and passes a candidate on to the
+exact membership and HNF checks only when the integer norm of the summed
+squares equals the index.
 """
 
 from __future__ import annotations
@@ -413,10 +425,22 @@ def _candidate_factors(diag, actions):
     k, lead, trail = split
     factors = []
     for lo, hi, block_actions in ((0, k, lead), (k, r, trail)):
-        n, digits = _invariant_for_diagonal(diag[lo:hi], block_actions, True)
+        n, digits = _invariant_block(diag[lo:hi], block_actions)
         factors.append((n, {(i + lo, j + lo): arr for (i, j), arr in digits.items()}))
     factors += [(diag[i], {(i, j): None}) for j in range(k, r) for i in range(k)]
     return factors
+
+
+@functools.lru_cache(maxsize=4096)
+def _invariant_block(diag, actions):
+    """Collect-mode kernel result for one flag block, once per process.
+
+    The digit arrays are read-only, so worker threads can share them.
+    """
+    n, digits = _invariant_for_diagonal(diag, actions, True)
+    for arr in digits.values():
+        arr.flags.writeable = False
+    return n, digits
 
 
 def _invariant_for_diagonal(diag, actions, collect):
@@ -500,14 +524,15 @@ def list_ideals(ambient: Ambient, m: int,
 # principality
 
 
-def is_principal(sub: Submodule, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> bool:
+def is_principal(sub: Submodule) -> bool:
     """Whether an ideal is generated by a single element.
 
     A generator must be an ideal element whose absolute norm equals the
     index.  Units i^k mu^l move any generator into the fundamental domain
     where both archimedean square-magnitudes are at most sqrt(index)*mu1;
     we scan that box enlarged by a factor 2 per embedding, so an empty
-    scan proves non-principality.
+    scan proves non-principality.  Floats only size the box; a candidate
+    re + i*im is screened by the exact integer norm of re^2 + im^2.
     """
     ring = _QUARTIC_RING.get(sub.ambient)
     if ring is None:
@@ -515,29 +540,40 @@ def is_principal(sub: Submodule, max_candidates: int = DEFAULT_MAX_CANDIDATES) -
     if not is_invariant(sub, ambient_actions(sub.ambient)):
         raise ValueError("submodule is not an ideal")
     n = sub.index
-    mu1 = ring.quad.fundamental_unit.embedding_float()
+    quad = ring.quad
+    mu1 = quad.fundamental_unit.embedding_float()
     cap = 2.0 * math.sqrt(n) * mu1
     side = math.sqrt(cap) * 1.0000001
     pairs = []
-    for x in _box_elements(ring.quad, side):
+    for x in _box_elements(quad, side):
         e1 = x.embedding_float() ** 2
         e2 = x.conj_embedding_float() ** 2
         if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
-            pairs.append((x, e1, e2))
-    pairs.sort(key=lambda t: (t[1], t[0].a, t[0].b))
-    for re, r1, r2 in pairs:
-        for im, s1, s2 in pairs:
+            pairs.append((e1, x.a, x.b, e2, _square_pair(x.a, x.b, quad)))
+    pairs.sort()
+    for r1, ra, rb, r2, (ru, rv) in pairs:
+        for s1, sa, sb, s2, (su, sv) in pairs:
             if r1 + s1 > cap + 1e-9 or r2 + s2 > cap + 1e-9:
                 continue
-            cand = QuarticInt.from_parts(re, im, ring)
-            if not cand or cand.abs_norm() != n:
+            if _pair_abs_norm(ru + su, rv + sv, quad) != n:
                 continue
+            cand = QuarticInt((ra, sa, rb, sb), ring)
             if not sub.contains(cand.coeffs):
                 continue
             generated = hnf_canonical(list(zip(*regular_rep(cand))))
             if generated == sub.basis:
                 return True
     return False
+
+
+def _square_pair(a: int, b: int, quad) -> tuple[int, int]:
+    """(a + b*w)^2 as an integer pair, with w^2 = c1*w + c0."""
+    return a * a + quad.c0 * b * b, 2 * a * b + quad.c1 * b * b
+
+
+def _pair_abs_norm(u: int, v: int, quad) -> int:
+    """|norm(u + v*w)| to Z; for u + v*w = re^2 + im^2 it is abs_norm(re + i*im)."""
+    return abs(u * u + quad.c1 * u * v - quad.c0 * v * v)
 
 
 def _box_elements(quad_ring, side: float):
@@ -556,7 +592,7 @@ def count_similarity_submodules(ambient: Ambient, m: int,
         return count_ideals(ambient, m, max_candidates)
     if ambient is Ambient.Z_ISQRT2_AS_Z4:
         ideals = list_ideals(ambient, m, max_candidates)
-        return sum(1 for s in ideals if is_principal(s, max_candidates))
+        return sum(1 for s in ideals if is_principal(s))
     raise ValueError(f"no similarity-submodule count for ambient {ambient}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantViolation
 from .quadratic import (
     QuadInt,
     QuadRing,
@@ -61,10 +62,10 @@ class QuarticRing:
         for x in es:
             for y in es:
                 if x * y != y * x:
-                    raise AssertionError("multiplication table not commutative")
+                    raise InvariantViolation("multiplication table not commutative")
                 for z in es:
                     if (x * y) * z != x * (y * z):
-                        raise AssertionError("multiplication table not associative")
+                        raise InvariantViolation("multiplication table not associative")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QuarticRing) and self.name == getattr(other, "name", None)

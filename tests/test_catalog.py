@@ -4,6 +4,9 @@ import pytest
 
 from simsub.catalog import (
     CLI_SERIES,
+    _icbrt,
+    _phi_c_factor,
+    _tau_factor,
     CatalogEntry,
     SeriesName,
     catalog_entry,
@@ -21,6 +24,7 @@ from simsub.dirichlet import (
     convolve,
     dirichlet_inverse,
     dirichlet_polynomial,
+    expand_euler,
     primes_up_to,
     scale_argument,
     shift,
@@ -198,6 +202,36 @@ def test_f_cubic_printed_terms():
         r = round(m ** (1 / 3))
         if r ** 3 != m:
             assert f.a(m) == 0
+
+
+def f_cubic_by_scaling(limit):
+    # the full-length expansion with every coefficient moved to r^3
+    return scale_argument(
+        expand_euler(lambda p: _tau_factor(p) * _phi_c_factor(p), limit), 3)
+
+
+@pytest.mark.parametrize("limit", [1, 7, 8, 9, 26, 27, 28, 63, 64, 65, 24389])
+def test_f_cubic_at_cubes_matches_full_expansion(limit):
+    f = f_cubic(limit)
+    assert f.limit == limit
+    assert f == f_cubic_by_scaling(limit) == f_cubic_by_convolution(limit)
+
+
+def test_f_cubic_rejects_empty_table():
+    for limit in (0, -8):
+        with pytest.raises(ValueError):
+            f_cubic(limit)
+
+
+def test_integer_cube_root_is_exact():
+    for r in range(0, 300):
+        for n in (r ** 3 - 1, r ** 3, r ** 3 + 1):
+            if n >= 0:
+                assert _icbrt(n) ** 3 <= n < (_icbrt(n) + 1) ** 3
+    for r in (10 ** 6, 10 ** 15 + 7):
+        # the float guess may be off by one at large cubes; the exact steps correct it
+        assert _icbrt(r ** 3) == r
+        assert _icbrt(r ** 3 - 1) == r - 1
 
 
 def test_f_cubic_internal_consistency_at_8000():

@@ -1,9 +1,12 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from simsub import catalog
+from simsub import catalog, lattice
 from simsub.lattice import (
     Ambient,
     EnumerationBudgetExceeded,
@@ -21,7 +24,8 @@ from simsub.lattice import (
     list_ideals,
     verify_series,
 )
-from simsub.quartic import ISQRT2, ITAU, regular_rep
+from simsub.quadratic import QuadInt
+from simsub.quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 
 def test_hnf_sublattice_counts():
@@ -184,6 +188,117 @@ def test_is_principal_examples():
             assert is_principal(sub)
 
 
+def is_principal_by_quartic(sub):
+    """Reference generator search: one QuarticInt and its abs_norm per box pair."""
+    ring = {Ambient.Z_ITAU_AS_Z4: ITAU, Ambient.Z_ISQRT2_AS_Z4: ISQRT2}[sub.ambient]
+    n = sub.index
+    mu1 = ring.quad.fundamental_unit.embedding_float()
+    cap = 2.0 * math.sqrt(n) * mu1
+    side = math.sqrt(cap) * 1.0000001
+    pairs = []
+    for x in lattice._box_elements(ring.quad, side):
+        e1 = x.embedding_float() ** 2
+        e2 = x.conj_embedding_float() ** 2
+        if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
+            pairs.append((x, e1, e2))
+    for re, r1, r2 in pairs:
+        for im, s1, s2 in pairs:
+            if r1 + s1 > cap + 1e-9 or r2 + s2 > cap + 1e-9:
+                continue
+            cand = QuarticInt.from_parts(re, im, ring)
+            if not cand or cand.abs_norm() != n or not sub.contains(cand.coeffs):
+                continue
+            if hnf_canonical(list(zip(*regular_rep(cand)))) == sub.basis:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("ambient, limit", [
+    (Ambient.Z_ISQRT2_AS_Z4, 60),
+    (Ambient.Z_ITAU_AS_Z4, 30),
+])
+def test_is_principal_matches_quartic_norm_reference(ambient, limit):
+    principal = 0
+    for m in range(1, limit + 1):
+        for sub in list_ideals(ambient, m):
+            got = is_principal(sub)
+            assert got == is_principal_by_quartic(sub), (ambient, sub.basis)
+            principal += got
+    if ambient is Ambient.Z_ITAU_AS_Z4:
+        assert principal == sum(catalog.zeta_q_itau(limit).coeffs)
+    else:
+        assert principal == sum(catalog.zeta_zi_sqrt2(limit).coeffs)
+
+
+_parts = st.integers(-10 ** 6, 10 ** 6)
+
+
+@given(st.sampled_from((ITAU, ISQRT2)), _parts, _parts, _parts, _parts)
+@example(ITAU, 0, 0, 0, 0)
+@example(ISQRT2, 0, 0, 0, 0)
+@example(ISQRT2, -3, 0, 0, -2)
+@example(ITAU, -1, 1, 2, -1)
+def test_pair_square_norm_matches_quartic_norm(ring, a, b, c, d):
+    quad = ring.quad
+    ru, rv = lattice._square_pair(a, b, quad)
+    su, sv = lattice._square_pair(c, d, quad)
+    x = QuarticInt.from_parts(QuadInt(a, b, quad), QuadInt(c, d, quad), ring)
+    assert (ru + su, rv + sv) == (x.rel_norm().a, x.rel_norm().b)
+    assert lattice._pair_abs_norm(ru + su, rv + sv, quad) == x.abs_norm()
+
+
+def _i_blocks(ambient):
+    return flag_split(ambient_actions(ambient))[1]
+
+
+def test_block_cache_cold_and_warm_agree():
+    for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
+        for workers in (1, 2):
+            lattice._invariant_block.cache_clear()
+            cold = verify_series(ambient, 40, workers=workers)
+            cold_bases = [s.basis for s in list_ideals(ambient, 48)]
+            assert lattice._invariant_block.cache_info().hits > 0
+            warm = verify_series(ambient, 40, workers=workers)
+            assert cold.ok and warm.rows == cold.rows, (ambient, workers)
+            assert [s.basis for s in list_ideals(ambient, 48)] == cold_bases
+
+
+def test_block_cache_shared_across_threads():
+    lattice._invariant_block.cache_clear()
+    expected = [catalog.zeta_q_itau(24).a(m) for m in range(1, 25)]
+    results = [None] * 4
+
+    def work(k):
+        results[k] = [count_ideals(Ambient.Z_ITAU_AS_Z4, m) for m in range(1, 25)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [expected] * 4
+
+
+def test_block_cache_entries_are_read_only_and_bounded():
+    lattice._invariant_block.cache_clear()
+    # i keeps the lattice with columns (5, 0), (x, 1) iff x^2 = -1 mod 5
+    n, digits = lattice._invariant_block((5, 1), _i_blocks(Ambient.Z_ITAU_AS_Z4))
+    assert n == 2 and digits[(0, 1)].tolist() == [2, 3]
+    with pytest.raises(ValueError):
+        digits[(0, 1)][0] = 1
+    # the restriction of i is the same in both rings, so they share the entry
+    assert lattice._invariant_block((5, 1), _i_blocks(Ambient.Z_ISQRT2_AS_Z4))[1] is digits
+    verify_series(Ambient.Z_ITAU_AS_Z4, 120, max_candidates=10 ** 9)
+    info = lattice._invariant_block.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+
+
 def test_is_principal_requires_ideal():
     plain = Submodule(Ambient.Z_ISQRT2_AS_Z4,
                       ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)))
@@ -208,15 +323,16 @@ def test_verify_series_small_ranges():
     assert verify_series(Ambient.Z_ISQRT2_AS_Z4, 20).ok
 
 
-def test_verify_series_zitau_200():
-    # the budget still counts the full HNF set: 869,173,474 for m <= 200
-    report = verify_series(Ambient.Z_ITAU_AS_Z4, 200, max_candidates=10 ** 9)
-    assert report.summary() == "200/200 match"
+def test_verify_series_zitau_300():
+    # the budget still counts the full HNF set: 4,387,882,163 for m <= 300
+    assert sum(hnf_candidate_count(4, m) for m in range(1, 301)) == 4_387_882_163
+    report = verify_series(Ambient.Z_ITAU_AS_Z4, 300, max_candidates=10 ** 10)
+    assert report.summary() == "300/300 match"
 
 
-def test_verify_series_zisqrt2_150():
-    report = verify_series(Ambient.Z_ISQRT2_AS_Z4, 150, max_candidates=10 ** 9)
-    assert report.summary() == "150/150 match"
+def test_verify_series_zisqrt2_300():
+    report = verify_series(Ambient.Z_ISQRT2_AS_Z4, 300, max_candidates=10 ** 10)
+    assert report.summary() == "300/300 match"
 
 
 def test_resource_guard():

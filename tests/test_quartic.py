@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from simsub.errors import InvariantViolation
 from simsub.quartic import (
     ISQRT2,
     ITAU,
@@ -159,3 +160,14 @@ def test_unit_decomposition_error_type_exists():
     # must never trigger for real units; the class records what a
     # counterexample would mean
     assert issubclass(UnitDecompositionError, ArithmeticError)
+
+
+@pytest.mark.parametrize("bad_mul, message", [
+    (lambda x, y: x, "not commutative"),
+    (lambda x, y: -(x + y), "not associative"),
+])
+def test_structure_constant_check_raises_invariant_violation(monkeypatch, bad_mul, message):
+    monkeypatch.setattr(QuarticInt, "__mul__", bad_mul)
+    for ring in (ITAU, ISQRT2):
+        with pytest.raises(InvariantViolation, match=message):
+            ring._check_structure_constants()
