@@ -15,7 +15,6 @@ from .catalog import (
 )
 from .cubic import (
     AffineSimilarity,
-    QuadRat,
     QuatTau,
     Rotation3,
     compose_affine,

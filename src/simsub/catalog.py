@@ -46,6 +46,7 @@ from .dirichlet import (  # noqa: F401
     dirichlet_inverse,
     divisors,
     expand_euler,
+    icbrt,
     scale_argument,
     shift,
 )
@@ -166,22 +167,12 @@ def f_cubic(limit: int) -> CoeffSeries:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    r_max = _icbrt(limit)
+    r_max = icbrt(limit)
     base = expand_euler(lambda p: _tau_factor(p) * _phi_c_factor(p), r_max)
     out = [0] * limit
     for r, c in enumerate(base.coeffs, start=1):
         out[r ** 3 - 1] = c
     return CoeffSeries(limit, tuple(out))
-
-
-def _icbrt(n: int) -> int:
-    """Largest r with r^3 <= n, for n >= 0; the float guess is corrected exactly."""
-    r = round(n ** (1 / 3))
-    while r ** 3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
 
 
 def sigma1(m: int) -> int:

@@ -22,9 +22,10 @@ below, and |N(s)| <= 16 |N(den R)| always.
 A Rotation3 is stored as one integral matrix over its denominator, R =
 mat / den, and its invariants are checked once, on integers:
 mat mat^T = den^2 I, det mat = +-den^3, den canonical, and no prime of den
-dividing every entry (so den is least).  The enumeration builds mat as
-M(q) / g and den as s / g, with no fraction arithmetic; the QuadRat
-entries are derived only when asked for.
+dividing every entry (so den is least).  mat / den is the only form a
+rotation takes: the enumeration builds mat as M(q) / g and den as s / g,
+and R1 @ R2 is mat1 mat2 over den1 den2 with their gcd divided out, so no
+fraction arithmetic is done anywhere.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .dirichlet import divisors
+from .dirichlet import divisors, icbrt
 from .errors import InvariantViolation
 from .lattice import Ambient, EnumerationBudgetExceeded, Submodule
 from .quadratic import (
@@ -57,134 +58,19 @@ from .quadratic import (
 MAX_COMPONENT_TRIPLES = 10_000_000
 
 
-class QuadRat:
-    """Fraction of two golden-ratio (or root-two) integers, in lowest terms.
-
-    The denominator is normalized to its canonical associate, so equality
-    and hashing are structural.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QuadInt, den: QuadInt | None = None):
-        if den is None:
-            den = num.ring.one()
-        if num.ring != den.ring:
-            raise ValueError("mixed-ring operands")
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = num.ring.one()
-        else:
-            g = qgcd(num, den)
-            num = exact_div(num, g)
-            den = exact_div(den, g)
-            dc = canonical_associate(den)
-            num = num * unit_inverse(exact_div(den, dc))
-            den = dc
-        self.num = num
-        self.den = den
-
-    def _coerce(self, other):
-        if isinstance(other, QuadRat):
-            return other
-        if isinstance(other, QuadInt):
-            return QuadRat(other)
-        if isinstance(other, int):
-            return QuadRat(self.num.ring.from_int(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadRat(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadRat(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadRat(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadRat(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError
-        return QuadRat(self.num * o.den, self.den * o.num)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def is_integral(self) -> bool:
-        return self.den == self.num.ring.one()
-
-    def to_quadint(self) -> QuadInt:
-        if not self.is_integral():
-            raise ValueError(f"{self!r} is not integral")
-        return self.num
-
-    def __repr__(self):
-        return f"QuadRat({self.num!r}/{self.den!r})"
-
-
 class Rotation3:
     """3x3 orthogonal matrix over Q(tau), stored as mat / den.
 
     mat is an integral 3x3 QuadInt matrix and den its least denominator, a
-    canonical associate.  Every construction checks, on integers only, that
+    canonical associate.  The constructor checks, on integers only, that
     mat mat^T = den^2 I, det mat = +-den^3, den is canonical and no prime
-    of den divides every entry.  The QuadRat entries (`rows`) are derived
-    on demand.
+    of den divides every entry.
     """
 
-    __slots__ = ("mat", "den", "det_sign", "_key", "_rows")
+    __slots__ = ("mat", "den", "det_sign", "_key")
 
-    def __init__(self, rows: Sequence[Sequence[QuadRat]]):
-        rows = tuple(tuple(row) for row in rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("need a 3x3 matrix")
-        d = rows[0][0].num.ring.one()
-        for row in rows:
-            for e in row:
-                d = exact_div(d * e.den, qgcd(d, e.den))
-        d = canonical_associate(d)
-        self._set(tuple(tuple(e.num * exact_div(d, e.den) for e in row) for row in rows), d)
-
-    @classmethod
-    def from_integral(cls, mat: Sequence[Sequence[QuadInt]], den: QuadInt) -> Rotation3:
-        """The rotation mat / den; den must be the canonical least denominator."""
-        rot = cls.__new__(cls)
-        rot._set(tuple(tuple(row) for row in mat), den)
-        return rot
-
-    def _set(self, mat, den: QuadInt) -> None:
+    def __init__(self, mat: Sequence[Sequence[QuadInt]], den: QuadInt):
+        mat = tuple(tuple(row) for row in mat)
         if len(mat) != 3 or any(len(r) != 3 for r in mat):
             raise ValueError("need a 3x3 matrix")
         ring = den.ring
@@ -217,14 +103,6 @@ class Rotation3:
         self._key = _lowest_terms_key(m, den)
         self.mat = mat
         self.den = den
-        self._rows = None
-
-    @property
-    def rows(self) -> tuple[tuple[QuadRat, ...], ...]:
-        """The entries as QuadRat in lowest terms."""
-        if self._rows is None:
-            self._rows = tuple(tuple(QuadRat(e, self.den) for e in row) for row in self.mat)
-        return self._rows
 
     @classmethod
     def identity(cls, ring=TAU) -> Rotation3:
@@ -232,8 +110,7 @@ class Rotation3:
 
     @classmethod
     def from_int_rows(cls, rows, ring=TAU) -> Rotation3:
-        return cls.from_integral(tuple(tuple(ring.from_int(v) for v in row) for row in rows),
-                                 ring.one())
+        return cls(tuple(tuple(ring.from_int(v) for v in row) for row in rows), ring.one())
 
     def key(self):
         """(num.a, num.b, den.a, den.b) of each entry in lowest terms, row by row."""
@@ -246,17 +123,15 @@ class Rotation3:
         return hash(self._key)
 
     def __matmul__(self, other: Rotation3) -> Rotation3:
-        ring = self.den.ring
-        zero = QuadRat(ring.zero())
-        rows = tuple(tuple(sum((self.rows[i][k] * other.rows[k][j] for k in range(3)),
-                               zero)
-                           for j in range(3)) for i in range(3))
-        return Rotation3(rows)
-
-    def apply(self, vector):
-        zero = QuadRat(self.den.ring.zero())
-        return tuple(sum((self.rows[i][k] * vector[k] for k in range(3)), zero)
-                     for i in range(3))
+        """mat1 mat2 / (den1 den2), with the gcd of den1 den2 and the entries divided out."""
+        d = self.den * other.den
+        prod = [sum((self.mat[i][k] * other.mat[k][j] for k in range(3)), d.ring.zero())
+                for i in range(3) for j in range(3)]
+        g = d
+        for e in prod:
+            if e:
+                g = qgcd(g, e)
+        return _canonical_rotation([exact_div(e, g) for e in prod], exact_div(d, g))
 
     def is_integral(self) -> bool:
         return self.den == self.den.ring.one()
@@ -272,7 +147,20 @@ class Rotation3:
         return True
 
     def __repr__(self):
-        return f"Rotation3({self.rows!r})"
+        return f"Rotation3({self.mat!r}, {self.den!r})"
+
+
+def _canonical_rotation(mat: list[QuadInt], d: QuadInt) -> Rotation3:
+    """The rotation with the nine entries mat over d, row by row.
+
+    d is turned into its canonical associate c, and the unit w = c / d
+    moves into mat.
+    """
+    c = canonical_associate(d)
+    if c != d:
+        w = unit_inverse(exact_div(d, c))
+        mat = [e * w for e in mat]
+    return Rotation3((mat[0:3], mat[3:6], mat[6:9]), c)
 
 
 def _pmul(x, y, c1: int, c0: int) -> tuple[int, int]:
@@ -333,9 +221,9 @@ def _lowest_terms_key(m, den: QuadInt):
 
     Each entry e is divided by the largest divisor g of den dividing it,
     prime by prime, and e / den is written as (e / g) w over the canonical
-    c = (den / g) w, which is the QuadRat lowest-terms form.  Raises
-    InvariantViolation when some prime of den divides every entry, that
-    is when den is not the least denominator.
+    c = (den / g) w, which is e / den in lowest terms over a canonical
+    denominator.  Raises InvariantViolation when some prime of den divides
+    every entry, that is when den is not the least denominator.
     """
     c1, c0 = den.ring.c1, den.ring.c0
     primes, table = _den_reducer(den)
@@ -429,16 +317,11 @@ def _euler_rodrigues(q) -> list[tuple[int, int]]:
 def _er_rotation(m, s: QuadInt, g: int) -> Rotation3:
     """M / s for the Euler-Rodrigues matrix M of q, s = |q|^2, g = gcd(s, M).
 
-    M / s = (M / g) / (s / g), with s / g turned into its canonical
-    associate c by the unit w = c / (s / g).
+    M / s = (M / g) / (s / g), and s / g is made canonical by
+    _canonical_rotation.
     """
-    d = QuadInt(s.a // g, s.b // g, TAU)
-    c = canonical_associate(d)
-    mat = [QuadInt(a // g, b // g, TAU) for a, b in m]
-    if c != d:
-        w = unit_inverse(exact_div(d, c))
-        mat = [e * w for e in mat]
-    rot = Rotation3.from_integral((mat[0:3], mat[3:6], mat[6:9]), c)
+    rot = _canonical_rotation([QuadInt(a // g, b // g, TAU) for a, b in m],
+                              QuadInt(s.a // g, s.b // g, TAU))
     if rot.det_sign != 1:
         raise InvariantViolation("Euler-Rodrigues matrix must have determinant 1")
     return rot
@@ -690,15 +573,6 @@ def verify_rotation_counts(bound: int, expected: Mapping[int, int]) -> RotationC
     counts = rotation_counts(bound)
     rows = tuple((m, counts[m], expected.get(m, 0)) for m in range(1, bound + 1))
     return RotationCountReport(bound, rows)
-
-
-def icbrt(m: int) -> int:
-    n = round(m ** (1 / 3))
-    while (n + 1) ** 3 <= m:
-        n += 1
-    while n ** 3 > m:
-        n -= 1
-    return n
 
 
 def count_submodules_3d(m: int) -> int:

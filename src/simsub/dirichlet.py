@@ -45,6 +45,16 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def icbrt(n: int) -> int:
+    """Largest r with r^3 <= n, for n >= 0; the float guess is corrected exactly."""
+    r = round(n ** (1 / 3))
+    while r ** 3 > n:
+        r -= 1
+    while (r + 1) ** 3 <= n:
+        r += 1
+    return r
+
+
 @dataclass(frozen=True)
 class CoeffSeries:
     """Exact coefficients a(1..limit) of a Dirichlet series."""

@@ -274,8 +274,13 @@ def ordered_diagonals(m: int, r: int) -> Iterator[tuple[int, ...]]:
             yield (d,) + rest
 
 
+@functools.lru_cache(maxsize=4096)
 def hnf_candidate_count(rank: int, m: int) -> int:
-    """Number of index-m HNF bases of Z^rank (sigma_1(m) for rank 2)."""
+    """Number of index-m HNF bases of Z^rank (sigma_1(m) for rank 2).
+
+    Cached, so the budget that verify_series predicts for every m is not
+    walked again when each m is enumerated.
+    """
     total = 0
     for diag in ordered_diagonals(m, rank):
         block = 1

@@ -4,7 +4,6 @@ import pytest
 
 from simsub.catalog import (
     CLI_SERIES,
-    _icbrt,
     _phi_c_factor,
     _tau_factor,
     CatalogEntry,
@@ -25,6 +24,7 @@ from simsub.dirichlet import (
     dirichlet_inverse,
     dirichlet_polynomial,
     expand_euler,
+    icbrt,
     primes_up_to,
     scale_argument,
     shift,
@@ -227,11 +227,11 @@ def test_integer_cube_root_is_exact():
     for r in range(0, 300):
         for n in (r ** 3 - 1, r ** 3, r ** 3 + 1):
             if n >= 0:
-                assert _icbrt(n) ** 3 <= n < (_icbrt(n) + 1) ** 3
+                assert icbrt(n) ** 3 <= n < (icbrt(n) + 1) ** 3
     for r in (10 ** 6, 10 ** 15 + 7):
         # the float guess may be off by one at large cubes; the exact steps correct it
-        assert _icbrt(r ** 3) == r
-        assert _icbrt(r ** 3 - 1) == r - 1
+        assert icbrt(r ** 3) == r
+        assert icbrt(r ** 3 - 1) == r - 1
 
 
 def test_f_cubic_internal_consistency_at_8000():

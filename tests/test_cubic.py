@@ -6,12 +6,12 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simsub import catalog, cubic
 from simsub.cubic import (
     AffineSimilarity,
     InvariantViolation,
-    QuadRat,
     QuatTau,
     Rotation3,
     compose_affine,
@@ -37,6 +37,7 @@ from simsub.quadratic import (
     norm_equation,
     prime_factors,
     sign_embedding,
+    unit_inverse,
 )
 
 
@@ -48,13 +49,107 @@ def quat(*pairs):
     return QuatTau(tuple(tau(a, b) for a, b in pairs))
 
 
-def rat(a, b, c=1, d=0):
-    return QuadRat(tau(a, b), tau(c, d))
-
-
 # Reference route: the Euler-Rodrigues matrix in QuadInt arithmetic, each
 # entry put in lowest terms by QuadRat, and den(R) as the lcm of the entry
-# denominators.  Rotation3 builds the same objects from one integral matrix.
+# denominators.  Rotation3 builds the same objects from one integral matrix,
+# and its @ composes on integers; the package has no fraction type.
+
+class QuadRat:
+    """Fraction of two golden-ratio (or root-two) integers, in lowest terms.
+
+    The denominator is normalized to its canonical associate, so equality
+    and hashing are structural.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: QuadInt, den: QuadInt | None = None):
+        if den is None:
+            den = num.ring.one()
+        if num.ring != den.ring:
+            raise ValueError("mixed-ring operands")
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            den = num.ring.one()
+        else:
+            g = gcd(num, den)
+            num = exact_div(num, g)
+            den = exact_div(den, g)
+            dc = canonical_associate(den)
+            num = num * unit_inverse(exact_div(den, dc))
+            den = dc
+        self.num = num
+        self.den = den
+
+    def _coerce(self, other):
+        if isinstance(other, QuadRat):
+            return other
+        if isinstance(other, QuadInt):
+            return QuadRat(other)
+        if isinstance(other, int):
+            return QuadRat(self.num.ring.from_int(other))
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadRat(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadRat(-self.num, self.den)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadRat(self.num * o.den - o.num * self.den, self.den * o.den)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadRat(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.num:
+            raise ZeroDivisionError
+        return QuadRat(self.num * o.den, self.den * o.num)
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.num == o.num and self.den == o.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def is_integral(self) -> bool:
+        return self.den == self.num.ring.one()
+
+    def to_quadint(self) -> QuadInt:
+        if not self.is_integral():
+            raise ValueError(f"{self!r} is not integral")
+        return self.num
+
+    def __repr__(self):
+        return f"QuadRat({self.num!r}/{self.den!r})"
+
 
 def euler_rodrigues_by_quadint(a, b, c, d):
     two = TAU.from_int(2)
@@ -68,6 +163,22 @@ def euler_rodrigues_by_quadint(a, b, c, d):
 def rows_by_quadrat(q):
     s = QuatTau(q).norm_sq()
     return tuple(tuple(QuadRat(e, s) for e in row) for row in euler_rodrigues_by_quadint(*q))
+
+
+def quadrat_rows(rot):
+    return tuple(tuple(QuadRat(e, rot.den) for e in row) for row in rot.mat)
+
+
+def rotation_by_quadrat(rows):
+    d = den_by_quadrat(rows)
+    return Rotation3(tuple(tuple(e.num * exact_div(d, e.den) for e in row) for row in rows), d)
+
+
+def product_by_quadrat(r1, r2):
+    rows1, rows2 = quadrat_rows(r1), quadrat_rows(r2)
+    zero = QuadRat(TAU.zero())
+    return tuple(tuple(sum((rows1[i][k] * rows2[k][j] for k in range(3)), zero)
+                       for j in range(3)) for i in range(3))
 
 
 def key_by_quadrat(rows):
@@ -118,7 +229,7 @@ def test_quat_to_rotation_examples():
     third = QuadRat(tau(1, 0), tau(3, 0))
     rows = tuple(tuple(third * v for v in row)
                  for row in ((1, 2, 2), (2, 1, -2), (-2, 2, -1)))
-    assert r == Rotation3(rows)
+    assert r == rotation_by_quadrat(rows)
     assert r.det_sign == 1
 
 
@@ -143,27 +254,27 @@ def test_integral_check_rejects_non_orthogonal():
     # rows of the right length but not perpendicular: only the
     # off-diagonal entries of mat mat^T are wrong
     with pytest.raises(ValueError, match="orthogonal"):
-        Rotation3.from_integral(_integral(((1, 2, 2), (2, 1, 2), (2, 2, 1))), tau(3, 0))
+        Rotation3(_integral(((1, 2, 2), (2, 1, 2), (2, 2, 1))), tau(3, 0))
     with pytest.raises(ValueError, match="orthogonal"):
-        Rotation3.from_integral(_integral(((1, 0, 0), (1, 0, 0), (0, 0, 1))), TAU.one())
-    ok = Rotation3.from_integral(_integral(((1, 2, 2), (2, 1, -2), (-2, 2, -1))), tau(3, 0))
+        Rotation3(_integral(((1, 0, 0), (1, 0, 0), (0, 0, 1))), TAU.one())
+    ok = Rotation3(_integral(((1, 2, 2), (2, 1, -2), (-2, 2, -1))), tau(3, 0))
     assert ok == quat_to_rotation(quat((1, 0), (1, 0), (1, 0), (0, 0)))
 
 
 def test_integral_check_rejects_non_least_denominator():
     with pytest.raises(InvariantViolation, match="least"):
-        Rotation3.from_integral(_integral(((2, 0, 0), (0, 2, 0), (0, 0, 2))), tau(2, 0))
+        Rotation3(_integral(((2, 0, 0), (0, 2, 0), (0, 0, 2))), tau(2, 0))
     with pytest.raises(InvariantViolation, match="least"):
-        Rotation3.from_integral(_integral(((3, 6, 6), (6, 3, -6), (-6, 6, -3))), tau(9, 0))
+        Rotation3(_integral(((3, 6, 6), (6, 3, -6), (-6, 6, -3))), tau(9, 0))
 
 
 def test_integral_check_rejects_non_canonical_denominator():
     # tau * I / tau is the identity, but tau is not a canonical associate
     with pytest.raises(InvariantViolation, match="canonical"):
-        Rotation3.from_integral(_integral((((0, 1), 0, 0), (0, (0, 1), 0), (0, 0, (0, 1)))),
+        Rotation3(_integral((((0, 1), 0, 0), (0, (0, 1), 0), (0, 0, (0, 1)))),
                                 tau(0, 1))
     with pytest.raises(InvariantViolation, match="canonical"):
-        Rotation3.from_integral(_integral(((-1, 0, 0), (0, -1, 0), (0, 0, -1))), tau(-1, 0))
+        Rotation3(_integral(((-1, 0, 0), (0, -1, 0), (0, 0, -1))), tau(-1, 0))
 
 
 def test_lowest_terms_key_matches_quadrat():
@@ -186,7 +297,7 @@ def test_reflections_keep_negative_determinant():
     reflections = list(signed_permutations(det_sign=-1))
     assert len(reflections) == 24
     assert all(r.det_sign == -1 and r.den == TAU.one() for r in reflections)
-    minus = Rotation3.from_integral(_integral(((-1, 0, 0), (0, -1, 0), (0, 0, -1))), TAU.one())
+    minus = Rotation3(_integral(((-1, 0, 0), (0, -1, 0), (0, 0, -1))), TAU.one())
     assert minus.det_sign == -1 and minus in reflections
 
 
@@ -204,12 +315,13 @@ def test_den_times_rotation_integral_and_minimal():
     sample = rng.sample(list(rotations), 25)
     for r in sample:
         d = den(r)
-        for row in r.rows:
+        rows = quadrat_rows(r)
+        for row in rows:
             for e in row:
                 assert not (d * e.num) % e.den
         # no prime of den(R) clears every denominator on its own
         for pi, _ in prime_factors(d):
-            assert any((exact_div(d, pi) * e.num) % e.den for row in r.rows for e in row)
+            assert any((exact_div(d, pi) * e.num) % e.den for row in rows for e in row)
 
 
 def test_similarity_index_examples():
@@ -268,9 +380,10 @@ def test_enumerated_rotations_exactly_orthogonal():
         ring = TAU
         one = QuadRat(ring.one())
         zero = QuadRat(ring.zero())
+        rows = quadrat_rows(r)
         for i in range(3):
             for j in range(3):
-                dot = sum((r.rows[i][k] * r.rows[j][k] for k in range(3)), zero)
+                dot = sum((rows[i][k] * rows[j][k] for k in range(3)), zero)
                 assert dot == (one if i == j else zero)
 
 
@@ -326,7 +439,7 @@ def test_integral_route_matches_quadrat_route():
                     rot = quat_to_rotation(QuatTau(q))
                     assert rot.key() == key_by_quadrat(rows)
                     assert rot.den == den(rot) == den_by_quadrat(rows)
-                    via_rows = Rotation3(rows)
+                    via_rows = rotation_by_quadrat(rows)
                     assert via_rows == rot and via_rows.den == rot.den
                     seen += 1
     assert seen > 600
@@ -337,6 +450,28 @@ def test_integral_route_matches_quadrat_route():
     r = quat_to_rotation(QuatTau(q))
     assert r.key() == key_by_quadrat(rows_by_quadrat(q))
     assert r.den == den_by_quadrat(rows_by_quadrat(q))
+
+
+def _drawn_rotation(data):
+    # an enumerated rotation, or its product with -I (determinant -1)
+    r = data.draw(st.sampled_from(enumerate_rotations(9)))
+    if data.draw(st.booleans()):
+        r = Rotation3(tuple(tuple(-e for e in row) for row in r.mat), r.den)
+    return r
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_matmul_matches_quadrat_product(data):
+    r1, r2, r3 = (_drawn_rotation(data) for _ in range(3))
+    r12 = r1 @ r2
+    reference = product_by_quadrat(r1, r2)
+    assert r12.key() == key_by_quadrat(reference)
+    assert r12.den == den_by_quadrat(reference)
+    assert r12 @ r3 == r1 @ (r2 @ r3)
+    transpose = Rotation3(tuple(zip(*r1.mat)), r1.den)
+    assert r1 @ transpose == Rotation3.identity() == transpose @ r1
+    assert r12.det_sign == r1.det_sign * r2.det_sign
 
 
 def test_rotation_counts_agree_across_bounds():
@@ -514,7 +649,7 @@ def test_alpha_integral_implies_denominator_divides():
     # any scale clearing all denominators of R is a multiple of den(R)
     for r in list(enumerate_rotations(5))[:40]:
         d = den(r)
-        for row in r.rows:
+        for row in quadrat_rows(r):
             for e in row:
                 assert not (d * e.num) % e.den
         if not d.is_unit():

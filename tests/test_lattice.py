@@ -342,6 +342,12 @@ def test_resource_guard():
         hnf_sublattices(4, 101, max_candidates=10)
     with pytest.raises(EnumerationBudgetExceeded):
         verify_series(Ambient.Z_ITAU_AS_Z4, 100, max_candidates=10 ** 5)
+    # the budget walk runs once per m: enumerating each m reuses it
+    hnf_candidate_count.cache_clear()
+    assert verify_series(Ambient.Z_ITAU_AS_Z4, 40, workers=1).ok
+    info = hnf_candidate_count.cache_info()
+    assert info.misses == 40 and info.hits == 40
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_contains_matches_enumeration():

@@ -1,8 +1,11 @@
+import ast
+import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from simsub import cubic, errors, quadratic
 from simsub.quadratic import (
@@ -226,3 +229,59 @@ def test_prime_factors_invariant_survives_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised\n"
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert, so invariant checks in the package must raise
+    package = pathlib.Path(quadratic.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+_rings = st.sampled_from((TAU, SQRT2))
+_parts = st.integers(-10 ** 6, 10 ** 6)
+
+
+@st.composite
+def _elements(draw, ring, nonzero=False):
+    x = QuadInt(draw(_parts), draw(_parts), ring)
+    if nonzero and not x:
+        x = ring.one()
+    return x
+
+
+@given(st.data(), _rings)
+def test_divmod_law(data, ring):
+    x = data.draw(_elements(ring))
+    y = data.draw(_elements(ring, nonzero=True))
+    q, r = divmod(x, y)
+    assert q * y + r == x
+    assert abs(r.norm()) < abs(y.norm())
+
+
+@given(st.data(), _rings)
+def test_gcd_divides_and_is_canonical(data, ring):
+    x = data.draw(_elements(ring))
+    y = data.draw(_elements(ring, nonzero=True))
+    g = gcd(x, y)
+    assert divides(g, x) and divides(g, y)
+    assert is_canonical_associate(g) and canonical_associate(g) == g
+
+
+@given(st.data(), _rings)
+def test_norm_is_multiplicative(data, ring):
+    x = data.draw(_elements(ring))
+    y = data.draw(_elements(ring))
+    assert (x * y).norm() == x.norm() * y.norm()
+
+
+@given(st.data(), _rings, st.integers(-20, 20), st.sampled_from((1, -1)))
+def test_canonical_associate_idempotent_and_unit_invariant(data, ring, k, sign):
+    x = data.draw(_elements(ring, nonzero=True))
+    c = canonical_associate(x)
+    assert canonical_associate(c) == c
+    assert canonical_associate(x * ring.fundamental_unit ** k * sign) == c
