@@ -17,6 +17,7 @@ import sys
 import traceback
 
 from . import catalog, cubic, lattice, quadratic, quartic
+from .dirichlet import summatory
 from .lattice import Ambient, EnumerationBudgetExceeded
 from .parallel import SettingError
 
@@ -66,7 +67,6 @@ def cmd_summatory(args) -> int:
     for x in points:
         if not 1 <= x <= args.limit:
             raise UsageError(f"summatory point {x} outside 1..{args.limit}")
-    from .dirichlet import summatory
     values = [(x, summatory(entry.series, x)) for x in points]
     if args.format == "json":
         _emit_json({

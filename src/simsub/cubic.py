@@ -22,10 +22,12 @@ below, and |N(s)| <= 16 |N(den R)| always.
 A Rotation3 is stored as one integral matrix over its denominator, R =
 mat / den, and its invariants are checked once, on integers:
 mat mat^T = den^2 I, det mat = +-den^3, den canonical, and no prime of den
-dividing every entry (so den is least).  mat / den is the only form a
-rotation takes: the enumeration builds mat as M(q) / g and den as s / g,
-and R1 @ R2 is mat1 mat2 over den1 den2 with their gcd divided out, so no
-fraction arithmetic is done anywhere.
+dividing every entry (so den is least).  As Z[tau] is a PID, the canonical
+least denominator of R is unique, and so is mat = den(R) R: the pair
+(den, mat) is the canonical form of R and the key by which rotations are
+compared, hashed and sorted.  The enumeration builds mat as M(q) / g and
+den as s / g, and R1 @ R2 is mat1 mat2 over den1 den2 with their gcd
+divided out, so no fraction arithmetic is done anywhere.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .dirichlet import divisors, icbrt
@@ -49,7 +50,6 @@ from .quadratic import (
     gcd as qgcd,
     is_canonical_associate,
     norm_equation,
-    prime_factors,
     sign_embedding,
     unit_inverse,
 )
@@ -62,9 +62,10 @@ class Rotation3:
     """3x3 orthogonal matrix over Q(tau), stored as mat / den.
 
     mat is an integral 3x3 QuadInt matrix and den its least denominator, a
-    canonical associate.  The constructor checks, on integers only, that
-    mat mat^T = den^2 I, det mat = +-den^3, den is canonical and no prime
-    of den divides every entry.
+    canonical associate, so (den, mat) is the one canonical form of the
+    rotation and equality is equality of that pair.  The constructor
+    checks that mat mat^T = den^2 I, det mat = +-den^3, den is canonical
+    and no prime of den divides every entry.
     """
 
     __slots__ = ("mat", "den", "det_sign", "_key")
@@ -100,7 +101,9 @@ class Rotation3:
             self.det_sign = -1
         else:
             raise InvariantViolation("orthogonal matrix must have determinant +-1")
-        self._key = _lowest_terms_key(m, den)
+        if not _is_least_denominator(mat, m, den):
+            raise InvariantViolation(f"{den!r} is not the least denominator")
+        self._key = ((den.a, den.b), *m)
         self.mat = mat
         self.den = den
 
@@ -113,7 +116,10 @@ class Rotation3:
         return cls(tuple(tuple(ring.from_int(v) for v in row) for row in rows), ring.one())
 
     def key(self):
-        """(num.a, num.b, den.a, den.b) of each entry in lowest terms, row by row."""
+        """The canonical form (den, mat) on integers.
+
+        (den.a, den.b), then the (a, b) pair of each entry of mat, row by row.
+        """
         return self._key
 
     def __eq__(self, other):
@@ -181,75 +187,26 @@ def _pdet(m, c1: int, c0: int) -> tuple[int, int]:
     return out
 
 
-def _div_prime(x, conj_pi, n: int, c1: int, c0: int):
-    """x / pi for an (a, b) pair x, or None when pi does not divide x.
+def _is_least_denominator(mat, m, den: QuadInt) -> bool:
+    """Whether no prime of den divides every entry of mat.
 
-    conj_pi is conj(pi) as a pair and n = N(pi) > 0: x / pi = x conj(pi) / n.
-    """
-    ta, tb = _pmul(x, conj_pi, c1, c0)
-    if ta % n or tb % n:
-        return None
-    return ta // n, tb // n
-
-
-@lru_cache(maxsize=4096)
-def _den_reducer(den: QuadInt):
-    """Primes of a canonical den and, per divisor g of den, den / g made canonical.
-
-    Returns (primes, table): primes lists (conj(pi) as a pair, N(pi),
-    exponent) for each canonical prime pi of den; table maps the exponent
-    vector of g to (c.a, c.b, w.a, w.b) with c the canonical associate of
-    den / g and w the unit c / (den / g).
-    """
-    ring = den.ring
-    factors = prime_factors(den)
-    primes = tuple(((pi.conj().a, pi.conj().b), pi.norm(), k) for pi, k in factors)
-    table = {}
-    for vec in itertools.product(*(range(k + 1) for _, k in factors)):
-        g = ring.one()
-        for (pi, _), v in zip(factors, vec):
-            g = g * pi ** v
-        q = exact_div(den, g)
-        c = canonical_associate(q)
-        w = unit_inverse(exact_div(q, c))
-        table[vec] = (c.a, c.b, w.a, w.b)
-    return primes, table
-
-
-def _lowest_terms_key(m, den: QuadInt):
-    """Key of mat / den from the nine (a, b) entries of mat, row by row.
-
-    Each entry e is divided by the largest divisor g of den dividing it,
-    prime by prime, and e / den is written as (e / g) w over the canonical
-    c = (den / g) w, which is e / den in lowest terms over a canonical
-    denominator.  Raises InvariantViolation when some prime of den divides
-    every entry, that is when den is not the least denominator.
+    m holds the entries of mat as (a, b) pairs.  A prime pi dividing den
+    and every entry would make N(pi) divide N(den) and the norm of every
+    entry, so an integer gcd of 1 over those norms settles it; only when
+    the norms share a factor is the gcd of den and the entries taken in
+    the ring.
     """
     c1, c0 = den.ring.c1, den.ring.c0
-    primes, table = _den_reducer(den)
-    covered = [True] * len(primes)
-    out = []
-    for x in m:
-        if x == (0, 0):
-            out.append((0, 0, 1, 0))
-            continue
-        vec = []
-        for idx, (conj_pi, n, k) in enumerate(primes):
-            v = 0
-            while v < k:
-                quotient = _div_prime(x, conj_pi, n, c1, c0)
-                if quotient is None:
-                    break
-                x = quotient
-                v += 1
-            if not v:
-                covered[idx] = False
-            vec.append(v)
-        ca, cb, wa, wb = table[tuple(vec)]
-        out.append(_pmul(x, (wa, wb), c1, c0) + (ca, cb))
-    if any(covered):
-        raise InvariantViolation(f"{den!r} is not the least denominator")
-    return tuple(out)
+    if math.gcd(den.norm(), *(a * a + c1 * a * b - c0 * b * b for a, b in m)) == 1:
+        return True
+    g = den
+    for row in mat:
+        for e in row:
+            if e:
+                g = qgcd(g, e)
+                if g.is_unit():
+                    return True
+    return False
 
 
 def signed_permutations(ring=TAU, det_sign: int | None = None):
@@ -474,7 +431,9 @@ def _form_content(s: QuadInt, m) -> int:
 
 
 def _rotations_of_norm(n: int) -> tuple[Rotation3, ...]:
-    """Every R with |N(den R)| = n, sorted by R.key(), each exactly once.
+    """Every R with |N(den R)| = n, each exactly once, sorted by R.key().
+
+    R.key() is the canonical form (den, mat) on integers.
 
     For each canonical d of norm n and g in (1, 2, 4), the primitive q with
     |q|^2 = g * d and Euler-Rodrigues content g give den = d; by the

@@ -58,6 +58,7 @@ import numpy as np
 from . import catalog
 from .dirichlet import divisors
 from .parallel import map_ordered, worker_count
+from .quadratic import elements_in_embedding_box, is_canonical_associate
 from .quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
@@ -180,7 +181,6 @@ class Submodule:
                     raise ValueError("off-diagonal entries must be reduced")
 
     def _validate_quad(self):
-        from .quadratic import is_canonical_associate
         r = len(self.basis)
         for i in range(r):
             if not is_canonical_associate(self.basis[i][i]):
@@ -550,7 +550,7 @@ def is_principal(sub: Submodule) -> bool:
     cap = 2.0 * math.sqrt(n) * mu1
     side = math.sqrt(cap) * 1.0000001
     pairs = []
-    for x in _box_elements(quad, side):
+    for x in elements_in_embedding_box(quad, side, side):
         e1 = x.embedding_float() ** 2
         e2 = x.conj_embedding_float() ** 2
         if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
@@ -579,11 +579,6 @@ def _square_pair(a: int, b: int, quad) -> tuple[int, int]:
 def _pair_abs_norm(u: int, v: int, quad) -> int:
     """|norm(u + v*w)| to Z; for u + v*w = re^2 + im^2 it is abs_norm(re + i*im)."""
     return abs(u * u + quad.c1 * u * v - quad.c0 * v * v)
-
-
-def _box_elements(quad_ring, side: float):
-    from .quadratic import elements_in_embedding_box
-    return elements_in_embedding_box(quad_ring, side, side)
 
 
 def count_similarity_submodules(ambient: Ambient, m: int,

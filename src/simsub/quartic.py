@@ -16,8 +16,8 @@ from .quadratic import (
     QuadRing,
     SQRT2,
     TAU,
-    sign_embedding,
     unit_inverse,
+    unit_normal_form,
 )
 
 
@@ -187,33 +187,18 @@ class UnitDecompositionError(ArithmeticError):
 def quartic_unit_normal_form(u: QuarticInt) -> tuple[int, int]:
     """Write a unit as i^k * mu^l with k in {0,1,2,3}; returns (k, l).
 
-    Strips the mu-power by walking |emb(u)|^2 = emb(P^2 + Q^2) toward 1
-    with exact sign tests; the residue must then be one of 1, i, -1, -i.
+    mu is real, so rel_norm(i^k mu^l) = mu^(2l), a totally positive unit
+    of the real quadratic ring: its normal form gives l, and u / mu^l must
+    then be one of 1, i, -1, -i.
     """
     if u.abs_norm() != 1:
         raise ValueError(f"not a unit: {u!r}")
-    ring = u.ring
-    one = ring.quad.one()
-    v, ell = u, 0
-    prev = 0
-    for _ in range(100_000):
-        rel = v.rel_norm()
-        cmp = sign_embedding(rel - one)
-        if cmp == 0:
-            break
-        if prev and cmp != prev:
-            # crossed 1 without landing on it: not of the form i^k mu^l
-            raise UnitDecompositionError(f"unit {u!r} is not i^k * mu^l")
-        prev = cmp
-        if cmp > 0:
-            v = v * ring.mu_inv
-            ell += 1
-        else:
-            v = v * ring.mu
-            ell -= 1
-    else:
-        raise RuntimeError(f"unit decomposition did not terminate for {u!r}")
-    for k, w in enumerate(_i_powers(ring)):
+    sign, e = unit_normal_form(u.rel_norm())
+    if sign != 1 or e % 2:
+        raise UnitDecompositionError(f"unit {u!r} is not i^k * mu^l")
+    ell = e // 2
+    v = u * unit_from_normal_form(u.ring, 0, -ell)
+    for k, w in enumerate(_i_powers(u.ring)):
         if v == w:
             return k, ell
     raise UnitDecompositionError(f"unit {u!r} is not i^k * mu^l")

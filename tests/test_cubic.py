@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -277,20 +278,26 @@ def test_integral_check_rejects_non_canonical_denominator():
         Rotation3(_integral(((-1, 0, 0), (0, -1, 0), (0, 0, -1))), tau(-1, 0))
 
 
-def test_lowest_terms_key_matches_quadrat():
-    # dens with repeated and mixed primes, where den / g is often not a
-    # canonical associate; the entry 1 keeps den least
+def test_least_denominator_check_matches_prime_by_prime():
+    # dens with repeated and mixed primes; entries are multiples of dens, so
+    # the entry norms often share a factor with N(den) (split primes of den
+    # divide some entries through their conjugate) and the ring gcd decides
     rng = random.Random(54)
     dens = [d for n in (1, 4, 5, 11, 25, 44, 55, 121, 209, 605, 1331)
             for d in norm_equation(TAU, n)]
+    outcomes = Counter()
     for d in dens:
         for _ in range(40):
-            e = tau(rng.randint(-60, 60), rng.randint(-60, 60)) * rng.choice(dens)
-            if rng.random() < 0.5:
-                e = e * tau(0, 1) ** rng.randrange(4)
-            got = cubic._lowest_terms_key([(e.a, e.b), (1, 0)], d)
-            x = QuadRat(e, d)
-            assert got == ((x.num.a, x.num.b, x.den.a, x.den.b), (1, 0, d.a, d.b)), (e, d)
+            entries = [tau(rng.randint(-9, 9), rng.randint(-9, 9)) * rng.choice(dens)
+                       for _ in range(rng.randint(1, 3))]
+            mat = ((entries + [TAU.zero()] * 2)[:3],)
+            m = [(e.a, e.b) for e in mat[0]]
+            expected = not any(all(not e % pi for e in entries)
+                               for pi, _ in prime_factors(d))
+            assert cubic._is_least_denominator(mat, m, d) == expected, (entries, d)
+            shared = math.gcd(d.norm(), *(e.norm() for e in entries)) != 1
+            outcomes[shared, expected] += 1
+    assert outcomes[True, True] and outcomes[True, False] and outcomes[False, True]
 
 
 def test_reflections_keep_negative_determinant():
@@ -437,7 +444,7 @@ def test_integral_route_matches_quadrat_route():
                 for q in cubic._primitive_quaternions(d * g):
                     rows = rows_by_quadrat(q)
                     rot = quat_to_rotation(QuatTau(q))
-                    assert rot.key() == key_by_quadrat(rows)
+                    assert key_by_quadrat(quadrat_rows(rot)) == key_by_quadrat(rows)
                     assert rot.den == den(rot) == den_by_quadrat(rows)
                     via_rows = rotation_by_quadrat(rows)
                     assert via_rows == rot and via_rows.den == rot.den
@@ -448,7 +455,7 @@ def test_integral_route_matches_quadrat_route():
     assert r == Rotation3.identity() and r.den == TAU.one()
     q = (tau(0, 1), tau(1, 1), tau(0, 0), tau(0, 0))
     r = quat_to_rotation(QuatTau(q))
-    assert r.key() == key_by_quadrat(rows_by_quadrat(q))
+    assert key_by_quadrat(quadrat_rows(r)) == key_by_quadrat(rows_by_quadrat(q))
     assert r.den == den_by_quadrat(rows_by_quadrat(q))
 
 
@@ -466,12 +473,26 @@ def test_matmul_matches_quadrat_product(data):
     r1, r2, r3 = (_drawn_rotation(data) for _ in range(3))
     r12 = r1 @ r2
     reference = product_by_quadrat(r1, r2)
-    assert r12.key() == key_by_quadrat(reference)
+    assert key_by_quadrat(quadrat_rows(r12)) == key_by_quadrat(reference)
     assert r12.den == den_by_quadrat(reference)
     assert r12 @ r3 == r1 @ (r2 @ r3)
     transpose = Rotation3(tuple(zip(*r1.mat)), r1.den)
     assert r1 @ transpose == Rotation3.identity() == transpose @ r1
     assert r12.det_sign == r1.det_sign * r2.det_sign
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_equality_and_hash_match_quadrat_rows(data):
+    # (den, mat) is the key: two rotations are equal, and hash alike,
+    # exactly when their entries agree in lowest terms
+    r1, r2 = _drawn_rotation(data), _drawn_rotation(data)
+    if data.draw(st.booleans()):
+        r2 = Rotation3(r1.mat, r1.den)
+    same = quadrat_rows(r1) == quadrat_rows(r2)
+    assert (r1 == r2) == same == (r1.key() == r2.key())
+    if same:
+        assert hash(r1) == hash(r2)
 
 
 def test_rotation_counts_agree_across_bounds():

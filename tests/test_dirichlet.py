@@ -187,3 +187,49 @@ def test_coeff_series_validation():
     assert s.a(2) == 2
     with pytest.raises(IndexError):
         s.a(4)
+
+
+# Engine laws over random multiplicative series: the local factor at p is
+# drawn per residue class of p, like the catalog's rules by p mod 5 or 8.
+# expand_euler sets a(1) = 1, so a local factor stands for its series only
+# when num[0] = 1, as in every catalog factor.
+
+_monic_factors = st.builds(
+    EulerFactor,
+    st.lists(_small_ints, max_size=3).map(lambda tail: (1, *tail)),
+    st.lists(_small_ints, max_size=3).map(lambda tail: (1, *tail)),
+)
+_limits = st.integers(1, 120)
+
+
+@st.composite
+def _local_rules(draw, factors=_monic_factors):
+    modulus = draw(st.sampled_from((1, 3, 4, 5, 8)))
+    by_class = draw(st.lists(factors, min_size=modulus, max_size=modulus))
+    return lambda p: by_class[p % modulus]
+
+
+@given(_local_rules(), _local_rules(), _limits)
+def test_expand_euler_of_product_is_convolution(f, g, n):
+    product = expand_euler(lambda p: f(p) * g(p), n)
+    assert product.coeffs == convolve(expand_euler(f, n), expand_euler(g, n)).coeffs
+
+
+@given(_local_rules(), _limits)
+def test_swapped_local_factor_expands_to_inverse(f, n):
+    swapped = expand_euler(lambda p: EulerFactor(f(p).den, f(p).num), n)
+    assert swapped.coeffs == dirichlet_inverse(expand_euler(f, n)).coeffs
+
+
+def _spread(poly, k):
+    """poly(t^k): k - 1 zeros after each coefficient."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return tuple(out)
+
+
+@given(_local_rules(_factors), st.integers(1, 4), _limits)
+def test_scale_argument_of_expansion_is_expansion_at_t_power(f, k, n):
+    at_power = expand_euler(lambda p: EulerFactor(_spread(f(p).num, k),
+                                                  _spread(f(p).den, k)), n)
+    assert scale_argument(expand_euler(f, n), k).coeffs == at_power.coeffs

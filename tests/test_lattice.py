@@ -24,7 +24,7 @@ from simsub.lattice import (
     list_ideals,
     verify_series,
 )
-from simsub.quadratic import QuadInt
+from simsub.quadratic import QuadInt, elements_in_embedding_box
 from simsub.quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 
@@ -196,7 +196,7 @@ def is_principal_by_quartic(sub):
     cap = 2.0 * math.sqrt(n) * mu1
     side = math.sqrt(cap) * 1.0000001
     pairs = []
-    for x in lattice._box_elements(ring.quad, side):
+    for x in elements_in_embedding_box(ring.quad, side, side):
         e1 = x.embedding_float() ** 2
         e2 = x.conj_embedding_float() ** 2
         if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:

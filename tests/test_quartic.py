@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from simsub import quartic
 from simsub.errors import InvariantViolation
 from simsub.quartic import (
     ISQRT2,
@@ -136,15 +138,20 @@ def test_unit_normal_form_examples():
         quartic_unit_normal_form(ITAU.from_int(2))
 
 
-def test_unit_normal_form_roundtrip():
-    rng = random.Random(27)
-    for ring in (ITAU, ISQRT2):
-        for _ in range(200):
-            k = rng.randrange(4)
-            ell = rng.randint(-12, 12)
-            u = unit_from_normal_form(ring, k, ell)
-            assert quartic_unit_normal_form(u) == (k, ell)
-            assert u.abs_norm() == 1
+@given(st.sampled_from((ITAU, ISQRT2)), st.integers(0, 3), st.integers(-40, 40))
+def test_unit_normal_form_roundtrip(ring, k, ell):
+    u = unit_from_normal_form(ring, k, ell)
+    assert quartic_unit_normal_form(u) == (k, ell)
+    assert u.abs_norm() == 1
+
+
+@pytest.mark.parametrize("real_form", [(-1, 2), (1, 3)])
+def test_unit_normal_form_rejects_impossible_relative_norm(monkeypatch, real_form):
+    # rel_norm(i^k mu^l) = mu^(2l): a negative or odd real normal form
+    # would be a unit outside i^k mu^l
+    monkeypatch.setattr(quartic, "unit_normal_form", lambda x: real_form)
+    with pytest.raises(UnitDecompositionError):
+        quartic_unit_normal_form(ITAU.i())
 
 
 def test_unit_scan_decomposes_height_4():
