@@ -81,6 +81,8 @@ def cmd_summatory(args) -> int:
 
 def cmd_enumerate(args) -> int:
     ambient = _AMBIENTS[args.ambient]
+    if args.filter == "principal" and lattice.ambient_rank(ambient) != 4:
+        raise UsageError("--filter principal needs a rank-4 ring ambient")
     if args.filter == "all":
         subs = lattice.hnf_sublattices(lattice.ambient_rank(ambient), args.index,
                                        ambient, args.max_candidates)
@@ -115,6 +117,7 @@ def cmd_verify(args) -> int:
 
 def _verify_cubic(args) -> int:
     bound = args.limit
+    cubic.check_rotation_budget(bound)
     phi = catalog.phi_c(bound)
     expected = {m: 24 * phi.a(m) for m in range(1, bound + 1)}
     report = cubic.verify_rotation_counts(bound, expected)

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from .dirichlet import divisors, icbrt
 from .errors import InvariantViolation
-from .lattice import Ambient, EnumerationBudgetExceeded, Submodule
+from .lattice import Ambient, EnumerationBudgetExceeded, Submodule, column_hnf
 from .quadratic import (
     QuadInt,
     TAU,
@@ -157,16 +157,17 @@ class Rotation3:
 
 
 def _canonical_rotation(mat: list[QuadInt], d: QuadInt) -> Rotation3:
-    """The rotation with the nine entries mat over d, row by row.
+    """The rotation mat / d (nine entries, row by row), with d made canonical."""
+    u = _unit_to_canonical(d)
+    if u != d.ring.one():
+        mat, d = [e * u for e in mat], d * u
+    return Rotation3((mat[0:3], mat[3:6], mat[6:9]), d)
 
-    d is turned into its canonical associate c, and the unit w = c / d
-    moves into mat.
-    """
-    c = canonical_associate(d)
-    if c != d:
-        w = unit_inverse(exact_div(d, c))
-        mat = [e * w for e in mat]
-    return Rotation3((mat[0:3], mat[3:6], mat[6:9]), c)
+
+def _unit_to_canonical(x: QuadInt) -> QuadInt:
+    """The unit u with x * u = canonical_associate(x); one if x is canonical."""
+    c = canonical_associate(x)
+    return x.ring.one() if c == x else unit_inverse(exact_div(x, c))
 
 
 def _pmul(x, y, c1: int, c0: int) -> tuple[int, int]:
@@ -472,6 +473,15 @@ def _predicted_triples(bound: int) -> int:
     return math.ceil(per_s * 73 * 0.4304 * min(bound, 10 ** 9) ** 2.5 / 2.5)
 
 
+def check_rotation_budget(bound: int) -> None:
+    """Raise EnumerationBudgetExceeded if a scan to this bound is over the ceiling."""
+    predicted = _predicted_triples(bound)
+    if predicted > MAX_COMPONENT_TRIPLES:
+        raise EnumerationBudgetExceeded(
+            f"rotation enumeration predicts {predicted} component triples, "
+            f"over the ceiling {MAX_COMPONENT_TRIPLES}")
+
+
 # norm -> tuple of rotations; filled on demand, shared by every bound
 _norm_cache: dict[int, tuple[Rotation3, ...]] = {}
 _norm_cache_lock = threading.Lock()
@@ -481,11 +491,7 @@ def _rotations_by_norm(bound: int) -> dict[int, tuple[Rotation3, ...]]:
     """{n: every R with |N(den R)| = n} for n = 1..bound."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    predicted = _predicted_triples(bound)
-    if predicted > MAX_COMPONENT_TRIPLES:
-        raise EnumerationBudgetExceeded(
-            f"rotation enumeration predicts {predicted} component triples, "
-            f"over the ceiling {MAX_COMPONENT_TRIPLES}")
+    check_rotation_budget(bound)
     with _norm_cache_lock:
         for n in range(1, bound + 1):
             if n not in _norm_cache:
@@ -568,44 +574,15 @@ def count_submodules_3d(m: int) -> int:
 def hnf_over_ztau(generators: Sequence[Sequence[QuadInt]]) -> Submodule:
     """Canonical upper-triangular Z[tau]-basis of the span of the generators.
 
-    Diagonal entries are canonical associates; off-diagonal entries are
-    the deterministic nearest-quotient remainders mod the diagonal, so
-    the result is unique per module.
+    lattice.column_hnf over Z[tau], the reduction hnf_canonical runs over
+    Z: pivots by |N(x)|, canonical associates on the diagonal, and
+    nearest-quotient remainders off it, so the result is unique per module.
     """
-    cols = [list(g) for g in generators]
-    if not cols or any(len(c) != 3 for c in cols):
+    if not generators or any(len(g) != 3 for g in generators):
         raise ValueError("generators must be 3-vectors")
-    if any(e.ring != TAU for c in cols for e in c):
+    if any(e.ring != TAU for g in generators for e in g):
         raise ValueError("generators must have golden-ratio entries")
-    pivots: list[list | None] = [None] * 3
-    active = cols
-    for i in range(2, -1, -1):
-        live = [c for c in active if c[i]]
-        rest = [c for c in active if not c[i]]
-        while len(live) > 1:
-            live.sort(key=lambda c: (abs(c[i].norm()), c[i].a, c[i].b))
-            piv = live[0]
-            new_live = [piv]
-            for c in live[1:]:
-                q, _ = divmod(c[i], piv[i])
-                for k in range(3):
-                    c[k] = c[k] - q * piv[k]
-                (new_live if c[i] else rest).append(c)
-            live = new_live
-        if not live:
-            raise ValueError("generators do not span rank 3")
-        piv = live[0]
-        uinv = unit_inverse(exact_div(piv[i], canonical_associate(piv[i])))
-        pivots[i] = [x * uinv for x in piv]
-        active = rest
-    for j in range(3):
-        col = pivots[j]
-        for i in range(j - 1, -1, -1):
-            q, _ = divmod(col[i], pivots[i][i])
-            if q:
-                for k in range(i + 1):
-                    col[k] = col[k] - q * pivots[i][k]
-    basis = tuple(tuple(pivots[j][i] for j in range(3)) for i in range(3))
+    basis = column_hnf(generators, lambda x: abs(x.norm()), _unit_to_canonical)
     return Submodule(Ambient.Z_TAU3_AS_ZTAU_MODULE, basis)
 
 

@@ -7,6 +7,11 @@ entry d_i.  Invariance under ring multiplier actions is tested by exact
 triangular solves, vectorized over blocks of candidates with numpy so
 the rank-4 scans stay desk-scale.
 
+One Hermite normal form.  Z and Z[tau] are both norm-Euclidean, so one
+column reduction, `column_hnf`, serves both: `hnf_canonical` runs it over
+Z and `cubic.hnf_over_ztau` over Z[tau].  The rings differ only in the
+pivot size and the canonical associate, which `Submodule` checks by one rule.
+
 Flag pruning.  Let V_k = span(e_1..e_k) and let an action T keep V_k,
 that is T[i][l] == 0 for all i >= k > l.  Write an HNF basis B in
 blocks: the leading k x k block B11, the trailing block B22 on the
@@ -48,10 +53,11 @@ squares equals the index.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -148,13 +154,21 @@ def ambient_actions(ambient: Ambient) -> tuple[MultiplierAction, ...]:
     return _ACTIONS[ambient]
 
 
+# (size, canonical diagonal test) over Z, and over Z[tau] for the rank-3 module
+_INTEGERS = (abs, lambda d: d > 0)
+_RINGS = {
+    Ambient.Z_TAU3_AS_ZTAU_MODULE: (lambda x: abs(x.norm()), is_canonical_associate),
+}
+
+
 @dataclass(frozen=True)
 class Submodule:
     """Full-rank submodule in canonical column HNF.
 
     basis[i][j] is the row-i entry of the j-th basis vector; entries are
     plain integers except for the rank-3 module over Z[tau], where they
-    are QuadInt and the diagonal is made of canonical associates.
+    are QuadInt.  Over both rings the basis is upper triangular, each
+    diagonal d is canonical and each b right of it has divmod(b, d)[0] == 0.
     """
 
     ambient: Ambient | None
@@ -164,33 +178,14 @@ class Submodule:
         r = len(self.basis)
         if any(len(row) != r for row in self.basis):
             raise ValueError("basis must be square")
-        if self.ambient is Ambient.Z_TAU3_AS_ZTAU_MODULE:
-            self._validate_quad()
-        else:
-            self._validate_int()
-
-    def _validate_int(self):
-        r = len(self.basis)
-        for i in range(r):
-            if self.basis[i][i] <= 0:
-                raise ValueError("diagonal entries must be positive")
-            for j in range(r):
-                if j < i and self.basis[i][j] != 0:
-                    raise ValueError("basis must be upper triangular")
-                if j > i and not 0 <= self.basis[i][j] < self.basis[i][i]:
-                    raise ValueError("off-diagonal entries must be reduced")
-
-    def _validate_quad(self):
-        r = len(self.basis)
-        for i in range(r):
-            if not is_canonical_associate(self.basis[i][i]):
-                raise ValueError("diagonal entries must be canonical associates")
-            for j in range(i):
-                if self.basis[i][j]:
-                    raise ValueError("basis must be upper triangular")
-            for j in range(i + 1, r):
-                if divmod(self.basis[i][j], self.basis[i][i])[0]:
-                    raise ValueError("off-diagonal entries must be reduced")
+        canonical = _RINGS.get(self.ambient, _INTEGERS)[1]
+        for i, row in enumerate(self.basis):
+            if not canonical(row[i]):
+                raise ValueError("diagonal entries must be canonical")
+            if any(row[:i]):
+                raise ValueError("basis must be upper triangular")
+            if any(divmod(b, row[i])[0] for b in row[i + 1:]):
+                raise ValueError("off-diagonal entries must be reduced")
 
     @property
     def rank(self) -> int:
@@ -198,12 +193,8 @@ class Submodule:
 
     @property
     def index(self) -> int:
-        d = self.basis[0][0]
-        for i in range(1, self.rank):
-            d = d * self.basis[i][i]
-        if self.ambient is Ambient.Z_TAU3_AS_ZTAU_MODULE:
-            return abs(d.norm())
-        return d
+        size = _RINGS.get(self.ambient, _INTEGERS)[0]
+        return math.prod(size(row[i]) for i, row in enumerate(self.basis))
 
     def contains(self, vector: Sequence) -> bool:
         """Exact membership by back substitution on the triangular basis."""
@@ -218,50 +209,58 @@ class Submodule:
         return True
 
 
-def hnf_canonical(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Canonical column HNF of the integer lattice spanned by the columns.
+def column_hnf(columns: Sequence[Sequence], size: Callable,
+               unit: Callable) -> tuple[tuple, ...]:
+    """Canonical column HNF over a norm-Euclidean ring: Z or Z[tau].
 
-    Input columns must span full rank; returns the unique upper-triangular
-    basis with positive diagonal and off-diagonal entries in [0, d_i).
+    Rows are cleared bottom up by Euclid's algorithm, dividing by the live
+    entry of least size; unit(pivot) makes each diagonal entry canonical,
+    and an entry x right of a diagonal d is reduced by divmod(x, d)[0]: the
+    floor over Z, the nearest quotient over Z[tau].  The result is unique,
+    whatever the pivot order.  ValueError on empty or rank-deficient input.
     """
-    cols = [list(c) for c in columns]
-    r = len(cols[0])
-    if any(len(c) != r for c in cols):
-        raise ValueError("ragged columns")
-    pivots: list[list[int] | None] = [None] * r
-    active = cols
+    active = [list(c) for c in columns]
+    if not active:
+        raise ValueError("no columns")
+    r = len(active[0])
+    pivots: list[list | None] = [None] * r
     for i in range(r - 1, -1, -1):
-        live = [c for c in active if c[i] != 0]
-        rest = [c for c in active if c[i] == 0]
+        live = [c for c in active if c[i]]
+        active = [c for c in active if not c[i]]
         while len(live) > 1:
-            live.sort(key=lambda c: abs(c[i]))
+            live.sort(key=lambda c: size(c[i]))
             piv = live[0]
-            new_live = [piv]
             for c in live[1:]:
-                q = c[i] // piv[i]
-                if q:
-                    for k in range(r):
-                        c[k] -= q * piv[k]
-                (new_live if c[i] != 0 else rest).append(c)
-            live = new_live
-            if len(live) == 1:
-                break
+                q = divmod(c[i], piv[i])[0]
+                for k in range(r):
+                    c[k] = c[k] - q * piv[k]
+            active += [c for c in live if not c[i]]
+            live = [c for c in live if c[i]]
         if not live:
             raise ValueError("columns do not span full rank")
-        piv = live[0]
-        if piv[i] < 0:
-            piv = [-v for v in piv]
-        pivots[i] = piv
-        active = rest
+        u = unit(live[0][i])
+        pivots[i] = [x * u for x in live[0]]
     # reduce off-diagonal entries, lower pivot rows first
     for j in range(r):
         col = pivots[j]
         for i in range(j - 1, -1, -1):
-            q = col[i] // pivots[i][i]
+            q = divmod(col[i], pivots[i][i])[0]
             if q:
                 for k in range(i + 1):
-                    col[k] -= q * pivots[i][k]
+                    col[k] = col[k] - q * pivots[i][k]
     return tuple(tuple(pivots[j][i] for j in range(r)) for i in range(r))
+
+
+def hnf_canonical(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Canonical column HNF of the integer lattice spanned by the columns.
+
+    Input columns must span full rank; returns the unique upper-triangular
+    basis with positive diagonal and off-diagonal entries in [0, d_i).  It
+    is column_hnf over Z, the reduction hnf_over_ztau runs over Z[tau].
+    """
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("ragged columns")
+    return column_hnf(columns, abs, lambda x: -1 if x < 0 else 1)
 
 
 def ordered_diagonals(m: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -305,24 +304,14 @@ def hnf_sublattices(rank: int, m: int, ambient: Ambient | None = None,
     if m < 1:
         raise ValueError("index must be >= 1")
     _check_budget(hnf_candidate_count(rank, m), max_candidates)
+    positions = _positions(rank)
     out = []
     for diag in ordered_diagonals(m, rank):
-        ranges = _positions(rank)
-        shape = [diag[i] for i, _ in ranges]
-
-        def fill(pos: int, digits: list[int]):
-            if pos == len(ranges):
-                basis = [[0] * rank for _ in range(rank)]
-                for k in range(rank):
-                    basis[k][k] = diag[k]
-                for (i, j), v in zip(ranges, digits):
-                    basis[i][j] = v
-                out.append(Submodule(ambient, tuple(tuple(row) for row in basis)))
-                return
-            for v in range(shape[pos]):
-                fill(pos + 1, digits + [v])
-
-        fill(0, [])
+        basis = [[diag[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+        for digits in itertools.product(*(range(diag[i]) for i, _ in positions)):
+            for (i, j), v in zip(positions, digits):
+                basis[i][j] = v
+            out.append(Submodule(ambient, tuple(tuple(row) for row in basis)))
     return out
 
 
@@ -636,18 +625,16 @@ def verify_series(ambient: Ambient, limit: int,
                   max_candidates: int = DEFAULT_MAX_CANDIDATES,
                   workers: int | None = None) -> OracleReport:
     """Compare oracle counts with the catalog coefficients for m <= limit."""
-    series = _EXPECTED_SERIES[ambient](limit)
     rank = ambient_rank(ambient)
-    predicted = sum(hnf_candidate_count(rank, m) for m in range(1, limit + 1))
-    _check_budget(predicted, max_candidates)
-    if ambient is Ambient.Z_ISQRT2_AS_Z4:
-        def counter(m):
-            return count_similarity_submodules(ambient, m, max_candidates)
-    else:
-        def counter(m):
-            return count_ideals(ambient, m, max_candidates)
+    predicted = 0
+    for m in range(1, limit + 1):
+        predicted += hnf_candidate_count(rank, m)
+        _check_budget(predicted, max_candidates)
+    series = _EXPECTED_SERIES[ambient](limit)
     if workers is None:
         workers = worker_count()
-    counts = map_ordered(counter, range(1, limit + 1), workers)
+    counts = map_ordered(
+        lambda m: count_similarity_submodules(ambient, m, max_candidates),
+        range(1, limit + 1), workers)
     rows = tuple((m, counts[m - 1], series.a(m)) for m in range(1, limit + 1))
     return OracleReport(ambient.value, limit, rows)

@@ -175,6 +175,32 @@ def test_rotation_budget_guard_is_usage_error(capsys):
         assert "ceiling" in err
 
 
+def test_budget_guards_run_before_any_table(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("coefficient table built before the budget check")
+
+    monkeypatch.setattr(catalog, "phi_c", no_table)
+    monkeypatch.setattr(lattice, "_EXPECTED_SERIES",
+                        dict.fromkeys(lattice._EXPECTED_SERIES, no_table))
+    for bound in (10 ** 6, 10 ** 400):
+        for argv in (("verify", "--module", "zitau", "--limit", str(bound),
+                      "--max-candidates", "1000"),
+                     ("verify", "--module", "cubic3", "--limit", str(bound))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "ceiling" in err
+
+
+def test_principal_filter_on_ztau_is_usage_error(capsys):
+    for index in ("2", "4"):
+        code, out, err = run_cli(capsys, "enumerate", "--ambient", "ztau",
+                                 "--index", index, "--filter", "principal")
+        assert code == 2, index
+        assert out == ""
+        assert "rank-4" in err
+
+
 def test_units_command(capsys):
     code, out, _ = run_cli(capsys, "units", "--ring", "tau", "--height", "10")
     assert code == 0

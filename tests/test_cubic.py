@@ -7,7 +7,7 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from simsub import catalog, cubic
 from simsub.cubic import (
@@ -28,7 +28,7 @@ from simsub.cubic import (
     similarity_index,
     verify_rotation_counts,
 )
-from simsub.lattice import Ambient, EnumerationBudgetExceeded
+from simsub.lattice import Ambient, EnumerationBudgetExceeded, Submodule, hnf_canonical
 from simsub.quadratic import (
     QuadInt,
     TAU,
@@ -617,6 +617,8 @@ def test_hnf_over_ztau_examples():
 
     with pytest.raises(ValueError):
         hnf_over_ztau(e[:2])
+    with pytest.raises(ValueError):
+        hnf_over_ztau([])
 
 
 def test_hnf_over_ztau_unit_scaling_invariance():
@@ -634,6 +636,54 @@ def test_hnf_over_ztau_unit_scaling_invariance():
         scaled = [tuple(unit * v for v in col) for col in cols]
         assert hnf_over_ztau(scaled).basis == base.basis
         assert base.ambient is Ambient.Z_TAU3_AS_ZTAU_MODULE
+
+
+def _z6_image(columns):
+    """Columns x and tau*x of each Z[tau] 3-vector, over the Z-basis (1, tau)."""
+    return [[v for e in col for v in (e.a, e.b)]
+            for x in columns for col in (x, tuple(tau(0, 1) * e for e in x))]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_hnf_over_ztau_spans_the_module_and_is_canonical(data):
+    part = st.integers(-6, 6)
+    n = data.draw(st.integers(3, 5))
+    gens = [tuple(tau(data.draw(part), data.draw(part)) for _ in range(3))
+            for _ in range(n)]
+    try:
+        sub = hnf_over_ztau(gens)
+    except ValueError:
+        assume(False)
+    basis_cols = [tuple(sub.basis[i][j] for i in range(3)) for j in range(3)]
+    assert hnf_canonical(_z6_image(gens)) == hnf_canonical(_z6_image(basis_cols))
+    # unimodular column operations over Z[tau] keep the module and its HNF
+    cols = [list(c) for c in gens]
+    for _ in range(data.draw(st.integers(1, 6))):
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if a != b:
+            k = tau(data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
+            cols[a] = [x + k * y for x, y in zip(cols[a], cols[b])]
+        unit = tau(0, 1) ** data.draw(st.integers(0, 2)) * data.draw(st.sampled_from((1, -1)))
+        cols[b] = [unit * x for x in cols[b]]
+        cols[a], cols[b] = cols[b], cols[a]
+    assert hnf_over_ztau(cols).basis == sub.basis
+
+
+def test_submodule_rule_over_ztau3():
+    one, zero, two = tau(1, 0), tau(0, 0), tau(2, 0)
+
+    def sub(*rows):
+        return Submodule(Ambient.Z_TAU3_AS_ZTAU_MODULE, rows)
+
+    assert sub((two, tau(-1, -1), zero), (zero, one, zero), (zero, zero, one)).index == 4
+    for d in (tau(0, 1), tau(-1, 0)):  # tau and -1 are not canonical associates
+        with pytest.raises(ValueError):
+            sub((d, zero, zero), (zero, one, zero), (zero, zero, one))
+    with pytest.raises(ValueError):  # nonzero entry below the diagonal
+        sub((one, zero, zero), (tau(0, 1), one, zero), (zero, zero, one))
+    with pytest.raises(ValueError):  # nearest quotient of 1 by 2 rounds to 1
+        sub((two, one, zero), (zero, one, zero), (zero, zero, one))
 
 
 def test_affine_composition():

@@ -73,6 +73,8 @@ def test_hnf_canonical_is_unique_per_lattice():
 def test_hnf_canonical_rank_deficient_rejected():
     with pytest.raises(ValueError):
         hnf_canonical([[1, 0], [2, 0]])
+    with pytest.raises(ValueError):
+        hnf_canonical([])
 
 
 def test_submodule_validation():
