@@ -51,12 +51,12 @@ from .dirichlet import (  # noqa: F401
     shift,
 )
 
-# Common local-factor denominators, as polynomials in t = p^(-s).
-_GEOM = (1, -1)            # 1/(1-t)
-_GEOM_SQ = (1, -2, 1)      # 1/(1-t)^2
-_GEOM_T2 = (1, 0, -1)      # 1/(1-t^2)
-_GEOM_4TH = (1, -4, 6, -4, 1)    # 1/(1-t)^4
-_GEOM_T2_SQ = (1, 0, -2, 0, 1)   # 1/(1-t^2)^2
+# Common local factors, in t = p^(-s); built once, shared by every prime.
+_GEOM = EulerFactor((1,), (1, -1))                    # 1/(1-t)
+_GEOM_SQ = EulerFactor((1,), (1, -2, 1))              # 1/(1-t)^2
+_GEOM_T2 = EulerFactor((1,), (1, 0, -1))              # 1/(1-t^2)
+_GEOM_4TH = EulerFactor((1,), (1, -4, 6, -4, 1))      # 1/(1-t)^4
+_GEOM_T2_SQ = EulerFactor((1,), (1, 0, -2, 0, 1))     # 1/(1-t^2)^2
 
 
 class SeriesName(Enum):
@@ -82,15 +82,15 @@ class CatalogEntry:
 
 def riemann_zeta(limit: int) -> CoeffSeries:
     """All coefficients 1: every index m gives exactly the ideal mZ."""
-    return expand_euler(lambda p: EulerFactor((1,), _GEOM), limit)
+    return expand_euler(lambda p: _GEOM, limit)
 
 
 def _tau_factor(p: int) -> EulerFactor:
     if p == 5:
-        return EulerFactor((1,), _GEOM)
+        return _GEOM
     if p % 5 in (1, 4):
-        return EulerFactor((1,), _GEOM_SQ)
-    return EulerFactor((1,), _GEOM_T2)
+        return _GEOM_SQ
+    return _GEOM_T2
 
 
 def zeta_q_tau(limit: int) -> CoeffSeries:
@@ -102,21 +102,21 @@ def zeta_q_itau(limit: int) -> CoeffSeries:
     """Ideal count of Z[i,tau] by index."""
     def factor(p: int) -> EulerFactor:
         if p == 2:
-            return EulerFactor((1,), _GEOM_T2)
+            return _GEOM_T2
         if p == 5:
-            return EulerFactor((1,), _GEOM_SQ)
+            return _GEOM_SQ
         if p % 20 in (1, 9):
-            return EulerFactor((1,), _GEOM_4TH)
-        return EulerFactor((1,), _GEOM_T2_SQ)
+            return _GEOM_4TH
+        return _GEOM_T2_SQ
     return expand_euler(factor, limit)
 
 
 def _xi8_factor(p: int) -> EulerFactor:
     if p == 2:
-        return EulerFactor((1,), _GEOM)
+        return _GEOM
     if p % 8 == 1:
-        return EulerFactor((1,), _GEOM_4TH)
-    return EulerFactor((1,), _GEOM_T2_SQ)
+        return _GEOM_4TH
+    return _GEOM_T2_SQ
 
 
 def zeta_q_xi8(limit: int) -> CoeffSeries:
@@ -126,7 +126,7 @@ def zeta_q_xi8(limit: int) -> CoeffSeries:
 
 def _zi_sqrt2_factor(p: int) -> EulerFactor:
     if p == 2:
-        return EulerFactor((1, -1, 2), _GEOM)
+        return EulerFactor((1, -1, 2), _GEOM.den)
     return _xi8_factor(p)
 
 

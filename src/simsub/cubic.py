@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from .dirichlet import divisors, icbrt
 from .errors import InvariantViolation
-from .lattice import Ambient, EnumerationBudgetExceeded, Submodule, column_hnf
+from .lattice import Ambient, EnumerationBudgetExceeded, Submodule, column_hnf, hnf_canonical
 from .quadratic import (
     QuadInt,
     TAU,
@@ -306,27 +306,11 @@ def _block2(x: QuadInt):
     return ((x.a, x.b), (x.b, x.a + x.b))
 
 
-def _int_det(mat) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    m = [list(row) for row in mat]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _abs_det(mat) -> int:
+    """|det| of a square integer matrix: the product of the diagonal of the
+    canonical column HNF.  ValueError if the matrix is singular."""
+    hnf = hnf_canonical(list(zip(*mat)))
+    return math.prod(hnf[i][i] for i in range(len(hnf)))
 
 
 def _integral_matrix(rotation: Rotation3, scale: QuadInt):
@@ -338,8 +322,8 @@ def _integral_matrix(rotation: Rotation3, scale: QuadInt):
 def similarity_index(alpha: QuadInt, rotation: Rotation3) -> int:
     """Index of alpha * den(R) * R on the rank-3 module: |N(alpha)^3 N(den R)^3|.
 
-    Cross-checked against the determinant of the rank-6 integer
-    representation of the map on every call.
+    Cross-checked on every call against |det| of the rank-6 integer
+    representation of the map, read off its column HNF.
     """
     if not alpha:
         raise ValueError("alpha must be nonzero")
@@ -353,7 +337,11 @@ def similarity_index(alpha: QuadInt, rotation: Rotation3) -> int:
             for r in range(2):
                 for c in range(2):
                     z6[2 * i + r][2 * j + c] = blk[r][c]
-    if ind != abs(_int_det(z6)):
+    try:
+        det = _abs_det(z6)
+    except ValueError as exc:
+        raise InvariantViolation("the Z-rank-6 representation is singular") from exc
+    if ind != det:
         raise InvariantViolation("index formula disagrees with the Z-rank-6 determinant")
     return ind
 

@@ -3,12 +3,20 @@
 A CoeffSeries holds a(1..N) for a fixed limit N.  All binary operations
 insist on equal limits so that truncation mismatches cannot pass
 silently, and no floating point is used anywhere.
+
+expand_euler writes only the nonzero coefficients of a multiplicative
+series.  Every index n > 1 is m * p^e for one prime p, its largest prime
+factor, so taking the primes in increasing order and extending the
+nonzero entries found so far writes each nonzero a(n) exactly once.  Its
+cost follows the number of primes up to N plus the number of nonzero
+coefficients, not N itself, beside C-speed scans of the table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterator, Mapping
 
 
@@ -21,18 +29,7 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start::p] = bytearray(len(range(start, n + 1, p)))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-def smallest_prime_factors(n: int) -> list[int]:
-    """spf[m] = least prime factor of m, for 0 <= m <= n (spf[0..1] unused)."""
-    spf = list(range(n + 1))
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            for m in range(p * p, n + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
+    return list(compress(range(n + 1), sieve))
 
 
 def divisors(n: int) -> list[int]:
@@ -76,9 +73,9 @@ class CoeffSeries:
     __getitem__ = a
 
     def nonzero(self) -> Iterator[tuple[int, int]]:
-        for m, c in enumerate(self.coeffs, start=1):
-            if c:
-                yield m, c
+        """(m, a(m)) for every a(m) != 0, in increasing m."""
+        return zip(compress(range(1, self.limit + 1), self.coeffs),
+                   filter(None, self.coeffs))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -135,28 +132,47 @@ def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> Coef
     """Multiplicative series from per-prime local factors.
 
     a(m) is the product over p^e || m of the t^e coefficient of the local
-    expansion at p.
+    expansion at p.  The primes are taken in increasing order; before
+    prime p, every nonzero entry of the table sits at an index whose
+    prime factors are all below p.  Each such index m is extended to
+    m * p^e for every e >= 1 with a nonzero t^e coefficient and
+    m * p^e <= limit.  Every index n > 1 is m * p^e for exactly one such
+    m, with p its largest prime factor, so each nonzero a(n) is written
+    once, from the unique factorization of n, and every other entry stays
+    0.  The cost is one local factor call per prime plus one write per
+    nonzero coefficient, beside a C-speed scan of the table up to
+    limit // p for each prime that writes anything.  Each distinct local
+    factor is expanded once per call.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    spf = smallest_prime_factors(limit)
-    expansions: dict[int, list[int]] = {}
+    coeffs = [0] * (limit + 1)
+    coeffs[1] = 1
+    expansions: dict[tuple, list[tuple[int, int]]] = {}
     for p in primes_up_to(limit):
+        factor = local_factor(p)
         e_max = 0
         q = p
         while q <= limit:
             e_max += 1
             q *= p
-        expansions[p] = local_factor(p).expand(e_max + 1)
-    coeffs = [0] * (limit + 1)
-    coeffs[1] = 1
-    for m in range(2, limit + 1):
-        p = spf[m]
-        e, rest = 0, m
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        coeffs[m] = coeffs[rest] * expansions[p][e]
+        key = (factor.num, factor.den, e_max)
+        terms = expansions.get(key)
+        if terms is None:
+            terms = [(e, c) for e, c in enumerate(factor.expand(e_max + 1)) if e and c]
+            expansions[key] = terms
+        if not terms:
+            continue
+        powers = [(p ** e, c) for e, c in terms]
+        top = limit // p
+        # the slice is a snapshot, so no entry written for p is extended again
+        for m in compress(range(top + 1), coeffs[:top + 1]):
+            a = coeffs[m]
+            for p_e, c in powers:
+                n = m * p_e
+                if n > limit:
+                    break
+                coeffs[n] = a * c
     return CoeffSeries(limit, tuple(coeffs[1:]))
 
 

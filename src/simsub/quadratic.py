@@ -398,12 +398,13 @@ def elements_in_embedding_box(ring: QuadRing, bound1: float, bound2: float):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def norm_equation(ring: QuadRing, n: int) -> tuple[QuadInt, ...]:
     """Canonical associates with norm exactly n (n >= 1).
 
     One entry per association class of solutions of |norm| = n; the
-    canonical associate always has positive norm.
+    canonical associate always has positive norm.  The cache is bounded,
+    as prime_factors asks it for arbitrary primes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

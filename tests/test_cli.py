@@ -1,8 +1,12 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from simsub import catalog, cli, cubic, lattice
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def run_cli(capsys, *argv):
@@ -232,3 +236,22 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["limit"] == 5
+
+
+def _load_workloads(monkeypatch):
+    # perfbench is not a package, so its workload table is loaded from the
+    # file; its dataclass needs the module registered while it is built
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_series_tables_benchmark_output_is_byte_identical(capsys, monkeypatch):
+    workloads = _load_workloads(monkeypatch)
+    for _, argv in workloads.WORKLOADS["series-tables"].commands("full"):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        key = " ".join(argv)
+        assert workloads.digest(out) == workloads.DIGESTS[key], key

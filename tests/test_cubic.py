@@ -571,14 +571,30 @@ def test_enumeration_budget_refuses_before_enumerating(monkeypatch):
 
 
 def test_invariant_violation_is_raised(monkeypatch):
-    monkeypatch.setattr(cubic, "_int_det", lambda mat: 0)
+    monkeypatch.setattr(cubic, "_abs_det", lambda mat: 0)
     with pytest.raises(InvariantViolation):
         similarity_index(tau(2, 0), Rotation3.identity())
 
 
+def test_singular_rank6_map_raises_invariant_violation(monkeypatch):
+    # a zero map makes the column HNF rank-deficient (ValueError inside)
+    zero = tuple(tuple(TAU.zero() for _ in range(3)) for _ in range(3))
+    monkeypatch.setattr(cubic, "_integral_matrix", lambda rotation, scale: zero)
+    with pytest.raises(InvariantViolation):
+        similarity_index(tau(2, 0), Rotation3.identity())
+
+
+def test_abs_det_is_hnf_diagonal_product():
+    assert cubic._abs_det([[2, 1], [1, 3]]) == 5
+    assert cubic._abs_det([[0, 1], [1, 0]]) == 1
+    assert cubic._abs_det([[-4]]) == 4
+    with pytest.raises(ValueError):
+        cubic._abs_det([[1, 2], [2, 4]])
+
+
 def test_invariant_violation_survives_optimize():
     script = ("from simsub import cubic\n"
-              "cubic._int_det = lambda mat: 0\n"
+              "cubic._abs_det = lambda mat: 0\n"
               "try:\n"
               "    cubic.similarity_index(cubic.TAU.one(), cubic.Rotation3.identity())\n"
               "except cubic.InvariantViolation:\n"

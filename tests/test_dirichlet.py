@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from simsub import catalog
 from simsub.dirichlet import (
     CoeffSeries,
     EulerFactor,
@@ -233,3 +235,53 @@ def test_scale_argument_of_expansion_is_expansion_at_t_power(f, k, n):
     at_power = expand_euler(lambda p: EulerFactor(_spread(f(p).num, k),
                                                   _spread(f(p).den, k)), n)
     assert scale_argument(expand_euler(f, n), k).coeffs == at_power.coeffs
+
+
+def _dense_reference(local_factor, limit):
+    """The dense expansion: a smallest-prime-factor table, then one trial
+    division per index, a(m) = a(m / p^e) * c_e with p the least prime of m."""
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    expansions = {}
+    for p in range(2, limit + 1):
+        if spf[p] == p:
+            e_max, q = 0, p
+            while q <= limit:
+                e_max += 1
+                q *= p
+            expansions[p] = local_factor(p).expand(e_max + 1)
+    coeffs = [0] * (limit + 1)
+    coeffs[1] = 1
+    for m in range(2, limit + 1):
+        p = spf[m]
+        e, rest = 0, m
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        coeffs[m] = coeffs[rest] * expansions[p][e]
+    return CoeffSeries(limit, tuple(coeffs[1:]))
+
+
+# Limits to 2000 cross prime squares and cubes (up to 11^3), and the
+# random factors give zero t^e coefficients at some e.
+@given(_local_rules(), st.integers(1, 2000))
+def test_expand_euler_matches_dense_reference(f, n):
+    assert expand_euler(f, n) == _dense_reference(f, n)
+
+
+@pytest.mark.parametrize("name", catalog.CLI_SERIES)
+def test_catalog_tables_match_dense_reference(name, monkeypatch):
+    n = 20000
+    sparse = catalog.catalog_entry(name, n).series
+    monkeypatch.setattr(catalog, "expand_euler", _dense_reference)
+    assert sparse == catalog.catalog_entry(name, n).series
+
+
+def test_nonzero_with_negative_and_zero_coefficients():
+    mu = dirichlet_inverse(catalog.riemann_zeta(200))
+    assert min(mu.coeffs) < 0 and 0 in mu.coeffs
+    assert list(mu.nonzero()) == [(m, c) for m, c in enumerate(mu.coeffs, 1) if c]

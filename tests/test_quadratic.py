@@ -199,6 +199,10 @@ def test_norm_equation_small():
         assert x.norm() == 19 and is_canonical_associate(x)
 
 
+def test_norm_equation_cache_is_bounded():
+    assert norm_equation.cache_info().maxsize is not None
+
+
 def test_prime_factors_reassemble():
     for ring, seed in ((TAU, 11), (SQRT2, 12)):
         for x in random_elements(ring, 60, seed, span=12):
