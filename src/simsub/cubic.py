@@ -28,6 +28,14 @@ least denominator of R is unique, and so is mat = den(R) R: the pair
 compared, hashed and sorted.  The enumeration builds mat as M(q) / g and
 den as s / g, and R1 @ R2 is mat1 mat2 over den1 den2 with their gcd
 divided out, so no fraction arithmetic is done anywhere.
+
+"den is least" and "q is primitive" both say that no prime divides every
+one of some elements.  Rotation3 and QuatTau decide it by
+quadratic.coprime: a prime dividing them all divides every norm, so an
+integer gcd of the norms settles almost every case, and the ring gcd runs
+only when the norms share a factor.  The enumeration still takes the ring
+content of each listed q.  A denominator is made canonical, and its
+entries with it, by the unit quadratic.canonical_unit returns.
 """
 
 from __future__ import annotations
@@ -45,13 +53,15 @@ from .quadratic import (
     QuadInt,
     TAU,
     canonical_associate,
+    canonical_unit,
+    coprime,
     elements_in_embedding_box,
     exact_div,
     gcd as qgcd,
     is_canonical_associate,
     norm_equation,
+    pair_mul,
     sign_embedding,
-    unit_inverse,
 )
 
 # Ceiling on the predicted component triples of one rotation enumeration.
@@ -81,7 +91,7 @@ class Rotation3:
             raise InvariantViolation(f"denominator {den!r} is not a canonical associate")
         c1, c0 = ring.c1, ring.c0
         m = [(e.a, e.b) for row in mat for e in row]
-        dd = _pmul((den.a, den.b), (den.a, den.b), c1, c0)
+        dd = pair_mul((den.a, den.b), (den.a, den.b), c1, c0)
         for i in range(3):
             for j in range(i, 3):
                 s0 = s1 = 0
@@ -94,14 +104,14 @@ class Rotation3:
                 if (s0, s1) != (dd if i == j else (0, 0)):
                     raise ValueError("matrix is not orthogonal")
         det = _pdet(m, c1, c0)
-        ddd = _pmul(dd, (den.a, den.b), c1, c0)
+        ddd = pair_mul(dd, (den.a, den.b), c1, c0)
         if det == ddd:
             self.det_sign = 1
         elif det == (-ddd[0], -ddd[1]):
             self.det_sign = -1
         else:
             raise InvariantViolation("orthogonal matrix must have determinant +-1")
-        if not _is_least_denominator(mat, m, den):
+        if not coprime((den, *(e for row in mat for e in row))):
             raise InvariantViolation(f"{den!r} is not the least denominator")
         self._key = ((den.a, den.b), *m)
         self.mat = mat
@@ -133,10 +143,7 @@ class Rotation3:
         d = self.den * other.den
         prod = [sum((self.mat[i][k] * other.mat[k][j] for k in range(3)), d.ring.zero())
                 for i in range(3) for j in range(3)]
-        g = d
-        for e in prod:
-            if e:
-                g = qgcd(g, e)
+        g = _content((d, *prod))
         return _canonical_rotation([exact_div(e, g) for e in prod], exact_div(d, g))
 
     def is_integral(self) -> bool:
@@ -158,22 +165,10 @@ class Rotation3:
 
 def _canonical_rotation(mat: list[QuadInt], d: QuadInt) -> Rotation3:
     """The rotation mat / d (nine entries, row by row), with d made canonical."""
-    u = _unit_to_canonical(d)
+    u = canonical_unit(d)
     if u != d.ring.one():
         mat, d = [e * u for e in mat], d * u
     return Rotation3((mat[0:3], mat[3:6], mat[6:9]), d)
-
-
-def _unit_to_canonical(x: QuadInt) -> QuadInt:
-    """The unit u with x * u = canonical_associate(x); one if x is canonical."""
-    c = canonical_associate(x)
-    return x.ring.one() if c == x else unit_inverse(exact_div(x, c))
-
-
-def _pmul(x, y, c1: int, c0: int) -> tuple[int, int]:
-    """Product of two ring elements given as (a, b) pairs, w^2 = c1 w + c0."""
-    t = x[1] * y[1]
-    return (x[0] * y[0] + c0 * t, x[0] * y[1] + x[1] * y[0] + c1 * t)
 
 
 def _pdet(m, c1: int, c0: int) -> tuple[int, int]:
@@ -181,33 +176,11 @@ def _pdet(m, c1: int, c0: int) -> tuple[int, int]:
     out = (0, 0)
     for j in range(3):  # cyclic cofactors along the first row
         j1, j2 = (j + 1) % 3, (j + 2) % 3
-        p = _pmul(m[3 + j1], m[6 + j2], c1, c0)
-        q = _pmul(m[3 + j2], m[6 + j1], c1, c0)
-        t = _pmul(m[j], (p[0] - q[0], p[1] - q[1]), c1, c0)
+        p = pair_mul(m[3 + j1], m[6 + j2], c1, c0)
+        q = pair_mul(m[3 + j2], m[6 + j1], c1, c0)
+        t = pair_mul(m[j], (p[0] - q[0], p[1] - q[1]), c1, c0)
         out = (out[0] + t[0], out[1] + t[1])
     return out
-
-
-def _is_least_denominator(mat, m, den: QuadInt) -> bool:
-    """Whether no prime of den divides every entry of mat.
-
-    m holds the entries of mat as (a, b) pairs.  A prime pi dividing den
-    and every entry would make N(pi) divide N(den) and the norm of every
-    entry, so an integer gcd of 1 over those norms settles it; only when
-    the norms share a factor is the gcd of den and the entries taken in
-    the ring.
-    """
-    c1, c0 = den.ring.c1, den.ring.c0
-    if math.gcd(den.norm(), *(a * a + c1 * a * b - c0 * b * b for a, b in m)) == 1:
-        return True
-    g = den
-    for row in mat:
-        for e in row:
-            if e:
-                g = qgcd(g, e)
-                if g.is_unit():
-                    return True
-    return False
 
 
 def signed_permutations(ring=TAU, det_sign: int | None = None):
@@ -237,7 +210,7 @@ class QuatTau:
             raise ValueError("quaternion components must live in the tau ring")
         if not any(self.components):
             raise ValueError("zero quaternion")
-        if not self.content().is_unit():
+        if not coprime(self.components):
             raise ValueError("quaternion is not primitive")
 
     def content(self) -> QuadInt:
@@ -262,9 +235,10 @@ def _euler_rodrigues(q) -> list[tuple[int, int]]:
     The nine entries come as (a, b) pairs, row by row.
     """
     a, b, c, d = ((x.a, x.b) for x in q)
+    c1, c0 = TAU.c1, TAU.c0
     aa, bb, cc, dd, bc, ad, bd, ac, cd, ab = (
-        _pmul(x, y, 1, 1) for x, y in ((a, a), (b, b), (c, c), (d, d), (b, c),
-                                       (a, d), (b, d), (a, c), (c, d), (a, b)))
+        pair_mul(x, y, c1, c0) for x, y in ((a, a), (b, b), (c, c), (d, d), (b, c),
+                                            (a, d), (b, d), (a, c), (c, d), (a, b)))
     coords = [(aa[k] + bb[k] - cc[k] - dd[k], 2 * (bc[k] - ad[k]), 2 * (bd[k] + ac[k]),
                2 * (bc[k] + ad[k]), aa[k] - bb[k] + cc[k] - dd[k], 2 * (cd[k] - ab[k]),
                2 * (bd[k] - ac[k]), 2 * (cd[k] + ab[k]), aa[k] - bb[k] - cc[k] + dd[k])
@@ -570,7 +544,7 @@ def hnf_over_ztau(generators: Sequence[Sequence[QuadInt]]) -> Submodule:
         raise ValueError("generators must be 3-vectors")
     if any(e.ring != TAU for g in generators for e in g):
         raise ValueError("generators must have golden-ratio entries")
-    basis = column_hnf(generators, lambda x: abs(x.norm()), _unit_to_canonical)
+    basis = column_hnf(generators, lambda x: abs(x.norm()), canonical_unit)
     return Submodule(Ambient.Z_TAU3_AS_ZTAU_MODULE, basis)
 
 

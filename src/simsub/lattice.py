@@ -64,7 +64,7 @@ import numpy as np
 from . import catalog
 from .dirichlet import divisors
 from .parallel import map_ordered, worker_count
-from .quadratic import elements_in_embedding_box, is_canonical_associate
+from .quadratic import elements_in_embedding_box, is_canonical_associate, pair_mul, pair_norm
 from .quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
@@ -538,18 +538,20 @@ def is_principal(sub: Submodule) -> bool:
     mu1 = quad.fundamental_unit.embedding_float()
     cap = 2.0 * math.sqrt(n) * mu1
     side = math.sqrt(cap) * 1.0000001
+    c1, c0 = quad.c1, quad.c0
     pairs = []
     for x in elements_in_embedding_box(quad, side, side):
         e1 = x.embedding_float() ** 2
         e2 = x.conj_embedding_float() ** 2
         if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
-            pairs.append((e1, x.a, x.b, e2, _square_pair(x.a, x.b, quad)))
+            pairs.append((e1, x.a, x.b, e2, pair_mul((x.a, x.b), (x.a, x.b), c1, c0)))
     pairs.sort()
     for r1, ra, rb, r2, (ru, rv) in pairs:
         for s1, sa, sb, s2, (su, sv) in pairs:
             if r1 + s1 > cap + 1e-9 or r2 + s2 > cap + 1e-9:
                 continue
-            if _pair_abs_norm(ru + su, rv + sv, quad) != n:
+            # re^2 + im^2 = u + v*w, and abs_norm(re + i*im) = |norm(u + v*w)|
+            if abs(pair_norm((ru + su, rv + sv), c1, c0)) != n:
                 continue
             cand = QuarticInt((ra, sa, rb, sb), ring)
             if not sub.contains(cand.coeffs):
@@ -558,16 +560,6 @@ def is_principal(sub: Submodule) -> bool:
             if generated == sub.basis:
                 return True
     return False
-
-
-def _square_pair(a: int, b: int, quad) -> tuple[int, int]:
-    """(a + b*w)^2 as an integer pair, with w^2 = c1*w + c0."""
-    return a * a + quad.c0 * b * b, 2 * a * b + quad.c1 * b * b
-
-
-def _pair_abs_norm(u: int, v: int, quad) -> int:
-    """|norm(u + v*w)| to Z; for u + v*w = re^2 + im^2 it is abs_norm(re + i*im)."""
-    return abs(u * u + quad.c1 * u * v - quad.c0 * v * v)
 
 
 def count_similarity_submodules(ambient: Ambient, m: int,

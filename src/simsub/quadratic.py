@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterable
 
 from .errors import InvariantViolation
 
@@ -254,24 +255,40 @@ def is_canonical_associate(x: QuadInt) -> bool:
     return sign_embedding(x.ring._fund_pow4 * c - x) > 0  # ratio < fund^4
 
 
-def canonical_associate(x: QuadInt) -> QuadInt:
-    """The distinguished unit multiple of x (see is_canonical_associate)."""
-    if not x:
-        return x
+def _canonical_walk(x: QuadInt) -> tuple[QuadInt, int, int]:
+    """(c, sign, e) with c = sign * fund^e * x the canonical associate of x != 0.
+
+    Fixes the sign of the norm with fund, the sign of the embedding with
+    -1, then walks the embedding ratio into its window by fund^2 steps.
+    """
     ring = x.ring
+    sign, e = 1, 0
     if x.norm() < 0:
-        x = x * ring._fund
+        x, e = x * ring._fund, 1
     if sign_embedding(x) < 0:
-        x = -x
+        x, sign = -x, -1
     for _ in range(100_000):
         c = x.conj()
         if sign_embedding(x - c) < 0:
-            x = x * ring._fund_sq
+            x, e = x * ring._fund_sq, e + 2
         elif sign_embedding(ring._fund_pow4 * c - x) <= 0:
-            x = x * ring._fund_inv_sq
+            x, e = x * ring._fund_inv_sq, e - 2
         else:
-            return x
+            return x, sign, e
     raise RuntimeError("canonical associate normalization did not converge")
+
+
+def canonical_unit(x: QuadInt) -> QuadInt:
+    """The unit u with x * u = canonical_associate(x); ValueError for zero."""
+    if not x:
+        raise ValueError("zero has no canonical associate")
+    _, sign, e = _canonical_walk(x)
+    return unit_from_normal_form(x.ring, sign, e)
+
+
+def canonical_associate(x: QuadInt) -> QuadInt:
+    """The distinguished unit multiple of x (see is_canonical_associate)."""
+    return _canonical_walk(x)[0] if x else x
 
 
 def is_associate(x: QuadInt, y: QuadInt) -> bool:
@@ -335,8 +352,36 @@ def exact_div(x: QuadInt, y: QuadInt) -> QuadInt:
     return q
 
 
-def divides(d: QuadInt, x: QuadInt) -> bool:
-    return not (x % d)
+def coprime(elements: Iterable[QuadInt]) -> bool:
+    """Whether no prime divides every nonzero element; ValueError if none is nonzero.
+
+    A prime pi dividing them all would make N(pi) divide every norm, so a
+    norm gcd of 1 settles it; only when the norms share a factor is the
+    gcd taken in the ring.
+    """
+    nonzero = [x for x in elements if x]
+    if not nonzero:
+        raise ValueError("coprime() needs a nonzero element")
+    if math.gcd(*(x.norm() for x in nonzero)) == 1:
+        return True
+    g = nonzero[0]
+    for x in nonzero[1:]:
+        g = gcd(g, x)
+        if g.is_unit():
+            return True
+    return False
+
+
+def pair_mul(x: tuple[int, int], y: tuple[int, int], c1: int, c0: int) -> tuple[int, int]:
+    """Product of two ring elements given as (a, b) pairs, w^2 = c1 w + c0."""
+    t = x[1] * y[1]
+    return (x[0] * y[0] + c0 * t, x[0] * y[1] + x[1] * y[0] + c1 * t)
+
+
+def pair_norm(x: tuple[int, int], c1: int, c0: int) -> int:
+    """Norm to Z of a ring element given as an (a, b) pair, w^2 = c1 w + c0."""
+    a, b = x
+    return a * a + c1 * a * b - c0 * b * b
 
 
 class SplittingClass(Enum):
@@ -403,8 +448,7 @@ def norm_equation(ring: QuadRing, n: int) -> tuple[QuadInt, ...]:
     """Canonical associates with norm exactly n (n >= 1).
 
     One entry per association class of solutions of |norm| = n; the
-    canonical associate always has positive norm.  The cache is bounded,
-    as prime_factors asks it for arbitrary primes.
+    canonical associate always has positive norm.  The cache is bounded.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -425,49 +469,6 @@ def units_up_to_height(ring: QuadRing, height: int) -> list[QuadInt]:
             if x and x.is_unit():
                 out.append(x)
     return out
-
-
-def prime_factors(x: QuadInt) -> list[tuple[QuadInt, int]]:
-    """Prime factorization of a nonzero element, primes as canonical associates."""
-    if not x:
-        raise ValueError("cannot factor zero")
-    ring = x.ring
-    n = abs(x.norm())
-    out = []
-    rest = x
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            rest, found = _strip_primes_above(rest, p, ring)
-            out.extend(found)
-        p += 1
-    if n > 1:
-        rest, found = _strip_primes_above(rest, n, ring)
-        out.extend(found)
-    if not rest.is_unit():
-        raise InvariantViolation(f"cofactor {rest!r} of {x!r} is not a unit")
-    return out
-
-
-def _strip_primes_above(x: QuadInt, p: int, ring: QuadRing):
-    cls = splitting_class(p, ring)
-    if cls is SplittingClass.INERT:
-        candidates = [ring.from_int(p)]
-    else:
-        candidates = list(norm_equation(ring, p))
-    found = []
-    for pi in candidates:
-        mult = 0
-        while divides(pi, x):
-            x = exact_div(x, pi)
-            mult += 1
-        if mult:
-            found.append((canonical_associate(pi), mult))
-    return x, found
 
 
 TAU = QuadRing(1, 1)

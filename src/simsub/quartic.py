@@ -150,9 +150,6 @@ class QuarticInt:
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
-    def complex_conj(self) -> QuarticInt:
-        return QuarticInt.from_parts(self.re_part, -self.im_part, self.ring)
-
     def rel_norm(self) -> QuadInt:
         """Norm down to the real quadratic subring: P^2 + Q^2."""
         p, q = self.re_part, self.im_part

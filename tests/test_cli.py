@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -255,3 +256,19 @@ def test_series_tables_benchmark_output_is_byte_identical(capsys, monkeypatch):
         assert code == 0
         key = " ".join(argv)
         assert workloads.digest(out) == workloads.DIGESTS[key], key
+
+
+def test_rotation_path_output_is_byte_identical_past_the_benchmark(capsys):
+    # SHA-256 of stdout recorded before quadratic.coprime and canonical_unit
+    # took over the least-denominator test and the unit walk of cubic; the
+    # benchmark's own digests stop at cubic3 --limit 4
+    digests = {
+        ("verify", "--module", "cubic3", "--limit", "9"):
+            "cf5514ffd8c5fa3e381f93e577e35adbf27602840d8f4eb4d74d63590fe8dd85",
+        ("rotations", "--bound", "9"):
+            "745b4b50f9b86e15ca7f94a2369a90d7bb7d65639a86ef47fe6b4fa3f988c926",
+    }
+    for argv, want in digests.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv

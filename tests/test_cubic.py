@@ -31,13 +31,15 @@ from simsub.cubic import (
 from simsub.lattice import Ambient, EnumerationBudgetExceeded, Submodule, hnf_canonical
 from simsub.quadratic import (
     QuadInt,
+    SplittingClass,
     TAU,
     canonical_associate,
+    coprime,
     exact_div,
     gcd,
     norm_equation,
-    prime_factors,
     sign_embedding,
+    splitting_class,
     unit_inverse,
 )
 
@@ -194,6 +196,42 @@ def den_by_quadrat(rows):
     return canonical_associate(d)
 
 
+def prime_factors(x):
+    """Prime factorization of a nonzero element, primes as canonical associates.
+
+    The prime-by-prime reference for least denominators: each rational prime
+    p dividing |N(x)| is inert (then p is the prime above it) or has the
+    canonical elements of norm p above it, and each is divided out of x.
+    """
+    if not x:
+        raise ValueError("cannot factor zero")
+    ring = x.ring
+    n = abs(x.norm())
+    primes = []
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            if splitting_class(p, ring) is SplittingClass.INERT:
+                primes.append(ring.from_int(p))
+            else:
+                primes.extend(norm_equation(ring, p))
+        p += 1
+    out = []
+    for pi in primes:
+        mult = 0
+        while not x % pi:
+            x = exact_div(x, pi)
+            mult += 1
+        if mult:
+            out.append((pi, mult))
+    assert x.is_unit(), f"cofactor {x!r} is not a unit"
+    return out
+
+
 def test_quadrat_normalization():
     x = QuadRat(tau(2, 0), tau(4, 0))
     assert x == QuadRat(tau(1, 0), tau(2, 0))
@@ -279,6 +317,7 @@ def test_integral_check_rejects_non_canonical_denominator():
 
 
 def test_least_denominator_check_matches_prime_by_prime():
+    # the constructor's least-denominator test is coprime(den, entries).
     # dens with repeated and mixed primes; entries are multiples of dens, so
     # the entry norms often share a factor with N(den) (split primes of den
     # divide some entries through their conjugate) and the ring gcd decides
@@ -290,11 +329,9 @@ def test_least_denominator_check_matches_prime_by_prime():
         for _ in range(40):
             entries = [tau(rng.randint(-9, 9), rng.randint(-9, 9)) * rng.choice(dens)
                        for _ in range(rng.randint(1, 3))]
-            mat = ((entries + [TAU.zero()] * 2)[:3],)
-            m = [(e.a, e.b) for e in mat[0]]
             expected = not any(all(not e % pi for e in entries)
                                for pi, _ in prime_factors(d))
-            assert cubic._is_least_denominator(mat, m, d) == expected, (entries, d)
+            assert coprime((d, *entries)) == expected, (entries, d)
             shared = math.gcd(d.norm(), *(e.norm() for e in entries)) != 1
             outcomes[shared, expected] += 1
     assert outcomes[True, True] and outcomes[True, False] and outcomes[False, True]

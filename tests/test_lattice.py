@@ -24,7 +24,7 @@ from simsub.lattice import (
     list_ideals,
     verify_series,
 )
-from simsub.quadratic import QuadInt, elements_in_embedding_box
+from simsub.quadratic import QuadInt, elements_in_embedding_box, pair_mul, pair_norm
 from simsub.quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 
@@ -241,12 +241,12 @@ _parts = st.integers(-10 ** 6, 10 ** 6)
 @example(ISQRT2, -3, 0, 0, -2)
 @example(ITAU, -1, 1, 2, -1)
 def test_pair_square_norm_matches_quartic_norm(ring, a, b, c, d):
-    quad = ring.quad
-    ru, rv = lattice._square_pair(a, b, quad)
-    su, sv = lattice._square_pair(c, d, quad)
-    x = QuarticInt.from_parts(QuadInt(a, b, quad), QuadInt(c, d, quad), ring)
+    c1, c0 = ring.quad.c1, ring.quad.c0
+    ru, rv = pair_mul((a, b), (a, b), c1, c0)
+    su, sv = pair_mul((c, d), (c, d), c1, c0)
+    x = QuarticInt.from_parts(QuadInt(a, b, ring.quad), QuadInt(c, d, ring.quad), ring)
     assert (ru + su, rv + sv) == (x.rel_norm().a, x.rel_norm().b)
-    assert lattice._pair_abs_norm(ru + su, rv + sv, quad) == x.abs_norm()
+    assert abs(pair_norm((ru + su, rv + sv), c1, c0)) == x.abs_norm()
 
 
 def _i_blocks(ambient):

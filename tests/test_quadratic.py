@@ -1,13 +1,11 @@
 import ast
 import pathlib
 import random
-import subprocess
-import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from simsub import cubic, errors, quadratic
+from simsub import quadratic
 from simsub.quadratic import (
     QuadInt,
     QuadRing,
@@ -15,19 +13,21 @@ from simsub.quadratic import (
     SplittingClass,
     TAU,
     canonical_associate,
-    divides,
+    canonical_unit,
+    coprime,
     exact_div,
     gcd,
     is_associate,
     is_canonical_associate,
     norm_equation,
-    prime_factors,
     sign_embedding,
     splitting_class,
     unit_from_normal_form,
     unit_normal_form,
     units_up_to_height,
 )
+
+from test_cubic import prime_factors  # the reference factorization
 
 
 def tau(a, b):
@@ -142,7 +142,7 @@ def test_gcd_examples():
     assert is_associate(g, tau(3, 1))
     assert g == canonical_associate(tau(3, 1))
     # independent check: divides both inputs, any common divisor divides it
-    assert divides(g, tau(3, 1)) and divides(g, tau(11, 0))
+    assert not tau(3, 1) % g and not tau(11, 0) % g
 
 
 def test_gcd_zero_zero_rejected():
@@ -156,7 +156,7 @@ def test_gcd_properties_random():
         ys = random_elements(ring, 200, seed + 1, span=30)
         for x, y in zip(xs, ys):
             g = gcd(x, y)
-            assert divides(g, x) and divides(g, y)
+            assert not x % g and not y % g
             assert gcd(exact_div(x, g), exact_div(y, g)).is_unit()
             assert is_canonical_associate(g)
 
@@ -214,27 +214,6 @@ def test_prime_factors_reassemble():
             assert is_associate(prod, x)
 
 
-def test_prime_factors_invariant_raises(monkeypatch):
-    assert cubic.InvariantViolation is errors.InvariantViolation
-    monkeypatch.setattr(quadratic, "_strip_primes_above",
-                        lambda x, p, ring: (x, []))
-    with pytest.raises(errors.InvariantViolation):
-        prime_factors(tau(2, 0))
-
-
-def test_prime_factors_invariant_survives_optimize():
-    script = ("from simsub import quadratic\n"
-              "quadratic._strip_primes_above = lambda x, p, ring: (x, [])\n"
-              "try:\n"
-              "    quadratic.prime_factors(quadratic.QuadInt(2, 0, quadratic.TAU))\n"
-              "except quadratic.InvariantViolation:\n"
-              "    print('raised')\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\n"
-
-
 def test_no_assert_statements_in_package():
     # python -O strips assert, so invariant checks in the package must raise
     package = pathlib.Path(quadratic.__file__).parent
@@ -272,7 +251,7 @@ def test_gcd_divides_and_is_canonical(data, ring):
     x = data.draw(_elements(ring))
     y = data.draw(_elements(ring, nonzero=True))
     g = gcd(x, y)
-    assert divides(g, x) and divides(g, y)
+    assert not x % g and not y % g
     assert is_canonical_associate(g) and canonical_associate(g) == g
 
 
@@ -289,3 +268,44 @@ def test_canonical_associate_idempotent_and_unit_invariant(data, ring, k, sign):
     c = canonical_associate(x)
     assert canonical_associate(c) == c
     assert canonical_associate(x * ring.fundamental_unit ** k * sign) == c
+
+
+@given(st.data(), _rings)
+def test_canonical_unit_is_the_unit_to_the_canonical_associate(data, ring):
+    x = data.draw(_elements(ring, nonzero=True))
+    u = canonical_unit(x)
+    assert u.is_unit()
+    assert x * u == canonical_associate(x)
+    assert is_canonical_associate(x * u)
+
+
+def test_canonical_unit_of_zero_rejected():
+    for ring in (TAU, SQRT2):
+        with pytest.raises(ValueError):
+            canonical_unit(ring.zero())
+
+
+_small = st.integers(-40, 40)
+_pairs = st.tuples(_small, _small)
+
+
+@given(_rings, _pairs, st.lists(_pairs, min_size=1, max_size=4))
+@example(TAU, (1, 0), [(2, 0), (3, 1)])          # norms 4, 11: gcd 1
+@example(TAU, (1, 0), [(3, 1), (4, -1)])         # 3+tau, 4-tau: both norm 11
+@example(SQRT2, (1, 0), [(3, 1), (3, -1)])       # 3+sqrt2, 3-sqrt2: both norm 7
+@example(TAU, (2, 0), [(1, 0), (0, 1), (5, 3)])  # 2 divides all
+@example(SQRT2, (3, 1), [(1, 0), (3, -1)])       # 3+sqrt2 divides 7
+@example(TAU, (0, 0), [(1, 0)])                  # all zero
+def test_coprime_matches_ring_gcd_chain(ring, common, parts):
+    # multiplying by a common factor makes shared primes frequent
+    c = QuadInt(*common, ring)
+    elements = [c * QuadInt(a, b, ring) for a, b in parts]
+    nonzero = [x for x in elements if x]
+    if not nonzero:
+        with pytest.raises(ValueError):
+            coprime(elements)
+        return
+    g = ring.zero()
+    for x in nonzero:
+        g = gcd(g, x)
+    assert coprime(elements) == g.is_unit()
