@@ -27,6 +27,11 @@ _AMBIENTS = {
     "zisqrt2": Ambient.Z_ISQRT2_AS_Z4,
 }
 
+# Largest --limit of coeffs and summatory.  Every table is a Python list of
+# limit + 1 entries, so a larger limit would fail in allocation (or run for
+# minutes) rather than report bad input.
+MAX_TABLE_LIMIT = 10 ** 7
+
 _UNIT_RINGS = {
     "tau": quadratic.TAU,
     "sqrt2": quadratic.SQRT2,
@@ -47,21 +52,27 @@ def _emit_csv(rows, header) -> None:
     sys.stdout.write(buf.getvalue())
 
 
+def _check_table_limit(limit: int) -> None:
+    if limit > MAX_TABLE_LIMIT:
+        raise UsageError(f"--limit is over the table ceiling {MAX_TABLE_LIMIT}")
+
+
 def cmd_coeffs(args) -> int:
+    _check_table_limit(args.limit)
     entry = catalog.catalog_entry(args.series, args.limit)
-    pairs = list(entry.series.nonzero())
     if args.format == "json":
-        _emit_json({
-            "series": args.series,
-            "limit": args.limit,
-            "coefficients": [{"m": m, "a": a} for m, a in pairs],
-        })
+        # the same bytes as _emit_json of the {"m": m, "a": a} rows, built
+        # as one string: a table has up to MAX_TABLE_LIMIT rows
+        rows = ",".join([f'{{"m":{m},"a":{a}}}' for m, a in entry.series.nonzero()])
+        print(f'{{"series":{json.dumps(args.series)},"limit":{args.limit},'
+              f'"coefficients":[{rows}]}}')
     else:
-        _emit_csv(pairs, ("m", "a"))
+        _emit_csv(entry.series.nonzero(), ("m", "a"))
     return 0
 
 
 def cmd_summatory(args) -> int:
+    _check_table_limit(args.limit)
     entry = catalog.catalog_entry(args.series, args.limit)
     points = sorted(set(args.at)) if args.at else [args.limit]
     for x in points:

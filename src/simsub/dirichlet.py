@@ -7,14 +7,20 @@ silently, and no floating point is used anywhere.
 expand_euler writes only the nonzero coefficients of a multiplicative
 series.  Every index n > 1 is m * p^e for one prime p, its largest prime
 factor, so taking the primes in increasing order and extending the
-nonzero entries found so far writes each nonzero a(n) exactly once.  Its
-cost follows the number of primes up to N plus the number of nonzero
-coefficients, not N itself, beside C-speed scans of the table.
+nonzero entries found so far writes each nonzero a(n) exactly once.  It
+keeps those entries as a sorted list of indices (the support) and never
+scans the table.  The primes up to sqrt(N) are expanded in full; a prime
+p with p^2 > N divides an index n <= N at most once, so only the t^1
+coefficient of its local factor is read.  Beside the prime sieve and the
+allocation of the table, the cost is one local factor call per prime,
+one expansion per distinct factor at the primes up to sqrt(N), and one
+write per nonzero coefficient.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterator, Mapping
@@ -29,7 +35,8 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start::p] = bytearray(len(range(start, n + 1, p)))
-    return list(compress(range(n + 1), sieve))
+    # compress makes one int per index it passes, so it skips the even ones
+    return [2, *compress(range(3, n + 1, 2), sieve[3::2])]
 
 
 def divisors(n: int) -> list[int]:
@@ -114,6 +121,11 @@ class EulerFactor:
             out.append(c)
         return out
 
+    def linear_coefficient(self) -> int:
+        """The t^1 coefficient of num/den, equal to expand(2)[1]."""
+        num = self.num + (0, 0)
+        return num[1] - (self.den + (0,))[1] * num[0]
+
     def __mul__(self, other: EulerFactor) -> EulerFactor:
         """Product of two local factors at the same prime."""
         return EulerFactor(_poly_mul(self.num, other.num),
@@ -132,24 +144,43 @@ def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> Coef
     """Multiplicative series from per-prime local factors.
 
     a(m) is the product over p^e || m of the t^e coefficient of the local
-    expansion at p.  The primes are taken in increasing order; before
-    prime p, every nonzero entry of the table sits at an index whose
-    prime factors are all below p.  Each such index m is extended to
-    m * p^e for every e >= 1 with a nonzero t^e coefficient and
-    m * p^e <= limit.  Every index n > 1 is m * p^e for exactly one such
-    m, with p its largest prime factor, so each nonzero a(n) is written
-    once, from the unique factorization of n, and every other entry stays
-    0.  The cost is one local factor call per prime plus one write per
-    nonzero coefficient, beside a C-speed scan of the table up to
-    limit // p for each prime that writes anything.  Each distinct local
-    factor is expanded once per call.
+    expansion at p.  The table is built in two phases along its support,
+    the sorted nonzero indices, which stays exact because a product of
+    nonzero integers is nonzero.
+
+    Phase 1 takes the primes p <= isqrt(limit) in increasing order.
+    Before prime p, every nonzero entry sits at an index whose prime
+    factors are all below p; each such index m <= limit // p (found by
+    bisection in the support) is extended to m * p^e for every e >= 1
+    with a nonzero t^e coefficient and m * p^e <= limit.  Every index
+    n > 1 is m * p^e for exactly one such m, with p its largest prime
+    factor, so each nonzero a(n) is written once.  The new indices are
+    merged into the support, which keeps only indices up to limit // p:
+    no later prime reads past that.
+
+    Phase 2 takes the primes p with p^2 > limit.  Only the t^1
+    coefficient c1 of their local factor can be read, so a(m * p) =
+    a(m) * c1 is written for each support index m <= isqrt(limit) and
+    each such prime p <= limit // m with c1 != 0.  This is exact:
+    m <= limit / p < p, so a(m) is already final and p divides m * p
+    exactly once; and m * p > isqrt(limit), so no phase-2 write is ever
+    read.
+
+    Beside the prime sieve and the allocation of the table, the cost is
+    one local factor call per prime, one expansion per distinct phase-1
+    factor, and one write per nonzero coefficient (with a sort of the
+    support prefix per phase-1 prime); nothing scans the table.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     coeffs = [0] * (limit + 1)
     coeffs[1] = 1
+    support = [1]
+    root = math.isqrt(limit)
+    primes = primes_up_to(limit)
+    cut = bisect_right(primes, root)
     expansions: dict[tuple, list[tuple[int, int]]] = {}
-    for p in primes_up_to(limit):
+    for p in primes[:cut]:
         factor = local_factor(p)
         e_max = 0
         q = p
@@ -165,14 +196,29 @@ def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> Coef
             continue
         powers = [(p ** e, c) for e, c in terms]
         top = limit // p
-        # the slice is a snapshot, so no entry written for p is extended again
-        for m in compress(range(top + 1), coeffs[:top + 1]):
+        support = support[:bisect_right(support, top)]
+        found = []
+        for m in support:
             a = coeffs[m]
             for p_e, c in powers:
                 n = m * p_e
                 if n > limit:
                     break
                 coeffs[n] = a * c
+                if n <= top:
+                    found.append(n)
+        support += found
+        support.sort()
+    large = []
+    for p in primes[cut:]:
+        c1 = local_factor(p).linear_coefficient()
+        if c1:
+            large.append((p, c1))
+    large_primes = [p for p, _ in large]
+    for m in support[:bisect_right(support, root)]:
+        a = coeffs[m]
+        for p, c1 in large[:bisect_right(large_primes, limit // m)]:
+            coeffs[m * p] = a * c1
     return CoeffSeries(limit, tuple(coeffs[1:]))
 
 

@@ -1,11 +1,14 @@
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 from simsub import catalog, cli, cubic, lattice
+from simsub.dirichlet import dirichlet_inverse
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -180,6 +183,23 @@ def test_rotation_budget_guard_is_usage_error(capsys):
         assert "ceiling" in err
 
 
+def test_table_ceiling_is_usage_error_before_any_table(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("coefficient table built before the ceiling check")
+
+    monkeypatch.setattr(catalog, "catalog_entry", no_table)
+    for limit in (cli.MAX_TABLE_LIMIT + 1, 10 ** 400):
+        for command in ("coeffs", "summatory"):
+            for series in ("zeta-qtau", "f-cubic"):
+                code, out, err = run_cli(capsys, command, "--series", series,
+                                         "--limit", str(limit))
+                assert code == 2, (command, series, limit)
+                assert out == ""
+                assert err.startswith("error:") and err.count("\n") == 1
+                assert "ceiling" in err
+    cli._check_table_limit(cli.MAX_TABLE_LIMIT)
+
+
 def test_budget_guards_run_before_any_table(capsys, monkeypatch):
     def no_table(*args):
         raise AssertionError("coefficient table built before the budget check")
@@ -222,6 +242,43 @@ def test_coeffs_f_cubic_25000(capsys):
     assert {"m": 64, "a": 9} in rows
 
 
+def _coeffs_reference(series_name, limit, series, fmt):
+    """coeffs stdout as a list of row dicts through json.dumps, or csv.writer."""
+    pairs = list(series.nonzero())
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("m", "a"))
+        writer.writerows(pairs)
+        return buf.getvalue()
+    payload = {"series": series_name, "limit": limit,
+               "coefficients": [{"m": m, "a": a} for m, a in pairs]}
+    return json.dumps(payload, indent=None, separators=(",", ":"), sort_keys=False) + "\n"
+
+
+def test_coeffs_output_matches_row_dict_reference(capsys):
+    for name in catalog.CLI_SERIES:
+        for limit in (1, 2, 97, 1000, 4096):
+            series = catalog.catalog_entry(name, limit).series
+            for fmt in ("json", "csv"):
+                code, out, _ = run_cli(capsys, "coeffs", "--series", name,
+                                       "--limit", str(limit), "--format", fmt)
+                assert code == 0
+                assert out == _coeffs_reference(name, limit, series, fmt), (name, limit, fmt)
+
+
+def test_coeffs_output_with_negative_coefficients(capsys, monkeypatch):
+    mu = dirichlet_inverse(catalog.riemann_zeta(100))
+    assert min(mu.coeffs) < 0
+    monkeypatch.setattr(catalog, "catalog_entry", lambda name, limit:
+                        catalog.CatalogEntry(catalog.SeriesName(name), mu, "Moebius"))
+    for fmt in ("json", "csv"):
+        code, out, _ = run_cli(capsys, "coeffs", "--series", "zeta-qtau",
+                               "--limit", "100", "--format", fmt)
+        assert code == 0
+        assert out == _coeffs_reference("zeta-qtau", 100, mu, fmt), fmt
+
+
 def test_worker_count_does_not_change_results(capsys, monkeypatch):
     monkeypatch.setenv("SIMSUB_THREADS", "1")
     _, serial, _ = run_cli(capsys, "verify", "--module", "zitau", "--limit", "20")
@@ -251,11 +308,12 @@ def _load_workloads(monkeypatch):
 
 def test_series_tables_benchmark_output_is_byte_identical(capsys, monkeypatch):
     workloads = _load_workloads(monkeypatch)
-    for _, argv in workloads.WORKLOADS["series-tables"].commands("full"):
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        key = " ".join(argv)
-        assert workloads.digest(out) == workloads.DIGESTS[key], key
+    for size in ("full", "tiny"):
+        for _, argv in workloads.WORKLOADS["series-tables"].commands(size):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            key = " ".join(argv)
+            assert workloads.digest(out) == workloads.DIGESTS[key], key
 
 
 def test_rotation_path_output_is_byte_identical_past_the_benchmark(capsys):

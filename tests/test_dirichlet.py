@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from simsub import catalog
 from simsub.dirichlet import (
@@ -53,6 +53,15 @@ _factors = st.builds(
     st.lists(_small_ints, min_size=1, max_size=4).map(tuple),
     st.lists(_small_ints, max_size=3).map(lambda tail: (1, *tail)),
 )
+
+
+@given(_factors)
+@example(EulerFactor((3,)))
+@example(EulerFactor((-2,), (1, 4)))
+@example(EulerFactor((2, 5)))
+@example(EulerFactor(()))
+def test_linear_coefficient_is_second_expansion_term(f):
+    assert f.linear_coefficient() == f.expand(2)[1]
 
 
 @given(_factors, _factors, st.integers(1, 12))
@@ -271,6 +280,25 @@ def _dense_reference(local_factor, limit):
 @given(_local_rules(), st.integers(1, 2000))
 def test_expand_euler_matches_dense_reference(f, n):
     assert expand_euler(f, n) == _dense_reference(f, n)
+
+
+# Around N = p^2 the prime p moves from the t^1-only phase into the full
+# expansion, so a(p^2) = c2 is the entry that shows where the cut lies.
+_BOUNDARY_RULES = {
+    "1/(1-t^2)": lambda p: EulerFactor((1,), (1, 0, -1)),
+    "(1+t)^2/(1-pt)^2": lambda p: EulerFactor((1, 2, 1), (1, -2 * p, p * p)),
+    "1/(1-t)^2 or (1-t+2t^2)/(1-t) by p mod 4":
+        lambda p: (EulerFactor((1,), (1, -2, 1)) if p % 4 == 1
+                   else EulerFactor((1, -1, 2), (1, -1))),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_BOUNDARY_RULES))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 23))
+def test_expand_euler_at_prime_square_boundary(rule, p):
+    f = _BOUNDARY_RULES[rule]
+    for n in (p * p - 1, p * p, p * p + 1):
+        assert expand_euler(f, n) == _dense_reference(f, n), n
 
 
 @pytest.mark.parametrize("name", catalog.CLI_SERIES)
