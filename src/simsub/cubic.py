@@ -36,6 +36,24 @@ integer gcd of the norms settles almost every case, and the ring gcd runs
 only when the norms share a factor.  The enumeration still takes the ring
 content of each listed q.  A denominator is made canonical, and its
 entries with it, by the unit quadratic.canonical_unit returns.
+
+Submodules come in cosets of the cube's rotation group.  Let P be one of
+the 24 signed permutation matrices of determinant 1.  P is integral with
+integral inverse P^T, so P Z[tau]^3 = Z[tau]^3.  RP = (mat P) / den, and
+mat P is mat with its columns permuted and signed, so it is still
+integral, and a prime of den dividing every entry of mat P would divide
+every entry of mat: den(RP) = den(R) and mat(RP) = mat(R) P.  Hence
+alpha den(RP) RP Z[tau]^3 = alpha mat P Z[tau]^3 = alpha mat Z[tau]^3 for
+every alpha, and count_submodules_3d reduces one Hermite basis per coset
+R {P}.  The columns of mat are nonzero and pairwise orthogonal, so no
+column is +- another and the 24 products mat P are distinct: each coset
+has exactly 24 members.  The coset key is den with the columns of mat,
+each replaced by the larger of itself and its negative and the three
+sorted; it is the same for R and RP and needs no ring arithmetic.  Two
+rotations with one key have the same den and mat' = mat P for a signed
+permutation P, and det P = det mat' / det mat = 1 as both are rotations
+(the other 24 signed permutations would give determinant -1), so among
+rotations the key classes are exactly the cosets.
 """
 
 from __future__ import annotations
@@ -502,12 +520,48 @@ def verify_rotation_counts(bound: int, expected: Mapping[int, int]) -> RotationC
     return RotationCountReport(bound, rows)
 
 
+def _coset_key(rot: Rotation3):
+    """The same key for R and R P, P any signed permutation (module docstring).
+
+    (den, columns of mat): each column, as three (a, b) pairs, replaced by
+    the larger of itself and its negative, and the three sorted.
+    """
+    den_pair, *m = rot.key()
+    cols = []
+    for j in range(3):
+        col = (m[j], m[3 + j], m[6 + j])
+        neg = tuple((-a, -b) for a, b in col)
+        cols.append(max(col, neg))
+    cols.sort()
+    return den_pair, tuple(cols)
+
+
+def _coset_representatives(rotations: Sequence[Rotation3]) -> list[Rotation3]:
+    """The first R of each coset R {P : P signed permutation, det P = 1}.
+
+    InvariantViolation if a coset does not have all 24 of its members.
+    """
+    cosets: dict[tuple, list[Rotation3]] = {}
+    for rot in rotations:
+        cosets.setdefault(_coset_key(rot), []).append(rot)
+    for members in cosets.values():
+        if len(members) != 24:
+            raise InvariantViolation(
+                f"rotation coset of {members[0]!r} has {len(members)} members, not 24")
+    return [members[0] for members in cosets.values()]
+
+
 def count_submodules_3d(m: int) -> int:
     """Distinct submodules alpha * den(R) * R * Z[tau]^3 of index m.
 
     m must be a cube n^3 >= 1; scales alpha run over canonical associates
-    with |N(alpha)| * |N(den R)| = n and deduplication is by the canonical
-    Hermite basis over Z[tau].
+    with |N(alpha)| * |N(den R)| = n.  R and R P give the same module for
+    each of the 24 signed permutations P of determinant 1 (module
+    docstring), so the rotations of each denominator norm are grouped into
+    these cosets, every coset must have 24 members, and one Hermite basis
+    over Z[tau] is reduced per (alpha, coset).  Distinct pairs are not
+    assumed to give distinct modules: the count is that of distinct
+    canonical bases, and each one's index is checked against m.
     """
     if m < 1:
         raise ValueError(f"index must be >= 1, got {m}")
@@ -520,7 +574,7 @@ def count_submodules_3d(m: int) -> int:
         alphas = norm_equation(TAU, n // dn)
         if not alphas:
             continue
-        for rot in by_norm[dn]:
+        for rot in _coset_representatives(by_norm[dn]):
             integral = rot.mat
             for alpha in alphas:
                 cols = [tuple(alpha * integral[i][j] for i in range(3))

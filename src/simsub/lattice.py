@@ -87,11 +87,19 @@ class Ambient(Enum):
 
 @dataclass(frozen=True)
 class MultiplierAction:
-    """Integer matrix of multiplication by a ring generator."""
+    """Integer matrix of multiplication by a ring generator.
+
+    Tuples of actions key the flag_split and _invariant_block caches, so
+    the hash of the fields is taken once, when the action is built;
+    equality stays field by field.
+    """
 
     name: str
     matrix: tuple[tuple[int, ...], ...]
     minimal_poly: tuple[int, ...]  # low-order-first coefficients
+
+    def __hash__(self):
+        return self._hash
 
     def __post_init__(self):
         r = len(self.matrix)
@@ -105,6 +113,7 @@ class MultiplierAction:
                       for j in range(r)] for i in range(r)]
         if any(v for row in acc for v in row):
             raise ValueError(f"action {self.name} violates its minimal polynomial")
+        object.__setattr__(self, "_hash", hash((self.name, self.matrix, self.minimal_poly)))
 
 
 _TAU_ACTION_2 = MultiplierAction(

@@ -88,6 +88,27 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
+def _pair_divmod(x: tuple[int, int], y: tuple[int, int], c1: int, c0: int):
+    """Nearest-quotient division of two (a, b) pairs, y != 0, w^2 = c1 w + c0.
+
+    Returns the pairs (q, r) with x = q y + r: q rounds each coordinate of
+    x conj(y) / N(y) by _round_half_up, with the sign of N(y) moved to the
+    numerator, so |N(r)| < |N(y)| in both rings.
+    """
+    (xa, xb), (ya, yb) = x, y
+    ca = ya + c1 * yb  # conj(y) = ca - yb w
+    t = -xb * yb
+    na = xa * ca + c0 * t
+    nb = xb * ca - xa * yb + c1 * t
+    nd = ya * ya + c1 * ya * yb - c0 * yb * yb
+    if nd < 0:
+        na, nb, nd = -na, -nb, -nd
+    qa = _round_half_up(na, nd)
+    qb = _round_half_up(nb, nd)
+    t = qb * yb
+    return (qa, qb), (xa - qa * ya - c0 * t, xb - qa * yb - qb * ya - c1 * t)
+
+
 @dataclass(frozen=True)
 class QuadInt:
     """a + b*w in a QuadRing, exact."""
@@ -156,12 +177,9 @@ class QuadInt:
             return NotImplemented
         if o.a == 0 and o.b == 0:
             raise ZeroDivisionError("division by zero in quadratic ring")
-        num = self * o.conj()
-        nd = o.norm()
-        if nd < 0:
-            num, nd = -num, -nd
-        q = QuadInt(_round_half_up(num.a, nd), _round_half_up(num.b, nd), self.ring)
-        return q, self - q * o
+        ring = self.ring
+        (qa, qb), (ra, rb) = _pair_divmod((self.a, self.b), (o.a, o.b), ring.c1, ring.c0)
+        return QuadInt(qa, qb, ring), QuadInt(ra, rb, ring)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -333,16 +351,20 @@ def unit_from_normal_form(ring: QuadRing, sign: int, exponent: int) -> QuadInt:
 def gcd(x: QuadInt, y: QuadInt) -> QuadInt:
     """Greatest common divisor, normalized to the canonical associate.
 
-    Euclidean descent with nearest-integer quotients; both rings satisfy
+    Euclidean descent with nearest-integer quotients (_pair_divmod, the
+    rule of QuadInt.__divmod__) on (a, b) pairs; both rings satisfy
     |norm(x mod y)| < |norm(y)| under that rounding.
     """
-    if x.ring != y.ring:
+    ring = x.ring
+    if ring != y.ring:
         raise ValueError("mixed-ring operands")
     if not x and not y:
         raise ValueError("gcd(0, 0) is undefined")
-    while y:
-        x, y = y, x % y
-    return canonical_associate(x)
+    c1, c0 = ring.c1, ring.c0
+    x, y = (x.a, x.b), (y.a, y.b)
+    while y != (0, 0):
+        x, y = y, _pair_divmod(x, y, c1, c0)[1]
+    return canonical_associate(QuadInt(x[0], x[1], ring))
 
 
 def exact_div(x: QuadInt, y: QuadInt) -> QuadInt:

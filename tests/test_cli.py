@@ -318,11 +318,14 @@ def test_series_tables_benchmark_output_is_byte_identical(capsys, monkeypatch):
 
 def test_rotation_path_output_is_byte_identical_past_the_benchmark(capsys):
     # SHA-256 of stdout recorded before quadratic.coprime and canonical_unit
-    # took over the least-denominator test and the unit walk of cubic; the
+    # took over the least-denominator test and the unit walk of cubic (limit
+    # 16: before one Hermite basis was reduced per rotation coset); the
     # benchmark's own digests stop at cubic3 --limit 4
     digests = {
         ("verify", "--module", "cubic3", "--limit", "9"):
             "cf5514ffd8c5fa3e381f93e577e35adbf27602840d8f4eb4d74d63590fe8dd85",
+        ("verify", "--module", "cubic3", "--limit", "16"):
+            "e982301f51bb9d622a944618a5c20389e76fd2dee0aaeb8be9a88887b0752305",
         ("rotations", "--bound", "9"):
             "745b4b50f9b86e15ca7f94a2369a90d7bb7d65639a86ef47fe6b4fa3f988c926",
     }

@@ -28,6 +28,7 @@ from simsub.cubic import (
     similarity_index,
     verify_rotation_counts,
 )
+from simsub.dirichlet import divisors, icbrt
 from simsub.lattice import Ambient, EnumerationBudgetExceeded, Submodule, hnf_canonical
 from simsub.quadratic import (
     QuadInt,
@@ -440,6 +441,50 @@ def test_verify_rotation_counts_against_phi():
     fc = catalog.f_cubic(bound ** 3)
     for n in range(1, bound + 1):
         assert count_submodules_3d(n ** 3) == fc.a(n ** 3), n
+
+
+def count_submodules_by_every_rotation(m):
+    """Reference: one Hermite basis per (alpha, R) over every rotation R."""
+    n = icbrt(m)
+    by_norm = cubic._rotations_by_norm(n)
+    seen = set()
+    for dn in divisors(n):
+        for rot in by_norm[dn]:
+            for alpha in norm_equation(TAU, n // dn):
+                sub = hnf_over_ztau([tuple(alpha * rot.mat[i][j] for i in range(3))
+                                     for j in range(3)])
+                assert sub.index == m
+                seen.add(sub.basis)
+    return len(seen)
+
+
+def test_coset_count_matches_every_rotation_reference():
+    for n in range(1, 17):
+        assert count_submodules_3d(n ** 3) == count_submodules_by_every_rotation(n ** 3), n
+
+
+def test_coset_key_classes_are_the_cosets():
+    perms = list(signed_permutations(det_sign=1))
+    rotations = enumerate_rotations(5)
+    by_key = {}
+    for rot in rotations:
+        by_key.setdefault(cubic._coset_key(rot), set()).add(rot)
+    reps = cubic._coset_representatives(rotations)
+    assert len(reps) * 24 == len(rotations) == sum(map(len, by_key.values()))
+    for rep in reps:
+        assert {rep @ p for p in perms} == by_key[cubic._coset_key(rep)]
+
+
+def test_incomplete_rotation_coset_raises(monkeypatch):
+    plain = cubic._rotations_by_norm
+
+    def one_dropped(bound):
+        by_norm = plain(bound)
+        return {**by_norm, 4: by_norm[4][1:]}
+
+    monkeypatch.setattr(cubic, "_rotations_by_norm", one_dropped)
+    with pytest.raises(InvariantViolation, match="23 members"):
+        count_submodules_3d(64)
 
 
 def test_euler_rodrigues_content_divides_4():

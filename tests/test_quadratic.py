@@ -309,3 +309,63 @@ def test_coprime_matches_ring_gcd_chain(ring, common, parts):
     for x in nonzero:
         g = gcd(g, x)
     assert coprime(elements) == g.is_unit()
+
+
+# Reference division and gcd, written on QuadInt products as the package
+# computed them before both moved onto integer pairs.
+
+def divmod_by_quadint(x, y):
+    num = x * y.conj()
+    nd = y.norm()
+    if nd < 0:
+        num, nd = -num, -nd
+    q = QuadInt(quadratic._round_half_up(num.a, nd),
+                quadratic._round_half_up(num.b, nd), x.ring)
+    return q, x - q * y
+
+
+def gcd_by_quadint(x, y):
+    while y:
+        x, y = y, divmod_by_quadint(x, y)[1]
+    return canonical_associate(x)
+
+
+_wide_pairs = st.tuples(_parts, _parts)
+
+
+@given(_rings, _wide_pairs, _wide_pairs)
+@example(SQRT2, (5, 3), (1, 1))    # 1 + sqrt2: a divisor of norm -1
+@example(SQRT2, (9, -4), (1, 2))   # 1 + 2 sqrt2: norm -7
+@example(TAU, (0, 0), (3, 1))      # zero dividend
+@example(TAU, (3, 1), (0, 0))      # zero divisor
+@example(TAU, (1, 1), (2, 0))      # (1 + tau) / 2: both coordinates half-way
+@example(SQRT2, (-1, 3), (2, 0))   # (-1 + 3 sqrt2) / 2: negative ties
+def test_pair_divmod_matches_quadint_reference(ring, xp, yp):
+    x, y = QuadInt(*xp, ring), QuadInt(*yp, ring)
+    if y:
+        assert divmod(x, y) == divmod_by_quadint(x, y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            divmod(x, y)
+
+
+@given(_rings, _wide_pairs, _wide_pairs)
+@example(SQRT2, (5, 3), (1, 1))    # 1 + sqrt2: a divisor of norm -1
+@example(TAU, (0, 0), (3, 1))      # one zero operand
+@example(SQRT2, (0, 0), (0, 0))    # gcd(0, 0)
+@example(TAU, (1, 1), (2, 0))      # a half-way quotient on the first step
+def test_pair_gcd_matches_quadint_reference(ring, xp, yp):
+    x, y = QuadInt(*xp, ring), QuadInt(*yp, ring)
+    if x or y:
+        assert gcd(x, y) == gcd_by_quadint(x, y)
+        assert gcd(y, x) == gcd_by_quadint(y, x)
+    else:
+        with pytest.raises(ValueError):
+            gcd(x, y)
+
+
+def test_gcd_rejects_mixed_rings():
+    with pytest.raises(ValueError):
+        gcd(tau(2, 1), rt2(2, 1))
+    with pytest.raises(ValueError):
+        gcd(rt2(0, 0), tau(1, 0))
