@@ -31,17 +31,39 @@ satisfies T's minimal polynomial.  So the kernel finds the invariant
 leading and trailing blocks by running itself on the restricted actions,
 and enumerates only their cross product with the free off-block digits.
 This discards only candidates that provably fail; every survivor still
-passes the full test under every action, and collected bases are sorted
-back into flat HNF order.  For Z[i,tau] and Z[i,sqrt2] the action of i
-keeps span(1, i), so k = 2; rank-2 Z[tau] has no split and takes the
-flat path.  The budget check (max_candidates) still counts the full HNF
-set, not the pruned one.
+passes the full test under every action.  The factors of the cross
+product come in flat HNF order (leading block, off-block digits column
+by column, trailing block), so collected bases need no sort.  For
+Z[i,tau] and Z[i,sqrt2] the action of i keeps span(1, i), so k = 2;
+rank-2 Z[tau] has no split and takes the flat path.  The budget check
+(max_candidates) still counts the full HNF set, not the pruned one.
 
-A block's invariant HNFs depend only on its diagonal (d1, d2) and the
-restricted actions, and the restriction of i is the same on both
-blocks.  So each block is computed once per process, in a bounded cache
-of small read-only digit arrays (`_invariant_block`), however many
-diagonals share it.
+A block's invariant HNFs depend only on its diagonal and the restricted
+actions, and the restriction of i is the same on both blocks.  So the
+blocks of each index a are computed once per process, in a bounded cache
+of read-only tables keyed by (a, actions) (`_invariant_blocks`) that
+lists only the block diagonals holding an invariant HNF.
+
+Nonzero-diagonal walk.  With a split, a diagonal's candidate set is
+empty exactly when its leading or trailing block holds no invariant HNF
+(the set is their cross product with the free digits).  So the walk of
+index m lists only the diagonals lead + trail with lead from the table
+of a | m and trail from the table of m / a, sorted back into
+lexicographic order; the diagonals it leaves out have no candidate to
+discard.  For Z[i,tau] to 80 that is 147 of 2,556 diagonals.
+
+Packing.  A diagonal with at least _PACK candidates gets its own numpy
+pass with scalar diagonal entries, in chunks of at most _CHUNK
+candidates.  Runs of smaller diagonals of the same index share one pass
+of at most _CHUNK candidates, whose diagonal entries are per-candidate
+arrays.  Z[tau] to 400 then takes 400 passes, one per index, in place of
+2,468, and Z[i,tau] to 80 takes 67.  _PACK = 1024 was chosen by timing
+the oracle ranges (Z[tau] to 400, Z[i,tau] to 80, Z[i,sqrt2] to 60) and
+the rank-4 ranges to 300 on a 2-core host: every value from 512 to 4096
+was within the noise; 128 was about 20% slower on Z[tau] to 400, and
+packing every diagonal (no threshold) was about 10% slower on Z[i,tau]
+to 300, where large per-candidate divisor arrays cost more than the
+calls they save.
 
 Principality.  A generator re + i*im (re, im in the real quadratic
 ring) has relative norm re^2 + im^2.  The search squares each element
@@ -57,6 +79,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -69,7 +92,11 @@ from .quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
 
+# Live candidates of one numpy pass, at most.
 _CHUNK = 1 << 20
+# A diagonal with fewer candidates than this shares a packed pass with its
+# neighbours of the same index; see the module docstring for the measurement.
+_PACK = 1024
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -345,7 +372,8 @@ def is_invariant(sub: Submodule, actions: Sequence[MultiplierAction]) -> bool:
 def _stabilizer_mask(diag, digits, action, length):
     """Boolean mask of candidates whose lattice is preserved by the action.
 
-    Candidates share the diagonal; digits maps the strictly-upper
+    Each diagonal entry is a scalar shared by all candidates or an array
+    with one value per candidate; digits maps the strictly-upper
     positions (i, j) to arrays of off-diagonal values.  Membership of
     each transformed basis column is decided by exact back substitution;
     floor divmod keeps the exactness test (remainder == 0) valid for
@@ -366,8 +394,7 @@ def _stabilizer_mask(diag, digits, action, length):
         w = [sum(t[i][l] * entry(l, j) for l in range(j + 1) if t[i][l])
              for i in range(r)]
         for i in range(r - 1, -1, -1):
-            q, rem = np.divmod(w[i], diag[i]) if isinstance(w[i], np.ndarray) \
-                else divmod(w[i], diag[i])
+            q, rem = divmod(w[i], diag[i])
             ok = ok & (rem == 0)
             for i2 in range(i):
                 e = entry(i2, i)
@@ -419,80 +446,162 @@ def _candidate_factors(diag, actions):
     factor over [0, d_i).  With a split at k the invariant leading and
     trailing blocks are two factors, found by this kernel on the
     restricted actions, and each off-block position (i < k <= j) is a
-    free factor.
+    free factor.  The factors come in flat HNF order, the first most
+    significant, so their cross product needs no sort: the leading
+    block holds the positions of the first k columns, and the trailing
+    block of both rank-4 splits (k = 2) only the last position (2, 3).
     """
     r = len(diag)
     split = flag_split(actions)
     if split is None:
         return [(diag[i], {(i, j): None}) for i, j in _positions(r)]
     k, lead, trail = split
-    factors = []
+    blocks = []
     for lo, hi, block_actions in ((0, k, lead), (k, r, trail)):
-        n, digits = _invariant_block(diag[lo:hi], block_actions)
-        factors.append((n, {(i + lo, j + lo): arr for (i, j), arr in digits.items()}))
-    factors += [(diag[i], {(i, j): None}) for j in range(k, r) for i in range(k)]
-    return factors
+        block = diag[lo:hi]
+        n, digits = _invariant_blocks(math.prod(block), block_actions).get(block, (0, {}))
+        blocks.append((n, {(i + lo, j + lo): arr for (i, j), arr in digits.items()}))
+    return [blocks[0], *((diag[i], {(i, j): None}) for j in range(k, r) for i in range(k)),
+            blocks[1]]
 
 
-@functools.lru_cache(maxsize=4096)
-def _invariant_block(diag, actions):
-    """Collect-mode kernel result for one flag block, once per process.
+@functools.lru_cache(maxsize=1024)
+def _invariant_blocks(a, actions):
+    """Invariant HNFs of index a by diagonal, for one flag block, once per process.
 
-    The digit arrays are read-only, so worker threads can share them.
+    Maps each diagonal that holds an invariant HNF to (count, digits),
+    digits in flat HNF order, in lexicographic diagonal order; diagonals
+    that hold none are absent.  The mapping and its digit arrays are
+    read-only, so worker threads can share them.
     """
-    n, digits = _invariant_for_diagonal(diag, actions, True)
-    for arr in digits.values():
-        arr.flags.writeable = False
-    return n, digits
+    r = len(actions[0].matrix)
+    entries = _entries(_walk(a, actions), r)
+    blocks = {}
+    start = 0
+    for diag, group in itertools.groupby(zip(*(entries[(i, i)] for i in range(r)))):
+        n = len(list(group))
+        digits = {pos: np.array(entries[pos][start:start + n], dtype=np.int64)
+                  for pos in _positions(r)}
+        for arr in digits.values():
+            arr.flags.writeable = False
+        blocks[diag] = (n, digits)
+        start += n
+    return MappingProxyType(blocks)
 
 
-def _invariant_for_diagonal(diag, actions, collect):
-    """(count, digits) of the invariant candidates over one diagonal type.
+def _nonzero_diagonals(m, actions):
+    """(diag, factors) for each index-m diagonal with candidates, lexicographic.
 
-    In collect mode digits maps each strictly-upper position to the
-    survivors' entries in flat HNF order; in count mode it is empty.
-    Every action is tested on every candidate the factors produce.
+    With a flag split a diagonal has candidates only when both of its
+    blocks hold an invariant HNF, so the diagonals are built from the
+    nonzero block diagonals of each block index a | m; without one every
+    diagonal has candidates.
     """
-    factors = _candidate_factors(diag, actions)
-    sizes = tuple(n for n, _ in factors)
-    total = math.prod(sizes)
-    count = 0
-    kept = []
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.unravel_index(np.arange(lo, hi, dtype=np.int64), sizes) if sizes else ()
-        digits = {pos: f if arr is None else arr[f]
-                  for (_, table), f in zip(factors, idx) for pos, arr in table.items()}
-        length = hi - lo
+    split = flag_split(actions)
+    if split is None:
+        diags = ordered_diagonals(m, len(actions[0].matrix))
+    else:
+        _, lead, trail = split
+        diags = sorted(d1 + d2 for a in divisors(m) for d1 in _invariant_blocks(a, lead)
+                       for d2 in _invariant_blocks(m // a, trail))
+    for diag in diags:
+        yield diag, _candidate_factors(diag, actions)
+
+
+def _candidate_sets(m, actions):
+    """Candidate sets (diag, digits, length) over the nonzero diagonals of index m.
+
+    A diagonal with at least _PACK candidates is expanded on its own
+    with scalar diagonal entries, _CHUNK candidates at a time.  Runs of
+    smaller diagonals are packed into one set of at most _CHUNK
+    candidates, whose diagonal entries are per-candidate arrays.  Sets
+    come in lexicographic diagonal order and hold candidates in flat
+    HNF order.
+    """
+    pack, packed = [], 0
+    for diag, factors in _nonzero_diagonals(m, actions):
+        total = math.prod(n for n, _ in factors)
+        small = total < _PACK and total <= _CHUNK
+        if pack and (not small or packed + total > _CHUNK):
+            yield _packed_candidates(pack, packed)
+            pack, packed = [], 0
+        if small:
+            pack.append((diag, factors, total))
+            packed += total
+            continue
+        sizes = tuple(n for n, _ in factors)
+        for lo in range(0, total, _CHUNK):
+            hi = min(lo + _CHUNK, total)
+            idx = np.unravel_index(np.arange(lo, hi, dtype=np.int64), sizes) if sizes else ()
+            digits = {pos: f if arr is None else arr[f]
+                      for (_, table), f in zip(factors, idx) for pos, arr in table.items()}
+            yield diag, digits, hi - lo
+    if pack:
+        yield _packed_candidates(pack, packed)
+
+
+def _packed_candidates(pack, length):
+    """One candidate set over consecutive diagonals of equal rank and factor layout.
+
+    Per-diagonal values (diagonal entries, factor sizes, the diagonal's
+    first candidate, the offsets of its block tables in their
+    concatenation) are repeated once per candidate in a single call;
+    the factor indices then come from the candidate's offset within its
+    diagonal by mixed-radix division.
+    """
+    diags, layouts, totals = zip(*pack)
+    r, nf = len(diags[0]), len(layouts[0])
+    tables = [f for f, (_, table) in enumerate(layouts[0])
+              if all(arr is not None for arr in table.values())]
+    sizes = [[fs[f][0] for fs in layouts] for f in range(nf)]
+    rows = [*zip(*diags), *sizes[1:], _starts(totals), *(_starts(sizes[f]) for f in tables)]
+    cols = np.repeat(np.array(rows, dtype=np.int64), totals, axis=1)
+    local = np.arange(length, dtype=np.int64) - cols[r + nf - 1]
+    offsets = dict(zip(tables, cols[r + nf:]))
+    idx = [None] * nf
+    for f in range(nf - 1, 0, -1):
+        local, idx[f] = np.divmod(local, cols[r + f - 1])
+    if nf:
+        idx[0] = local
+    digits = {}
+    for f, (_, table) in enumerate(layouts[0]):
+        for pos, arr in table.items():
+            digits[pos] = idx[f] if arr is None else \
+                np.concatenate([fs[f][1][pos] for fs in layouts])[offsets[f] + idx[f]]
+    return tuple(cols[:r]), digits, length
+
+
+def _starts(sizes):
+    return list(itertools.accumulate(sizes, initial=0))[:-1]
+
+
+def _walk(m, actions):
+    """Survivors (diag, digits, length) of every action, per candidate set of index m.
+
+    Every action is tested on every candidate of every nonzero diagonal.
+    """
+    for diag, digits, length in _candidate_sets(m, actions):
         for act in actions:
             mask = _stabilizer_mask(diag, digits, act, length)
-            digits = {pos: arr[mask] for pos, arr in digits.items()}
-            length = int(mask.sum())
+            length = int(np.count_nonzero(mask))
             if length == 0:
                 break
-        count += length
-        if collect and length:
-            kept.append(digits)
-    positions = _positions(len(diag)) if collect else ()
-    if not (kept and positions):
-        return count, {}
-    merged = {pos: np.concatenate([d[pos] for d in kept]) for pos in positions}
-    flat = np.ravel_multi_index([merged[pos] for pos in positions],
-                                [diag[i] for i, _ in positions])
-    order = np.argsort(flat, kind="stable")
-    return count, {pos: arr[order] for pos, arr in merged.items()}
+            digits = {pos: arr[mask] for pos, arr in digits.items()}
+            diag = tuple(d[mask] if isinstance(d, np.ndarray) else d for d in diag)
+        yield diag, digits, length
 
 
-def _bases(diag, digits, count):
-    r = len(diag)
-    columns = {pos: arr.tolist() for pos, arr in digits.items()}
-    for k in range(count):
-        basis = [[0] * r for _ in range(r)]
-        for i in range(r):
-            basis[i][i] = diag[i]
-        for (i, j), col in columns.items():
-            basis[i][j] = col[k]
-        yield tuple(tuple(row) for row in basis)
+def _entries(survivors, r):
+    """Upper-triangular entries (i <= j) of the survivors, as lists in walk order."""
+    entries = {(i, j): [] for j in range(r) for i in range(j + 1)}
+    for diag, digits, length in survivors:
+        if not length:
+            continue
+        for i, d in enumerate(diag):
+            entries[(i, i)] += d.tolist() if isinstance(d, np.ndarray) else [d] * length
+        for pos, arr in digits.items():
+            entries[pos] += arr.tolist()
+    return entries
 
 
 def _invariant_sublattices(ambient: Ambient, m: int, max_candidates: int,
@@ -501,15 +610,15 @@ def _invariant_sublattices(ambient: Ambient, m: int, max_candidates: int,
         raise ValueError("index must be >= 1")
     r = ambient_rank(ambient)
     _check_budget(hnf_candidate_count(r, m), max_candidates)
-    actions = ambient_actions(ambient)
-    count = 0
-    found = []
-    for diag in ordered_diagonals(m, r):
-        c, digits = _invariant_for_diagonal(diag, actions, collect)
-        count += c
-        if collect:
-            found.extend(_bases(diag, digits, c))
-    return count, [Submodule(ambient, b) for b in found]
+    survivors = _walk(m, ambient_actions(ambient))
+    if not collect:
+        return sum(length for *_, length in survivors), []
+    entries = _entries(survivors, r)
+    zero = [0] * len(entries[(0, 0)])
+    rows = [list(zip(*(entries[(i, j)] if i <= j else zero for j in range(r))))
+            for i in range(r)]
+    found = [Submodule(ambient, basis) for basis in zip(*rows)]
+    return len(found), found
 
 
 def count_ideals(ambient: Ambient, m: int,

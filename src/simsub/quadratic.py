@@ -353,7 +353,9 @@ def gcd(x: QuadInt, y: QuadInt) -> QuadInt:
 
     Euclidean descent with nearest-integer quotients (_pair_divmod, the
     rule of QuadInt.__divmod__) on (a, b) pairs; both rings satisfy
-    |norm(x mod y)| < |norm(y)| under that rounding.
+    |norm(x mod y)| < |norm(y)| under that rounding.  Each step checks
+    that bound, so a faulty division raises InvariantViolation instead
+    of looping forever.
     """
     ring = x.ring
     if ring != y.ring:
@@ -362,8 +364,13 @@ def gcd(x: QuadInt, y: QuadInt) -> QuadInt:
         raise ValueError("gcd(0, 0) is undefined")
     c1, c0 = ring.c1, ring.c0
     x, y = (x.a, x.b), (y.a, y.b)
+    size = abs(pair_norm(y, c1, c0))
     while y != (0, 0):
-        x, y = y, _pair_divmod(x, y, c1, c0)[1]
+        r = _pair_divmod(x, y, c1, c0)[1]
+        r_size = abs(pair_norm(r, c1, c0))
+        if r_size >= size:
+            raise InvariantViolation(f"remainder {r} of {x} by {y} does not shrink the norm")
+        x, y, size = y, r, r_size
     return canonical_associate(QuadInt(x[0], x[1], ring))
 
 

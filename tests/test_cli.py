@@ -280,11 +280,15 @@ def test_coeffs_output_with_negative_coefficients(capsys, monkeypatch):
 
 
 def test_worker_count_does_not_change_results(capsys, monkeypatch):
-    monkeypatch.setenv("SIMSUB_THREADS", "1")
-    _, serial, _ = run_cli(capsys, "verify", "--module", "zitau", "--limit", "20")
-    monkeypatch.setenv("SIMSUB_THREADS", "3")
-    _, threaded, _ = run_cli(capsys, "verify", "--module", "zitau", "--limit", "20")
-    assert serial == threaded
+    # the packed numpy passes and the shared block cache run under the pool
+    for module, limit in (("zitau", 20), ("ztau", 60), ("zisqrt2", 20)):
+        argv = ("verify", "--module", module, "--limit", str(limit))
+        monkeypatch.setenv("SIMSUB_THREADS", "1")
+        _, serial, _ = run_cli(capsys, *argv)
+        monkeypatch.setenv("SIMSUB_THREADS", "3")
+        _, threaded, _ = run_cli(capsys, *argv)
+        assert serial == threaded, module
+        assert f"{limit}/{limit} match" in serial, module
 
 
 def test_console_entry_point():

@@ -124,13 +124,71 @@ def test_vector_kernel_agrees_with_scalar_invariance():
     # the numpy block kernel and the direct per-submodule test are
     # independent code paths; they must select identical bases, and the
     # pruned kernel must return them in flat HNF order
-    for ambient in (Ambient.Z_ISQRT2_AS_Z4, Ambient.Z_ITAU_AS_Z4):
+    for ambient, limit in ((Ambient.Z_ISQRT2_AS_Z4, 16), (Ambient.Z_ITAU_AS_Z4, 16),
+                           (Ambient.Z_TAU_AS_Z2, 60)):
         actions = ambient_actions(ambient)
-        for m in range(1, 17):
-            scalar = [s.basis for s in hnf_sublattices(4, m, ambient)
+        rank = lattice.ambient_rank(ambient)
+        for m in range(1, limit + 1):
+            scalar = [s.basis for s in hnf_sublattices(rank, m, ambient)
                       if is_invariant(s, actions)]
             kernel = [s.basis for s in list_ideals(ambient, m)]
             assert scalar == kernel, (ambient, m)
+
+
+def test_list_ideals_in_diagonal_then_flat_hnf_order():
+    # the walk emits bases without a sort; in Z[i,tau] the first index
+    # where one diagonal holds ideals that a trailing-block-first order
+    # would swap is 125
+    for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
+        for m in range(1, 161):
+            bases = [s.basis for s in list_ideals(ambient, m, max_candidates=10 ** 9)]
+            key = [(tuple(b[i][i] for i in range(4)),
+                    tuple(b[i][j] for i, j in lattice._positions(4))) for b in bases]
+            assert key == sorted(key) and len(set(key)) == len(key), (ambient, m)
+
+
+def _kernel_results(limit):
+    # the blocks are built by the same walk, so they are rebuilt under the
+    # settings being tested
+    lattice._invariant_blocks.cache_clear()
+    return {ambient: ([count_ideals(ambient, m) for m in range(1, limit + 1)],
+                      [[s.basis for s in list_ideals(ambient, m)]
+                       for m in range(1, limit + 1)])
+            for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4,
+                            Ambient.Z_ISQRT2_AS_Z4)}
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("_PACK", 1),           # every diagonal in its own pass, scalar divisors
+    ("_PACK", 10 ** 9),     # every diagonal packed, up to _CHUNK candidates
+    ("_CHUNK", 37),         # diagonals split across chunks, packs cut short
+])
+def test_walk_results_do_not_depend_on_pass_layout(monkeypatch, setting, value):
+    expected = _kernel_results(48)
+    monkeypatch.setattr(lattice, setting, value)
+    lengths = []
+    mask = lattice._stabilizer_mask
+
+    def recorded(diag, digits, action, length):
+        lengths.append(length)
+        return mask(diag, digits, action, length)
+
+    monkeypatch.setattr(lattice, "_stabilizer_mask", recorded)
+    try:
+        assert _kernel_results(48) == expected
+    finally:
+        lattice._invariant_blocks.cache_clear()
+    assert 0 < max(lengths) <= lattice._CHUNK
+
+
+def test_walk_skips_exactly_the_empty_diagonals():
+    for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
+        actions = ambient_actions(ambient)
+        for m in range(1, 121):
+            walked = [diag for diag, _ in lattice._nonzero_diagonals(m, actions)]
+            nonempty = [diag for diag in lattice.ordered_diagonals(m, 4)
+                        if math.prod(n for n, _ in lattice._candidate_factors(diag, actions))]
+            assert walked == nonempty, (ambient, m)
 
 
 def test_flag_split_detection():
@@ -256,17 +314,17 @@ def _i_blocks(ambient):
 def test_block_cache_cold_and_warm_agree():
     for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
         for workers in (1, 2):
-            lattice._invariant_block.cache_clear()
+            lattice._invariant_blocks.cache_clear()
             cold = verify_series(ambient, 40, workers=workers)
             cold_bases = [s.basis for s in list_ideals(ambient, 48)]
-            assert lattice._invariant_block.cache_info().hits > 0
+            assert lattice._invariant_blocks.cache_info().hits > 0
             warm = verify_series(ambient, 40, workers=workers)
             assert cold.ok and warm.rows == cold.rows, (ambient, workers)
             assert [s.basis for s in list_ideals(ambient, 48)] == cold_bases
 
 
 def test_block_cache_shared_across_threads():
-    lattice._invariant_block.cache_clear()
+    lattice._invariant_blocks.cache_clear()
     expected = [catalog.zeta_q_itau(24).a(m) for m in range(1, 25)]
     results = [None] * 4
 
@@ -288,16 +346,21 @@ def test_block_cache_shared_across_threads():
 
 
 def test_block_cache_entries_are_read_only_and_bounded():
-    lattice._invariant_block.cache_clear()
-    # i keeps the lattice with columns (5, 0), (x, 1) iff x^2 = -1 mod 5
-    n, digits = lattice._invariant_block((5, 1), _i_blocks(Ambient.Z_ITAU_AS_Z4))
+    lattice._invariant_blocks.cache_clear()
+    # i keeps the lattice with columns (5, 0), (x, 1) iff x^2 = -1 mod 5,
+    # and no lattice with columns (1, 0), (0, 5): that diagonal is absent
+    blocks = lattice._invariant_blocks(5, _i_blocks(Ambient.Z_ITAU_AS_Z4))
+    assert list(blocks) == [(5, 1)]
+    n, digits = blocks[(5, 1)]
     assert n == 2 and digits[(0, 1)].tolist() == [2, 3]
     with pytest.raises(ValueError):
         digits[(0, 1)][0] = 1
+    with pytest.raises(TypeError):
+        blocks[(1, 5)] = (0, {})
     # the restriction of i is the same in both rings, so they share the entry
-    assert lattice._invariant_block((5, 1), _i_blocks(Ambient.Z_ISQRT2_AS_Z4))[1] is digits
+    assert lattice._invariant_blocks(5, _i_blocks(Ambient.Z_ISQRT2_AS_Z4)) is blocks
     verify_series(Ambient.Z_ITAU_AS_Z4, 120, max_candidates=10 ** 9)
-    info = lattice._invariant_block.cache_info()
+    info = lattice._invariant_blocks.cache_info()
     assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from simsub import quadratic
+from simsub.errors import InvariantViolation
 from simsub.quadratic import (
     QuadInt,
     QuadRing,
@@ -369,3 +370,22 @@ def test_gcd_rejects_mixed_rings():
         gcd(tau(2, 1), rt2(2, 1))
     with pytest.raises(ValueError):
         gcd(rt2(0, 0), tau(1, 0))
+
+
+def test_gcd_raises_when_the_remainder_does_not_shrink(monkeypatch):
+    # a division whose remainder keeps the divisor's norm would make the
+    # Euclidean loop spin forever; gcd must stop at the first such step
+    calls = []
+
+    def stuck(x, y, c1, c0):
+        calls.append(y)
+        if len(calls) > 100:
+            raise RuntimeError("gcd kept dividing")
+        return (0, 0), y
+
+    monkeypatch.setattr(quadratic, "_pair_divmod", stuck)
+    for ring in (TAU, SQRT2):
+        calls.clear()
+        with pytest.raises(InvariantViolation):
+            gcd(QuadInt(7, 3, ring), QuadInt(2, 1, ring))
+        assert len(calls) == 1
