@@ -170,9 +170,9 @@ def f_cubic(limit: int) -> CoeffSeries:
     r_max = icbrt(limit)
     base = expand_euler(lambda p: _tau_factor(p) * _phi_c_factor(p), r_max)
     out = [0] * limit
-    for r, c in enumerate(base.coeffs, start=1):
+    for r, c in base.nonzero():
         out[r ** 3 - 1] = c
-    return CoeffSeries(limit, tuple(out))
+    return CoeffSeries(limit, tuple(out), tuple(r ** 3 for r in base.support))
 
 
 def sigma1(m: int) -> int:

@@ -4,25 +4,33 @@ A CoeffSeries holds a(1..N) for a fixed limit N.  All binary operations
 insist on equal limits so that truncation mismatches cannot pass
 silently, and no floating point is used anywhere.
 
+Each CoeffSeries also holds its support, the increasing indices m with
+a(m) != 0.  nonzero() and summatory() read the table only there.  A
+builder that knows the support passes it in and the constructor checks
+it exactly (one C-level count of the zeros); otherwise the constructor
+finds it with one scan.
+
 expand_euler writes only the nonzero coefficients of a multiplicative
 series.  Every index n > 1 is m * p^e for one prime p, its largest prime
 factor, so taking the primes in increasing order and extending the
 nonzero entries found so far writes each nonzero a(n) exactly once.  It
-keeps those entries as a sorted list of indices (the support) and never
+records every index it writes and returns them, sorted, as the support,
+so nothing on the way from expand_euler to the nonzero coefficients
 scans the table.  The primes up to sqrt(N) are expanded in full; a prime
 p with p^2 > N divides an index n <= N at most once, so only the t^1
-coefficient of its local factor is read.  Beside the prime sieve and the
-allocation of the table, the cost is one local factor call per prime,
-one expansion per distinct factor at the primes up to sqrt(N), and one
-write per nonzero coefficient.
+coefficient of its local factor is read.  Beside the prime sieve, the
+allocation of the table and its one copy into a tuple, the cost is one
+local factor call per prime, one expansion per distinct factor at the
+primes up to sqrt(N), and one write per nonzero coefficient.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import lt
 from typing import Callable, Iterator, Mapping
 
 
@@ -61,16 +69,29 @@ def icbrt(n: int) -> int:
 
 @dataclass(frozen=True)
 class CoeffSeries:
-    """Exact coefficients a(1..limit) of a Dirichlet series."""
+    """Exact coefficients a(1..limit) of a Dirichlet series.
+
+    support is the increasing tuple of the indices m with a(m) != 0.  When
+    it is given, it is checked exactly and a mismatch raises ValueError;
+    when it is omitted, it is found by one scan of coeffs.  It is derived
+    from coeffs, so it takes no part in equality.
+    """
 
     limit: int
     coeffs: tuple[int, ...]
+    support: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.limit < 1:
             raise ValueError("limit must be >= 1")
         if len(self.coeffs) != self.limit:
             raise ValueError("coefficient table length must equal the limit")
+        if self.support is None:
+            support = tuple(compress(range(1, self.limit + 1), self.coeffs))
+        else:
+            support = tuple(self.support)
+            _check_support(self.limit, self.coeffs, support)
+        object.__setattr__(self, "support", support)
 
     def a(self, m: int) -> int:
         if not 1 <= m <= self.limit:
@@ -81,8 +102,8 @@ class CoeffSeries:
 
     def nonzero(self) -> Iterator[tuple[int, int]]:
         """(m, a(m)) for every a(m) != 0, in increasing m."""
-        return zip(compress(range(1, self.limit + 1), self.coeffs),
-                   filter(None, self.coeffs))
+        coeffs = self.coeffs
+        return ((m, coeffs[m - 1]) for m in self.support)
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -90,9 +111,26 @@ class CoeffSeries:
         return f"CoeffSeries(N={self.limit}: {head}{tail})"
 
 
+def _check_support(limit: int, coeffs: tuple[int, ...], support: tuple[int, ...]) -> None:
+    """Raise ValueError unless support is exactly the increasing m with a(m) != 0.
+
+    Strictly increasing, inside 1..limit and nonzero at every listed index,
+    the support is a subset of the nonzero indices; the count of zeros then
+    shows that it misses none.
+    """
+    if not all(map(lt, support, islice(support, 1, None))):
+        raise ValueError("support is not strictly increasing")
+    if support and not (support[0] >= 1 and support[-1] <= limit):
+        raise ValueError(f"support index outside 1..{limit}")
+    if not all(coeffs[m - 1] for m in support):
+        raise ValueError("support lists a zero coefficient")
+    if limit - coeffs.count(0) != len(support):
+        raise ValueError("support misses a nonzero coefficient")
+
+
 def epsilon(limit: int) -> CoeffSeries:
     """The identity under Dirichlet convolution: indicator of m = 1."""
-    return CoeffSeries(limit, (1,) + (0,) * (limit - 1))
+    return CoeffSeries(limit, (1,) + (0,) * (limit - 1), (1,))
 
 
 @dataclass(frozen=True)
@@ -105,11 +143,18 @@ class EulerFactor:
 
     num: tuple[int, ...]
     den: tuple[int, ...] = (1,)
+    # the t^1 coefficient, read at every prime above sqrt(N) by expand_euler
+    c1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.den or self.den[0] != 1:
             raise ValueError("local factor is not expandable: "
                              "denominator constant term must be 1")
+        num, den = self.num, self.den
+        c1 = num[1] if len(num) > 1 else 0
+        if num and len(den) > 1:
+            c1 -= den[1] * num[0]
+        object.__setattr__(self, "c1", c1)
 
     def expand(self, n_terms: int) -> list[int]:
         """First n_terms coefficients of num/den by long division."""
@@ -123,8 +168,7 @@ class EulerFactor:
 
     def linear_coefficient(self) -> int:
         """The t^1 coefficient of num/den, equal to expand(2)[1]."""
-        num = self.num + (0, 0)
-        return num[1] - (self.den + (0,))[1] * num[0]
+        return self.c1
 
     def __mul__(self, other: EulerFactor) -> EulerFactor:
         """Product of two local factors at the same prime."""
@@ -166,16 +210,23 @@ def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> Coef
     exactly once; and m * p > isqrt(limit), so no phase-2 write is ever
     read.
 
-    Beside the prime sieve and the allocation of the table, the cost is
-    one local factor call per prime, one expansion per distinct phase-1
-    factor, and one write per nonzero coefficient (with a sort of the
-    support prefix per phase-1 prime); nothing scans the table.
+    Every index written in either phase is recorded once; sorted, those
+    indices and 1 are the support of the returned series.  The table is
+    copied once, into the tuple of the result.
+
+    Beside the prime sieve, the allocation of the table and that copy,
+    the cost is one local factor call per prime, one expansion per
+    distinct phase-1 factor, and one write per nonzero coefficient (with
+    a sort of the support prefix per phase-1 prime, and one sort of the
+    recorded indices); nothing scans the table, and the constructor's
+    check of the support is one C-level count of the zeros.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     coeffs = [0] * (limit + 1)
     coeffs[1] = 1
     support = [1]
+    written = [1]
     root = math.isqrt(limit)
     primes = primes_up_to(limit)
     cut = bisect_right(primes, root)
@@ -205,21 +256,26 @@ def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> Coef
                 if n > limit:
                     break
                 coeffs[n] = a * c
+                written.append(n)
                 if n <= top:
                     found.append(n)
         support += found
         support.sort()
     large = []
     for p in primes[cut:]:
-        c1 = local_factor(p).linear_coefficient()
+        c1 = local_factor(p).c1
         if c1:
             large.append((p, c1))
     large_primes = [p for p, _ in large]
     for m in support[:bisect_right(support, root)]:
         a = coeffs[m]
         for p, c1 in large[:bisect_right(large_primes, limit // m)]:
-            coeffs[m * p] = a * c1
-    return CoeffSeries(limit, tuple(coeffs[1:]))
+            n = m * p
+            coeffs[n] = a * c1
+            written.append(n)
+    written.sort()
+    del coeffs[0]
+    return CoeffSeries(limit, tuple(coeffs), tuple(written))
 
 
 def _require_same_limit(a: CoeffSeries, b: CoeffSeries) -> int:
@@ -271,12 +327,15 @@ def scale_argument(a: CoeffSeries, k: int) -> CoeffSeries:
     if k == 1:
         return a
     n = a.limit
-    out = [0] * (n + 1)
-    r = 1
-    while r ** k <= n:
-        out[r ** k] = a.coeffs[r - 1]
-        r += 1
-    return CoeffSeries(n, tuple(out[1:]))
+    out = [0] * n
+    support = []
+    for r, c in a.nonzero():
+        m = r ** k
+        if m > n:
+            break
+        out[m - 1] = c
+        support.append(m)
+    return CoeffSeries(n, tuple(out), tuple(support))
 
 
 def shift(a: CoeffSeries, k: int) -> CoeffSeries:
@@ -285,25 +344,32 @@ def shift(a: CoeffSeries, k: int) -> CoeffSeries:
         raise ValueError("k must be >= 0")
     if k == 0:
         return a
-    out = tuple(m ** k * c for m, c in enumerate(a.coeffs, start=1))
-    return CoeffSeries(a.limit, out)
+    out = [0] * a.limit
+    for m, c in a.nonzero():
+        out[m - 1] = m ** k * c
+    return CoeffSeries(a.limit, tuple(out), a.support)
 
 
 def dirichlet_polynomial(terms: Mapping[int, int], limit: int) -> CoeffSeries:
-    """Finite Dirichlet polynomial with exactly the given support."""
-    out = [0] * (limit + 1)
+    """Finite Dirichlet polynomial sum of c / m^s over the given terms {m: c}.
+
+    Every index must lie in 1..limit.  A term with c = 0 is dropped, so the
+    support is the sorted indices of the nonzero terms.
+    """
+    out = [0] * limit
     for m, c in terms.items():
         if not 1 <= m <= limit:
             raise ValueError(f"term index {m} outside 1..{limit}")
-        out[m] = c
-    return CoeffSeries(limit, tuple(out[1:]))
+        out[m - 1] = c
+    return CoeffSeries(limit, tuple(out), tuple(sorted(m for m, c in terms.items() if c)))
 
 
 def summatory(a: CoeffSeries, x: int) -> int:
-    """Partial sum of coefficients up to x."""
+    """Partial sum of coefficients up to x, read along the support."""
     if not 1 <= x <= a.limit:
         raise ValueError(f"summatory point {x} outside 1..{a.limit}")
-    return sum(a.coeffs[:x])
+    coeffs = a.coeffs
+    return sum(coeffs[m - 1] for m in islice(a.support, bisect_right(a.support, x)))
 
 
 def check_multiplicative(a: CoeffSeries) -> bool:

@@ -60,8 +60,19 @@ _factors = st.builds(
 @example(EulerFactor((-2,), (1, 4)))
 @example(EulerFactor((2, 5)))
 @example(EulerFactor(()))
+@example(EulerFactor((), (1, 4)))
+@example(EulerFactor((5,), (1,)))
 def test_linear_coefficient_is_second_expansion_term(f):
     assert f.linear_coefficient() == f.expand(2)[1]
+
+
+@given(_factors, _factors)
+@example(EulerFactor(()), EulerFactor((3,)))
+@example(EulerFactor((2,)), EulerFactor((), (1, -1)))
+@example(EulerFactor((1, 1)), EulerFactor((1,), (1, -7, 2)))
+def test_stored_linear_coefficient_of_product(a, b):
+    product = a * b
+    assert product.linear_coefficient() == product.expand(2)[1]
 
 
 @given(_factors, _factors, st.integers(1, 12))
@@ -146,6 +157,10 @@ def test_shift_examples():
 def test_dirichlet_polynomial_examples():
     pre = dirichlet_polynomial({1: 1, 2: -1, 4: 2}, 10)
     assert pre.coeffs[:4] == (1, -1, 0, 2)
+    assert pre.support == (1, 2, 4)
+    dropped = dirichlet_polynomial({1: 1, 3: 0}, 5)
+    assert dropped.coeffs == (1, 0, 0, 0, 0)
+    assert dropped.support == (1,) and list(dropped.nonzero()) == [(1, 1)]
     assert check_multiplicative(pre)  # supported on powers of 2
     assert dirichlet_polynomial({1: 1}, 6).coeffs == epsilon(6).coeffs
     with pytest.raises(ValueError):
@@ -198,6 +213,98 @@ def test_coeff_series_validation():
     assert s.a(2) == 2
     with pytest.raises(IndexError):
         s.a(4)
+
+
+_SPARSE = (1, 0, -2, 0, 0, 3)  # nonzero at 1, 3 and 6
+
+
+def test_given_support_is_kept():
+    s = CoeffSeries(6, _SPARSE, (1, 3, 6))
+    assert s.support == (1, 3, 6)
+    assert s == CoeffSeries(6, _SPARSE)
+    assert CoeffSeries(6, _SPARSE, [1, 3, 6]).support == (1, 3, 6)
+    assert CoeffSeries(2, (0, 0), ()).support == ()
+
+
+@pytest.mark.parametrize("support, reason", [
+    ((3, 1, 6), "unsorted"),
+    ((1, 3, 3, 6), "duplicate"),
+    ((0, 1, 3, 6), "below 1"),
+    ((1, 3, 6, 7), "above the limit"),
+    ((1, 2, 3, 6), "lists a zero entry"),
+    ((1, 2, 6), "lists a zero entry in place of a nonzero one"),
+    ((1, 3), "misses a nonzero entry"),
+    ((), "misses every nonzero entry"),
+])
+def test_wrong_support_rejected(support, reason):
+    with pytest.raises(ValueError):
+        CoeffSeries(6, _SPARSE, support)
+
+
+def dense_nonzero(s):
+    """Reference: (m, a(m)) for every a(m) != 0, by a scan of the whole table."""
+    return [(m, c) for m, c in enumerate(s.coeffs, 1) if c]
+
+
+def assert_support_is_dense_scan(s):
+    reference = dense_nonzero(s)
+    assert s.support == tuple(m for m, _ in reference)
+    assert list(s.nonzero()) == reference
+
+
+_coeff_lists = st.lists(st.integers(-3, 3), min_size=1, max_size=80)
+_series = _coeff_lists.map(lambda c: CoeffSeries(len(c), tuple(c)))
+_invertible = _coeff_lists.map(lambda c: CoeffSeries(len(c), (1, *c[1:])))
+
+
+@given(_series, st.lists(st.integers(-3, 3), min_size=80, max_size=80))
+def test_convolution_support_is_dense_scan(a, other):
+    assert_support_is_dense_scan(convolve(a, CoeffSeries(a.limit, tuple(other[:a.limit]))))
+
+
+@given(_invertible)
+def test_inverse_support_is_dense_scan(a):
+    assert_support_is_dense_scan(dirichlet_inverse(a))
+
+
+@given(_series, st.integers(1, 7))
+def test_scale_and_shift_support_is_dense_scan(a, k):
+    assert_support_is_dense_scan(scale_argument(a, k))
+    assert_support_is_dense_scan(shift(a, k - 1))
+
+
+@given(st.integers(1, 40000))
+@example(1)
+@example(7)
+@example(8)
+@example(27 * 8 - 1)
+def test_f_cubic_support_is_dense_scan(n):
+    assert_support_is_dense_scan(catalog.f_cubic(n))
+
+
+@given(st.sampled_from(catalog.CLI_SERIES + ("riemann-zeta",)), st.integers(1, 3000))
+@example("zeta-qitau", 1)
+@example("zeta-zisqrt2", 2)
+def test_catalog_support_is_dense_scan(name, n):
+    assert_support_is_dense_scan(catalog.catalog_entry(name, n).series)
+
+
+def _summatory_points(limit, rng):
+    return sorted({1, limit, *(rng.randint(1, limit) for _ in range(5))})
+
+
+@given(_series, st.randoms(use_true_random=False))
+def test_summatory_matches_dense_sum(a, rng):
+    for x in _summatory_points(a.limit, rng):
+        assert summatory(a, x) == sum(a.coeffs[:x])
+
+
+@pytest.mark.parametrize("name", catalog.CLI_SERIES)
+@given(n=st.integers(1, 5000), rng=st.randoms(use_true_random=False))
+def test_catalog_summatory_matches_dense_sum(name, n, rng):
+    series = catalog.catalog_entry(name, n).series
+    for x in _summatory_points(n, rng):
+        assert summatory(series, x) == sum(series.coeffs[:x])
 
 
 # Engine laws over random multiplicative series: the local factor at p is
@@ -279,7 +386,9 @@ def _dense_reference(local_factor, limit):
 # random factors give zero t^e coefficients at some e.
 @given(_local_rules(), st.integers(1, 2000))
 def test_expand_euler_matches_dense_reference(f, n):
-    assert expand_euler(f, n) == _dense_reference(f, n)
+    sparse = expand_euler(f, n)
+    assert sparse == _dense_reference(f, n)
+    assert_support_is_dense_scan(sparse)
 
 
 # Around N = p^2 the prime p moves from the t^1-only phase into the full
@@ -298,7 +407,9 @@ _BOUNDARY_RULES = {
 def test_expand_euler_at_prime_square_boundary(rule, p):
     f = _BOUNDARY_RULES[rule]
     for n in (p * p - 1, p * p, p * p + 1):
-        assert expand_euler(f, n) == _dense_reference(f, n), n
+        sparse = expand_euler(f, n)
+        assert sparse == _dense_reference(f, n), n
+        assert_support_is_dense_scan(sparse)
 
 
 @pytest.mark.parametrize("name", catalog.CLI_SERIES)
@@ -307,6 +418,7 @@ def test_catalog_tables_match_dense_reference(name, monkeypatch):
     sparse = catalog.catalog_entry(name, n).series
     monkeypatch.setattr(catalog, "expand_euler", _dense_reference)
     assert sparse == catalog.catalog_entry(name, n).series
+    assert_support_is_dense_scan(sparse)
 
 
 def test_nonzero_with_negative_and_zero_coefficients():
