@@ -5,23 +5,24 @@ insist on equal limits so that truncation mismatches cannot pass
 silently, and no floating point is used anywhere.
 
 Each CoeffSeries also holds its support, the increasing indices m with
-a(m) != 0.  nonzero() and summatory() read the table only there.  A
-builder that knows the support passes it in and the constructor checks
-it exactly (one C-level count of the zeros); otherwise the constructor
-finds it with one scan.
+a(m) != 0, and nonzero() reads the table only there.  A builder that
+knows the support passes it in and the constructor checks it exactly
+(one C-level count of the zeros); otherwise the constructor finds it
+with one scan.
 
 expand_euler writes only the nonzero coefficients of a multiplicative
 series.  Every index n > 1 is m * p^e for one prime p, its largest prime
 factor, so taking the primes in increasing order and extending the
 nonzero entries found so far writes each nonzero a(n) exactly once.  It
 records every index it writes and returns them, sorted, as the support,
-so nothing on the way from expand_euler to the nonzero coefficients
-scans the table.  The primes up to sqrt(N) are expanded in full; a prime
-p with p^2 > N divides an index n <= N at most once, so only the t^1
-coefficient of its local factor is read.  Beside the prime sieve, the
-allocation of the table and its one copy into a tuple, the cost is one
-local factor call per prime, one expansion per distinct factor at the
-primes up to sqrt(N), and one write per nonzero coefficient.
+so on the way from expand_euler to the nonzero coefficients only the
+constructor's count of the zeros reads the whole table.  The primes up
+to sqrt(N) are expanded in full; a prime p with p^2 > N divides an index
+n <= N at most once, so only the t^1 coefficient of its local factor is
+read.  Beside the prime sieve, the allocation of the table and its one
+copy into a tuple, the cost is one local factor call per prime, one
+expansion per distinct factor at the primes up to sqrt(N), and one write
+per nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ class EulerFactor:
     num: tuple[int, ...]
     den: tuple[int, ...] = (1,)
     # the t^1 coefficient, read at every prime above sqrt(N) by expand_euler
-    c1: int = field(init=False, repr=False, compare=False)
+    _c1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.den or self.den[0] != 1:
@@ -154,7 +155,7 @@ class EulerFactor:
         c1 = num[1] if len(num) > 1 else 0
         if num and len(den) > 1:
             c1 -= den[1] * num[0]
-        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "_c1", c1)
 
     def expand(self, n_terms: int) -> list[int]:
         """First n_terms coefficients of num/den by long division."""
@@ -168,7 +169,7 @@ class EulerFactor:
 
     def linear_coefficient(self) -> int:
         """The t^1 coefficient of num/den, equal to expand(2)[1]."""
-        return self.c1
+        return self._c1
 
     def __mul__(self, other: EulerFactor) -> EulerFactor:
         """Product of two local factors at the same prime."""
@@ -263,7 +264,7 @@ def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> Coef
         support.sort()
     large = []
     for p in primes[cut:]:
-        c1 = local_factor(p).c1
+        c1 = local_factor(p).linear_coefficient()
         if c1:
             large.append((p, c1))
     large_primes = [p for p, _ in large]
@@ -365,11 +366,10 @@ def dirichlet_polynomial(terms: Mapping[int, int], limit: int) -> CoeffSeries:
 
 
 def summatory(a: CoeffSeries, x: int) -> int:
-    """Partial sum of coefficients up to x, read along the support."""
+    """Partial sum of coefficients up to x."""
     if not 1 <= x <= a.limit:
         raise ValueError(f"summatory point {x} outside 1..{a.limit}")
-    coeffs = a.coeffs
-    return sum(coeffs[m - 1] for m in islice(a.support, bisect_right(a.support, x)))
+    return sum(a.coeffs[:x])
 
 
 def check_multiplicative(a: CoeffSeries) -> bool:

@@ -666,10 +666,7 @@ def is_principal(sub: Submodule) -> bool:
     pairs.sort()
     for r1, ra, rb, r2, (ru, rv) in pairs:
         for s1, sa, sb, s2, (su, sv) in pairs:
-            # pairs is sorted by its first square-magnitude, so no later s fits
-            if r1 + s1 > cap + 1e-9:
-                break
-            if r2 + s2 > cap + 1e-9:
+            if r1 + s1 > cap + 1e-9 or r2 + s2 > cap + 1e-9:
                 continue
             # re^2 + im^2 = u + v*w, and abs_norm(re + i*im) = |norm(u + v*w)|
             if abs(pair_norm((ru + su, rv + sv), c1, c0)) != n:

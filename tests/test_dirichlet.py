@@ -289,24 +289,6 @@ def test_catalog_support_is_dense_scan(name, n):
     assert_support_is_dense_scan(catalog.catalog_entry(name, n).series)
 
 
-def _summatory_points(limit, rng):
-    return sorted({1, limit, *(rng.randint(1, limit) for _ in range(5))})
-
-
-@given(_series, st.randoms(use_true_random=False))
-def test_summatory_matches_dense_sum(a, rng):
-    for x in _summatory_points(a.limit, rng):
-        assert summatory(a, x) == sum(a.coeffs[:x])
-
-
-@pytest.mark.parametrize("name", catalog.CLI_SERIES)
-@given(n=st.integers(1, 5000), rng=st.randoms(use_true_random=False))
-def test_catalog_summatory_matches_dense_sum(name, n, rng):
-    series = catalog.catalog_entry(name, n).series
-    for x in _summatory_points(n, rng):
-        assert summatory(series, x) == sum(series.coeffs[:x])
-
-
 # Engine laws over random multiplicative series: the local factor at p is
 # drawn per residue class of p, like the catalog's rules by p mod 5 or 8.
 # expand_euler sets a(1) = 1, so a local factor stands for its series only

@@ -290,47 +290,6 @@ def test_is_principal_matches_quartic_norm_reference(ambient, limit):
         assert principal == sum(catalog.zeta_zi_sqrt2(limit).coeffs)
 
 
-def is_principal_by_full_scan(sub):
-    """Reference generator search: every pair of box elements, each bound tested."""
-    ring = {Ambient.Z_ITAU_AS_Z4: ITAU, Ambient.Z_ISQRT2_AS_Z4: ISQRT2}[sub.ambient]
-    n = sub.index
-    quad = ring.quad
-    cap = 2.0 * math.sqrt(n) * quad.fundamental_unit.embedding_float()
-    side = math.sqrt(cap) * 1.0000001
-    c1, c0 = quad.c1, quad.c0
-    pairs = []
-    for x in elements_in_embedding_box(quad, side, side):
-        e1 = x.embedding_float() ** 2
-        e2 = x.conj_embedding_float() ** 2
-        if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
-            pairs.append((e1, x.a, x.b, e2, pair_mul((x.a, x.b), (x.a, x.b), c1, c0)))
-    pairs.sort()
-    for r1, ra, rb, r2, (ru, rv) in pairs:
-        for s1, sa, sb, s2, (su, sv) in pairs:
-            if r1 + s1 > cap + 1e-9 or r2 + s2 > cap + 1e-9:
-                continue
-            if abs(pair_norm((ru + su, rv + sv), c1, c0)) != n:
-                continue
-            cand = QuarticInt((ra, sa, rb, sb), ring)
-            if not sub.contains(cand.coeffs):
-                continue
-            if hnf_canonical(list(zip(*regular_rep(cand)))) == sub.basis:
-                return True
-    return False
-
-
-def test_is_principal_matches_full_pair_scan():
-    # the pair scan stops at the first r1 + s1 over the cap; Z[i,sqrt2] has
-    # class number 2, so both answers occur
-    seen = set()
-    for m in range(1, 61):
-        for sub in list_ideals(Ambient.Z_ISQRT2_AS_Z4, m):
-            got = is_principal(sub)
-            assert got == is_principal_by_full_scan(sub), sub.basis
-            seen.add(got)
-    assert seen == {True, False}
-
-
 _parts = st.integers(-10 ** 6, 10 ** 6)
 
 
