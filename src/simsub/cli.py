@@ -32,6 +32,11 @@ _AMBIENTS = {
 # minutes) rather than report bad input.
 MAX_TABLE_LIMIT = 10 ** 7
 
+# Most coefficient vectors `units` scans, (2 * height + 1) ** rank.  The
+# default heights scan 101^2 (rank 2) and 17^4 = 83,521 (rank 4) vectors; a
+# vector costs 1-2 us at rank 2 and 9-12 us at rank 4 on a 2-core x86 host.
+MAX_UNIT_SCAN = 10 ** 6
+
 _UNIT_RINGS = {
     "tau": quadratic.TAU,
     "sqrt2": quadratic.SQRT2,
@@ -164,8 +169,12 @@ def cmd_rotations(args) -> int:
 
 def cmd_units(args) -> int:
     ring = _UNIT_RINGS[args.ring]
-    if args.ring in ("tau", "sqrt2"):
-        height = args.height if args.height is not None else 50
+    real = args.ring in ("tau", "sqrt2")
+    height = args.height if args.height is not None else (50 if real else 8)
+    if (2 * height + 1) ** (2 if real else 4) > MAX_UNIT_SCAN:
+        raise UsageError(f"--height {height} scans over {MAX_UNIT_SCAN} coefficient "
+                         f"vectors of ring {args.ring}")
+    if real:
         units = quadratic.units_up_to_height(ring, height)
         decomposed = []
         for u in units:
@@ -173,7 +182,6 @@ def cmd_units(args) -> int:
             ok = quadratic.unit_from_normal_form(ring, sign, exp) == u
             decomposed.append(ok)
     else:
-        height = args.height if args.height is not None else 8
         units = quartic.units_up_to_height(ring, height)
         decomposed = []
         for u in units:

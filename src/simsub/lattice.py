@@ -116,9 +116,9 @@ class Ambient(Enum):
 class MultiplierAction:
     """Integer matrix of multiplication by a ring generator.
 
-    Tuples of actions key the flag_split and _invariant_block caches, so
-    the hash of the fields is taken once, when the action is built;
-    equality stays field by field.
+    Tuples of actions key the flag_split cache, and with a block index
+    the _invariant_blocks cache, so the hash of the fields is taken once,
+    when the action is built; equality stays field by field.
     """
 
     name: str

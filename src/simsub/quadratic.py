@@ -27,8 +27,7 @@ class QuadRing:
 
     _ALLOWED = {(1, 1): "tau", (0, 2): "sqrt2"}
 
-    __slots__ = ("c1", "c0", "name", "_fund", "_fund_inv", "_fund_sq",
-                 "_fund_inv_sq", "_fund_pow4")
+    __slots__ = ("c1", "c0", "name", "_fund", "_window")
 
     def __init__(self, c1: int, c0: int) -> None:
         try:
@@ -39,10 +38,9 @@ class QuadRing:
         self.c0 = c0
         fund = QuadInt(0, 1, self) if self.name == "tau" else QuadInt(1, 1, self)
         self._fund = fund
-        self._fund_inv = unit_inverse(fund)
-        self._fund_sq = fund * fund
-        self._fund_inv_sq = self._fund_inv * self._fund_inv
-        self._fund_pow4 = self._fund_sq * self._fund_sq
+        # (d, e) with d*a + e*b the w-coefficient of (a + b w) * fund^-2
+        inv_sq = unit_inverse(fund * fund)
+        self._window = (inv_sq.b, inv_sq.a + c1 * inv_sq.b)
 
     @property
     def discriminant(self) -> int:
@@ -256,44 +254,81 @@ def sign_embedding(x: QuadInt) -> int:
     return -1 if d > 0 else 1
 
 
+def _window_side(x: QuadInt) -> int:
+    """Where the embedding ratio r = emb(x)/emb'(x) of a totally positive x
+    lies against the window [1, fund^4): -1 below, 0 inside, 1 at or above.
+
+    emb(x) - emb'(x) = b*sqrt(D), so r >= 1 iff b >= 0; and r >= fund^4 iff
+    x * fund^-2, whose ratio is r / fund^4, has a w-coefficient >= 0.
+    """
+    if x.b < 0:
+        return -1
+    d, e = x.ring._window
+    return 1 if d * x.a + e * x.b >= 0 else 0
+
+
 def is_canonical_associate(x: QuadInt) -> bool:
     """Totally positive with embedding ratio in [1, u^2).
 
     u = fund^2 is the totally positive fundamental unit; multiplying by u
     scales the embedding ratio by u^2, so exactly one associate of any
-    nonzero element lands in the window.
+    nonzero element lands in the window.  Once N(x) > 0, x is totally
+    positive iff a > 0, since sqrt(D)*a = -w'*emb(x) + w*emb'(x) with the
+    roots w > 0 > w'.
     """
-    if not x:
-        return False
-    if x.norm() <= 0 or sign_embedding(x) <= 0:
-        return False
-    c = x.conj()
-    if sign_embedding(x - c) < 0:  # ratio < 1
-        return False
-    return sign_embedding(x.ring._fund_pow4 * c - x) > 0  # ratio < fund^4
+    return x.norm() > 0 and x.a > 0 and not _window_side(x)
+
+
+def _ratio_steps(x: QuadInt) -> int:
+    """floor(t'), for t' an estimate of t = log(emb(x)/emb'(x)) / log fund^4
+    with |t' - t| < 1, for totally positive x.
+
+    a > 0, so the embedding v = a + |b|*w, with w = omega if b >= 0 and
+    w = -omega' if b < 0, adds two nonnegative terms; the other embedding
+    is N(x)/v, so log ratio = +-(2 log v - log N(x)) with the sign of b.
+    Both coefficients are first shifted down to 60 bits, since
+    embedding_float overflows past 2^1024; the shift changes v by a
+    relative error under 2^-56.  What is left is about ten double
+    roundings, each of relative size 2^-53, on logs below 2n for n-bit
+    coefficients, so |t' - t| < 2^-40 * (1 + n/64), below 1/2 for every n
+    under 2^45 bits.
+    """
+    ring = x.ring
+    w = ring.omega_float if x.b >= 0 else -ring.omega_conj_float
+    a, b = x.a, abs(x.b)
+    shift = max(max(a, b).bit_length() - 60, 0)
+    log_v = math.log((a >> shift) + (b >> shift) * w) + shift * math.log(2)
+    log_ratio = 2 * log_v - math.log(x.norm())
+    if x.b < 0:
+        log_ratio = -log_ratio
+    return math.floor(log_ratio / (4 * math.log(ring._fund.embedding_float())))
 
 
 def _canonical_walk(x: QuadInt) -> tuple[QuadInt, int, int]:
     """(c, sign, e) with c = sign * fund^e * x the canonical associate of x != 0.
 
-    Fixes the sign of the norm with fund, the sign of the embedding with
-    -1, then walks the embedding ratio into its window by fund^2 steps.
+    Fixes the sign of the norm with fund and the sign of the embeddings
+    with -1.  Multiplying by fund^2 scales the embedding ratio by fund^4,
+    so the walk jumps by fund^(-2k), k = _ratio_steps(x).  Proof that one
+    more step is enough: |t' - t| < 1 gives t - k in (-1, 2), that is a
+    ratio in (fund^-4, fund^8), and the exact window test then decides one
+    fund^(+-2) step.  A ratio still outside raises InvariantViolation.
     """
     ring = x.ring
     sign, e = 1, 0
     if x.norm() < 0:
         x, e = x * ring._fund, 1
-    if sign_embedding(x) < 0:
+    if x.a < 0:
         x, sign = -x, -1
-    for _ in range(100_000):
-        c = x.conj()
-        if sign_embedding(x - c) < 0:
-            x, e = x * ring._fund_sq, e + 2
-        elif sign_embedding(ring._fund_pow4 * c - x) <= 0:
-            x, e = x * ring._fund_inv_sq, e - 2
-        else:
-            return x, sign, e
-    raise RuntimeError("canonical associate normalization did not converge")
+    if _window_side(x):
+        k = _ratio_steps(x)
+        x, e = x * ring._fund ** (-2 * k), e - 2 * k
+        side = _window_side(x)
+        if side:
+            x, e = x * ring._fund ** (-2 * side), e - 2 * side
+            if _window_side(x):
+                raise InvariantViolation("unit walk is off the window by more than one step")
+    return x, sign, e
 
 
 def canonical_unit(x: QuadInt) -> QuadInt:
@@ -318,33 +353,22 @@ def is_associate(x: QuadInt, y: QuadInt) -> bool:
 def unit_normal_form(u: QuadInt) -> tuple[int, int]:
     """Write a unit as sign * fund^exponent, returning (sign, exponent).
 
-    Walks the exact embedding toward 1; the walk must terminate on +-1
-    because the embedding is injective and |emb| changes monotonically.
+    The totally positive units are the fund^(2j), with embedding ratio
+    fund^(4j), so the canonical associate of every unit is 1: the walk's
+    sign * fund^e * u = 1 gives u = sign * fund^-e.
     """
     if not u.is_unit():
         raise ValueError(f"not a unit: {u!r}")
-    ring = u.ring
-    one = ring.one()
-    v, e = u, 0
-    for _ in range(100_000):
-        if v == one:
-            return 1, e
-        if v == -one:
-            return -1, e
-        # |emb(v)| > 1 iff v > 1 or v < -1
-        if sign_embedding(v - one) > 0 or sign_embedding(v + one) < 0:
-            v = v * ring._fund_inv
-            e += 1
-        else:
-            v = v * ring._fund
-            e -= 1
-    raise RuntimeError(f"unit normal form did not terminate for {u!r}")
+    c, sign, e = _canonical_walk(u)
+    if c != u.ring.one():
+        raise InvariantViolation("canonical associate of a unit is not 1")
+    return sign, -e
 
 
 def unit_from_normal_form(ring: QuadRing, sign: int, exponent: int) -> QuadInt:
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    u = ring._fund ** exponent if exponent >= 0 else ring._fund_inv ** (-exponent)
+    u = ring._fund ** exponent
     return u if sign == 1 else -u
 
 

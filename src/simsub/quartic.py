@@ -16,7 +16,7 @@ from .quadratic import (
     QuadRing,
     SQRT2,
     TAU,
-    unit_inverse,
+    unit_from_normal_form as _quad_unit_from_normal_form,
     unit_normal_form,
 )
 
@@ -24,7 +24,7 @@ from .quadratic import (
 class QuarticRing:
     """Z[i,w] for w = tau or sqrt(2), as structure constants over {1,i,w,iw}."""
 
-    __slots__ = ("quad", "name", "mu", "mu_inv")
+    __slots__ = ("quad", "name", "mu")
 
     def __init__(self, quad: QuadRing) -> None:
         self.quad = quad
@@ -32,8 +32,6 @@ class QuarticRing:
         # mu is the infinite-order unit used in unit normal forms:
         # tau itself, or lambda = 1 + sqrt(2).
         self.mu = QuarticInt.from_parts(quad.fundamental_unit, quad.zero(), self)
-        self.mu_inv = QuarticInt.from_parts(unit_inverse(quad.fundamental_unit),
-                                            quad.zero(), self)
         self._check_structure_constants()
 
     def zero(self) -> QuarticInt:
@@ -207,10 +205,7 @@ def _i_powers(ring: QuarticRing):
 
 
 def unit_from_normal_form(ring: QuarticRing, k: int, ell: int) -> QuarticInt:
-    base = _i_powers(ring)[k % 4]
-    if ell >= 0:
-        return base * ring.mu ** ell
-    return base * ring.mu_inv ** (-ell)
+    return _i_powers(ring)[k % 4] * _quad_unit_from_normal_form(ring.quad, 1, ell)
 
 
 def units_up_to_height(ring: QuarticRing, height: int) -> list[QuarticInt]:

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from simsub import catalog, cli, cubic, lattice
@@ -232,6 +233,20 @@ def test_units_command(capsys):
     payload = json.loads(out)
     assert payload["all_decomposed"] is True
     assert payload["units_found"] > 0
+
+
+def test_units_height_over_the_scan_ceiling_is_usage_error(capsys):
+    # 2001^4 vectors would take years; the ceiling refuses before the scan
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "units", "--ring", "itau", "--height", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    # the default height is under the ceiling, with the output it always had
+    code, out, _ = run_cli(capsys, "units", "--ring", "tau", "--height", "50")
+    assert code == 0
+    assert out == '{"ring":"tau","height":50,"units_found":36,"all_decomposed":true}\n'
 
 
 def test_coeffs_f_cubic_25000(capsys):

@@ -3,7 +3,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simsub import quadratic
 from simsub.errors import InvariantViolation
@@ -106,6 +106,15 @@ def test_unit_normal_form_examples():
     assert unit_normal_form(tau(-1, 0)) == (-1, 0)
     with pytest.raises(ValueError):
         unit_normal_form(tau(2, 0))
+
+
+@pytest.mark.parametrize("ring", (TAU, SQRT2))
+def test_unit_normal_form_past_the_old_step_cap(ring):
+    # exponents far past 10^5 still take O(1) steps of the unit walk
+    fund = ring.fundamental_unit
+    assert unit_normal_form(fund ** 110000) == (1, 110000)
+    assert unit_normal_form(-fund ** -250000) == (-1, -250000)
+    assert canonical_associate(3 * fund ** 250000) == ring.from_int(3)
 
 
 def test_unit_scan_roundtrip_small():
@@ -263,12 +272,66 @@ def test_norm_is_multiplicative(data, ring):
     assert (x * y).norm() == x.norm() * y.norm()
 
 
-@given(st.data(), _rings, st.integers(-20, 20), st.sampled_from((1, -1)))
+@settings(deadline=None)
+@given(st.data(), _rings, st.integers(-10 ** 4, 10 ** 4), st.sampled_from((1, -1)))
 def test_canonical_associate_idempotent_and_unit_invariant(data, ring, k, sign):
     x = data.draw(_elements(ring, nonzero=True))
     c = canonical_associate(x)
     assert canonical_associate(c) == c
     assert canonical_associate(x * ring.fundamental_unit ** k * sign) == c
+
+
+@settings(deadline=None)
+@given(_rings, st.sampled_from((1, -1)), st.integers(-10 ** 4, 10 ** 4))
+@example(TAU, 1, 10 ** 4)
+@example(SQRT2, -1, -10 ** 4)
+def test_unit_normal_form_roundtrip(ring, sign, exponent):
+    assert unit_normal_form(unit_from_normal_form(ring, sign, exponent)) == (sign, exponent)
+
+
+@pytest.mark.parametrize("ring", (TAU, SQRT2))
+def test_canonical_associate_at_the_window_edges(ring):
+    fund = ring.fundamental_unit
+    three = ring.from_int(3)
+    # embedding ratio exactly 1 is inside the window [1, fund^4)
+    assert is_canonical_associate(three) and canonical_associate(three) == three
+    # ratio exactly fund^4 is outside, and so is exactly fund^-4
+    for x in (three * fund ** 2, three * fund ** -2):
+        assert not is_canonical_associate(x)
+        assert canonical_associate(x) == three
+    # the window test alone, on either side of both edges
+    assert quadratic._window_side(three) == 0
+    assert quadratic._window_side(three * fund ** 2) == 1
+    assert quadratic._window_side(three * fund ** -2) == -1
+    assert quadratic._window_side(three * fund ** 2 + 1) == 0
+
+
+@pytest.mark.parametrize("ring", (TAU, SQRT2))
+@pytest.mark.parametrize("error", (-1, 1))
+def test_unit_walk_corrects_a_jump_off_by_one(monkeypatch, ring, error):
+    # the ratios of these elements are far from the powers of fund^4, so
+    # the estimate is exact and the patch moves it by exactly one step
+    fund = ring.fundamental_unit
+    xs = [QuadInt(a, b, ring) * fund ** e
+          for a, b in ((7, 4), (2, -9), (11, 1)) for e in (-9, -2, 3, 8, 41)]
+    want = [canonical_associate(x) for x in xs]
+    estimate = quadratic._ratio_steps
+    monkeypatch.setattr(quadratic, "_ratio_steps", lambda x: estimate(x) + error)
+    assert [canonical_associate(x) for x in xs] == want
+
+
+@pytest.mark.parametrize("ring", (TAU, SQRT2))
+@pytest.mark.parametrize("error", (-2, 2))
+def test_unit_walk_raises_when_the_jump_is_off_by_two(monkeypatch, ring, error):
+    # the proven bound allows one corrective step; a worse estimate must
+    # raise, not loop and not return a wrong associate
+    estimate = quadratic._ratio_steps
+    monkeypatch.setattr(quadratic, "_ratio_steps", lambda x: estimate(x) + error)
+    fund = ring.fundamental_unit
+    with pytest.raises(InvariantViolation):
+        canonical_associate(3 * fund ** 10)
+    with pytest.raises(InvariantViolation):
+        unit_normal_form(fund ** -10)
 
 
 @given(st.data(), _rings)

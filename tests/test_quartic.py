@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simsub import quartic
 from simsub.errors import InvariantViolation
@@ -134,11 +134,16 @@ def test_unit_normal_form_examples():
     assert quartic_unit_normal_form(-ITAU.one()) == (2, 0)
     lam = ISQRT2.mu
     assert quartic_unit_normal_form(ISQRT2.i() * lam ** 3) == (1, 3)
+    # rel_norm(mu^60000) = tau^120000, far past 10^5 unit steps
+    assert quartic_unit_normal_form(ITAU.mu ** 60000) == (0, 60000)
     with pytest.raises(ValueError):
         quartic_unit_normal_form(ITAU.from_int(2))
 
 
-@given(st.sampled_from((ITAU, ISQRT2)), st.integers(0, 3), st.integers(-40, 40))
+@settings(deadline=None)
+@given(st.sampled_from((ITAU, ISQRT2)), st.integers(0, 3), st.integers(-10 ** 4, 10 ** 4))
+@example(ITAU, 3, -10 ** 4)
+@example(ISQRT2, 1, 10 ** 4)
 def test_unit_normal_form_roundtrip(ring, k, ell):
     u = unit_from_normal_form(ring, k, ell)
     assert quartic_unit_normal_form(u) == (k, ell)
