@@ -30,12 +30,13 @@ den as s / g, and R1 @ R2 is mat1 mat2 over den1 den2 with their gcd
 divided out, so no fraction arithmetic is done anywhere.
 
 "den is least" and "q is primitive" both say that no prime divides every
-one of some elements.  Rotation3 and QuatTau decide it by
-quadratic.coprime: a prime dividing them all divides every norm, so an
-integer gcd of the norms settles almost every case, and the ring gcd runs
-only when the norms share a factor.  The enumeration still takes the ring
-content of each listed q.  A denominator is made canonical, and its
-entries with it, by the unit quadratic.canonical_unit returns.
+one of some elements, and R1 @ R2 divides out exactly such a common
+factor.  All three are one call of quadratic.gcd on any number of
+elements: a prime dividing them all divides every norm, so an integer gcd
+of the norms of 1 settles almost every case at once, and otherwise one
+Euclidean descent over the elements is made canonical by one unit walk.
+A denominator is made canonical, and its entries with it, by the unit
+quadratic.canonical_unit returns.
 
 Submodules come in cosets of the cube's rotation group.  Let P be one of
 the 24 signed permutation matrices of determinant 1.  P is integral with
@@ -67,7 +68,8 @@ from typing import Mapping, Sequence
 from .dirichlet import divisors, icbrt
 from .errors import InvariantViolation
 from .lattice import Ambient, EnumerationBudgetExceeded, Submodule, column_hnf, hnf_canonical
-from .quadratic import (
+# canonical_associate is unused here; perfbench/tracer.py patches it by name.
+from .quadratic import (  # noqa: F401
     QuadInt,
     TAU,
     canonical_associate,
@@ -161,7 +163,7 @@ class Rotation3:
         d = self.den * other.den
         prod = [sum((self.mat[i][k] * other.mat[k][j] for k in range(3)), d.ring.zero())
                 for i in range(3) for j in range(3)]
-        g = _content((d, *prod))
+        g = qgcd(d, *prod)
         return _canonical_rotation([exact_div(e, g) for e in prod], exact_div(d, g))
 
     def is_integral(self) -> bool:
@@ -232,19 +234,10 @@ class QuatTau:
             raise ValueError("quaternion is not primitive")
 
     def content(self) -> QuadInt:
-        return _content(self.components)
+        return qgcd(*self.components)
 
     def norm_sq(self) -> QuadInt:
         return sum((c * c for c in self.components), TAU.zero())
-
-
-def _content(components: Sequence[QuadInt]) -> QuadInt:
-    """Canonical gcd of the nonzero components."""
-    g = None
-    for c in components:
-        if c:
-            g = c if g is None else qgcd(g, c)
-    return canonical_associate(g)
 
 
 def _euler_rodrigues(q) -> list[tuple[int, int]]:
@@ -395,7 +388,7 @@ def _primitive_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, 
                 out.append((x0, x1, x2, x3))
                 if x3 and (x0 or x1 or x2):
                     out.append((x0, x1, x2, -x3))
-    return [q for q in out if _content(q) == TAU.one()]
+    return [q for q in out if qgcd(*q) == TAU.one()]
 
 
 def _form_content(s: QuadInt, m) -> int:

@@ -107,6 +107,15 @@ def _pair_divmod(x: tuple[int, int], y: tuple[int, int], c1: int, c0: int):
     return (qa, qb), (xa - qa * ya - c0 * t, xb - qa * yb - qb * ya - c1 * t)
 
 
+def _int_text(n: int) -> str:
+    """str(n), or n by its bit length past Python's int-to-str digit limit,
+    so that the messages built from it never raise in its place."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' * (n < 0)}<{n.bit_length()}-bit int>"
+
+
 @dataclass(frozen=True)
 class QuadInt:
     """a + b*w in a QuadRing, exact."""
@@ -206,7 +215,7 @@ class QuadInt:
 
     def __repr__(self) -> str:
         w = "tau" if self.ring.name == "tau" else "sqrt2"
-        return f"({self.a}{self.b:+}*{w})"
+        return f"({_int_text(self.a)}{'+' * (self.b >= 0)}{_int_text(self.b)}*{w})"
 
 
 def norm(x: QuadInt) -> int:
@@ -372,30 +381,43 @@ def unit_from_normal_form(ring: QuadRing, sign: int, exponent: int) -> QuadInt:
     return u if sign == 1 else -u
 
 
-def gcd(x: QuadInt, y: QuadInt) -> QuadInt:
-    """Greatest common divisor, normalized to the canonical associate.
+def gcd(x: QuadInt, *rest: QuadInt) -> QuadInt:
+    """Greatest common divisor of any number of elements, as the canonical
+    associate; ValueError if every element is zero.
 
-    Euclidean descent with nearest-integer quotients (_pair_divmod, the
-    rule of QuadInt.__divmod__) on (a, b) pairs; both rings satisfy
-    |norm(x mod y)| < |norm(y)| under that rounding.  Each step checks
-    that bound, so a faulty division raises InvariantViolation instead
-    of looping forever.
+    Proof of the norm shortcut: a prime pi dividing every element makes
+    N(pi), with |N(pi)| > 1, divide every norm.  So when math.gcd of the
+    norms is 1 no prime divides them all, the gcd is a unit, and the
+    canonical associate of a unit is 1 (see unit_normal_form).
+
+    Otherwise the Euclidean descent with nearest-integer quotients
+    (_pair_divmod, the rule of QuadInt.__divmod__) folds over the elements
+    on (a, b) pairs; both rings satisfy |norm(x mod y)| < |norm(y)| under
+    that rounding.  Each step checks that bound, so a faulty division
+    raises InvariantViolation instead of looping forever.  The result is
+    made canonical once, at the end.
     """
     ring = x.ring
-    if ring != y.ring:
+    if any(y.ring != ring for y in rest):
         raise ValueError("mixed-ring operands")
-    if not x and not y:
-        raise ValueError("gcd(0, 0) is undefined")
+    if math.gcd(x.norm(), *(y.norm() for y in rest)) == 1:
+        return ring.one()
     c1, c0 = ring.c1, ring.c0
-    x, y = (x.a, x.b), (y.a, y.b)
-    size = abs(pair_norm(y, c1, c0))
-    while y != (0, 0):
-        r = _pair_divmod(x, y, c1, c0)[1]
-        r_size = abs(pair_norm(r, c1, c0))
-        if r_size >= size:
-            raise InvariantViolation(f"remainder {r} of {x} by {y} does not shrink the norm")
-        x, y, size = y, r, r_size
-    return canonical_associate(QuadInt(x[0], x[1], ring))
+    g = (x.a, x.b)
+    for y in rest:
+        y = (y.a, y.b)
+        size = abs(pair_norm(y, c1, c0))
+        while y != (0, 0):
+            r = _pair_divmod(g, y, c1, c0)[1]
+            r_size = abs(pair_norm(r, c1, c0))
+            if r_size >= size:
+                r, g, y = (QuadInt(*p, ring) for p in (r, g, y))
+                raise InvariantViolation(
+                    f"remainder {r!r} of {g!r} by {y!r} does not shrink the norm")
+            g, y, size = y, r, r_size
+    if g == (0, 0):
+        raise ValueError("gcd of zeros is undefined")
+    return canonical_associate(QuadInt(g[0], g[1], ring))
 
 
 def exact_div(x: QuadInt, y: QuadInt) -> QuadInt:
@@ -406,23 +428,11 @@ def exact_div(x: QuadInt, y: QuadInt) -> QuadInt:
 
 
 def coprime(elements: Iterable[QuadInt]) -> bool:
-    """Whether no prime divides every nonzero element; ValueError if none is nonzero.
-
-    A prime pi dividing them all would make N(pi) divide every norm, so a
-    norm gcd of 1 settles it; only when the norms share a factor is the
-    gcd taken in the ring.
-    """
-    nonzero = [x for x in elements if x]
-    if not nonzero:
+    """Whether no prime divides every element; ValueError if none is nonzero."""
+    elements = tuple(elements)
+    if not elements:
         raise ValueError("coprime() needs a nonzero element")
-    if math.gcd(*(x.norm() for x in nonzero)) == 1:
-        return True
-    g = nonzero[0]
-    for x in nonzero[1:]:
-        g = gcd(g, x)
-        if g.is_unit():
-            return True
-    return False
+    return gcd(*elements) == elements[0].ring.one()
 
 
 def pair_mul(x: tuple[int, int], y: tuple[int, int], c1: int, c0: int) -> tuple[int, int]:

@@ -234,6 +234,21 @@ def test_integer_cube_root_is_exact():
         assert icbrt(r ** 3 - 1) == r - 1
 
 
+def test_integer_cube_root_past_the_float_range():
+    # 10^600 overflows a float; the search starts from the bit length
+    assert icbrt(10 ** 600) == 10 ** 200
+    assert icbrt(10 ** 600 - 1) == 10 ** 200 - 1
+    for k in (52, 53, 54):  # both sides of the switch to integer steps
+        for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            assert icbrt(n) ** 3 <= n < (icbrt(n) + 1) ** 3
+
+
+def test_integer_cube_root_rejects_negative_input():
+    for n in (-1, -8, -10 ** 600):
+        with pytest.raises(ValueError):
+            icbrt(n)
+
+
 def test_f_cubic_internal_consistency_at_8000():
     # coefficient at 20^3 must assemble from the catalog's own pieces
     z = zeta_q_tau(20)

@@ -511,7 +511,8 @@ def test_primitive_quaternions_match_brute_force():
             if (sum(squares[c].a for c in q) == s.a
                     and sum(squares[c].b for c in q) == s.b
                     and sign_embedding(next(c for c in q if c)) > 0
-                    and cubic._content(q) == TAU.one()):
+                    and not any(all(not c % pi for c in q)
+                                for pi, _ in prime_factors(next(c for c in q if c)))):
                 expected.add(q)
         got = cubic._primitive_quaternions(s)
         assert len(got) == len(set(got)) and set(got) == expected, s
@@ -649,6 +650,15 @@ def test_enumeration_budget_refuses_before_enumerating(monkeypatch):
         rotation_counts(10 ** 6)
     with pytest.raises(EnumerationBudgetExceeded):
         count_submodules_3d(1000 ** 3)
+    assert cubic._norm_cache == {}
+
+
+def test_enumeration_budget_refuses_a_cube_past_the_float_range(monkeypatch):
+    # the cube root of 8 * 10^600 is taken exactly, then the budget refuses
+    monkeypatch.setattr(cubic, "_norm_cache", {})
+    monkeypatch.setattr(cubic, "_rotations_of_norm", _no_enumeration)
+    with pytest.raises(EnumerationBudgetExceeded):
+        count_submodules_3d(8 * 10 ** 600)
     assert cubic._norm_cache == {}
 
 

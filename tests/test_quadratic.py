@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 import random
 
@@ -24,6 +25,7 @@ from simsub.quadratic import (
     sign_embedding,
     splitting_class,
     unit_from_normal_form,
+    unit_inverse,
     unit_normal_form,
     units_up_to_height,
 )
@@ -371,7 +373,7 @@ def test_coprime_matches_ring_gcd_chain(ring, common, parts):
         return
     g = ring.zero()
     for x in nonzero:
-        g = gcd(g, x)
+        g = gcd_by_quadint(g, x)
     assert coprime(elements) == g.is_unit()
 
 
@@ -428,6 +430,45 @@ def test_pair_gcd_matches_quadint_reference(ring, xp, yp):
             gcd(x, y)
 
 
+@given(_rings, _pairs, st.lists(_pairs, min_size=1, max_size=5))
+@example(TAU, (1, 0), [(3, 1), (4, -1)])            # norms 11, 11: a unit by descent
+@example(SQRT2, (1, 0), [(3, 1), (3, -1), (7, 0)])  # norms 7, 7, 49: a unit by descent
+@example(TAU, (2, 0), [(1, 0), (0, 1), (5, 3)])     # 2 by descent
+@example(SQRT2, (3, 1), [(1, 0), (3, -1)])          # 3 + sqrt2 by descent
+@example(TAU, (1, 0), [(2, 0), (3, 1)])             # norms 4, 11: the shortcut
+@example(SQRT2, (5, 2), [(0, 0)])                   # all zero
+def test_gcd_of_many_matches_the_folded_reference(ring, common, parts):
+    # a common factor makes shared primes, and so the Euclidean branch, frequent
+    c = QuadInt(*common, ring)
+    xs = [c * QuadInt(a, b, ring) for a, b in parts]
+    want = ring.zero()
+    for x in xs:
+        want = gcd_by_quadint(want, x)
+    walks = []
+    walk = quadratic._canonical_walk
+
+    def counted(x):
+        walks.append(x)
+        return walk(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadratic, "_canonical_walk", counted)
+        if not want:
+            with pytest.raises(ValueError):
+                gcd(*xs)
+            return
+        got = gcd(*xs)
+    assert got == want
+    # one walk at most, and none when the norms are coprime
+    assert len(walks) == (math.gcd(*(x.norm() for x in xs)) != 1)
+
+
+def test_coprime_rejects_no_nonzero_element():
+    for elements in ([], (), iter(()), [TAU.zero(), TAU.zero()]):
+        with pytest.raises(ValueError):
+            coprime(elements)
+
+
 def test_gcd_rejects_mixed_rings():
     with pytest.raises(ValueError):
         gcd(tau(2, 1), rt2(2, 1))
@@ -450,5 +491,49 @@ def test_gcd_raises_when_the_remainder_does_not_shrink(monkeypatch):
     for ring in (TAU, SQRT2):
         calls.clear()
         with pytest.raises(InvariantViolation):
-            gcd(QuadInt(7, 3, ring), QuadInt(2, 1, ring))
+            # norms share a factor (5 in Z[tau], 2 in Z[sqrt2]), so the
+            # Euclidean branch runs rather than the norm shortcut
+            gcd(QuadInt(7, 3, ring) * QuadInt(2, 1, ring), QuadInt(2, 1, ring))
         assert len(calls) == 1
+
+
+# fund^30000 has coefficients past Python's default limit of 4300 digits
+# for int-to-str conversion; the messages show such coefficients by their
+# bit length instead of raising that limit's own ValueError.
+_COEF = r"(?:<\d+-bit int>|\d+)"
+_ELEMENT = rf"\(-?{_COEF}[+-]{_COEF}\*(?:tau|sqrt2)\)"
+
+
+def test_unit_normal_form_message_survives_huge_operands():
+    x = 2 * TAU.fundamental_unit ** 30000
+    with pytest.raises(ValueError, match=rf"^not a unit: {_ELEMENT}$"):
+        unit_normal_form(x)
+
+
+def test_unit_inverse_message_survives_huge_operands():
+    x = 2 * SQRT2.fundamental_unit ** 30000
+    with pytest.raises(ValueError, match=rf"^not a unit: {_ELEMENT}$"):
+        unit_inverse(x)
+
+
+def test_exact_div_message_survives_huge_operands():
+    x = 3 * TAU.fundamental_unit ** 30000 + 1
+    with pytest.raises(ValueError, match=rf"^3 does not divide {_ELEMENT}$"):
+        exact_div(x, 3)
+
+
+def test_gcd_shrink_message_survives_huge_operands(monkeypatch):
+    monkeypatch.setattr(quadratic, "_pair_divmod", lambda x, y, c1, c0: ((0, 0), y))
+    x = 5 * TAU.fundamental_unit ** 30000
+    with pytest.raises(InvariantViolation, match=rf"^remainder {_ELEMENT} of {_ELEMENT} "
+                                                 rf"by {_ELEMENT} does not shrink the norm$"):
+        gcd(x, TAU.from_int(5))
+
+
+def test_int_text_falls_back_to_the_bit_length():
+    big = 10 ** 5000
+    assert quadratic._int_text(big) == f"<{big.bit_length()}-bit int>"
+    assert quadratic._int_text(-big) == f"-<{big.bit_length()}-bit int>"
+    assert quadratic._int_text(-7) == "-7"
+    assert repr(QuadInt(2, -3, TAU)) == "(2-3*tau)"
+    assert repr(QuadInt(-2, 0, SQRT2)) == "(-2+0*sqrt2)"
