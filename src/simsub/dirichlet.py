@@ -61,28 +61,17 @@ def divisors(n: int) -> list[int]:
 def icbrt(n: int) -> int:
     """Largest r with r^3 <= n, for n >= 0; ValueError for n < 0.
 
-    Below 2^53, where n is an exact float, the float cube root is off by
-    less than one and is corrected exactly.  Past that, integer Newton
-    steps r -> (2r + n // r^2) // 3 start from 2^ceil(bits/3) > cbrt(n).
-    By AM-GM no step goes below floor(cbrt(n)), and while r^3 > n each
-    step strictly lowers r, so the first step that does not lower r
-    leaves r = floor(cbrt(n)).
+    Integer Newton steps r -> (2r + n // r^2) // 3 start from
+    2^ceil(bits/3) > cbrt(n).  By AM-GM no step goes below floor(cbrt(n)),
+    and while r^3 > n each step strictly lowers r, so the loop stops at
+    r = floor(cbrt(n)).
     """
     if n < 0:
         raise ValueError(f"icbrt needs n >= 0, got {n}")
-    if n < 1 << 53:
-        r = round(n ** (1 / 3))
-        while r ** 3 > n:
-            r -= 1
-        while (r + 1) ** 3 <= n:
-            r += 1
-        return r
     r = 1 << -(-n.bit_length() // 3)
-    while True:
-        s = (2 * r + n // (r * r)) // 3
-        if s >= r:
-            return r
-        r = s
+    while r ** 3 > n:
+        r = (2 * r + n // (r * r)) // 3
+    return r
 
 
 @dataclass(frozen=True)

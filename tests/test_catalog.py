@@ -229,16 +229,16 @@ def test_integer_cube_root_is_exact():
             if n >= 0:
                 assert icbrt(n) ** 3 <= n < (icbrt(n) + 1) ** 3
     for r in (10 ** 6, 10 ** 15 + 7):
-        # the float guess may be off by one at large cubes; the exact steps correct it
+        # exact at large cubes and one below them
         assert icbrt(r ** 3) == r
         assert icbrt(r ** 3 - 1) == r - 1
 
 
 def test_integer_cube_root_past_the_float_range():
-    # 10^600 overflows a float; the search starts from the bit length
+    # 10^600 overflows a float, so no float step may enter the search
     assert icbrt(10 ** 600) == 10 ** 200
     assert icbrt(10 ** 600 - 1) == 10 ** 200 - 1
-    for k in (52, 53, 54):  # both sides of the switch to integer steps
+    for k in (52, 53, 54):  # around the largest exact float
         for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
             assert icbrt(n) ** 3 <= n < (icbrt(n) + 1) ** 3
 
