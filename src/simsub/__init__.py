@@ -26,6 +26,7 @@ from .cubic import (
     quat_to_rotation,
     rotation_counts,
     similarity_index,
+    verify_cubic,
     verify_rotation_counts,
 )
 from .dirichlet import (

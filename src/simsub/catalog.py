@@ -73,7 +73,6 @@ class SeriesName(Enum):
 class CatalogEntry:
     name: SeriesName
     series: CoeffSeries
-    note: str
 
     def __post_init__(self):
         if self.series.coeffs[0] != 1:
@@ -183,13 +182,13 @@ def sigma1(m: int) -> int:
 
 
 _BUILDERS = {
-    SeriesName.ZETA_Q_TAU: (zeta_q_tau, "local factors by residue mod 5"),
-    SeriesName.ZETA_Q_ITAU: (zeta_q_itau, "local factors by residue mod 20"),
-    SeriesName.ZETA_ZI_SQRT2: (zeta_zi_sqrt2, "xi_8 local factors; (1 - t + 2t^2)/(1 - t) at 2"),
-    SeriesName.ZETA_Q_XI8: (zeta_q_xi8, "local factors by residue mod 8"),
-    SeriesName.PHI_C: (phi_c, "local factors by residue mod 5; (1 + 4t^2)/(1 - 4t^2) at 2"),
-    SeriesName.F_CUBIC: (f_cubic, "zeta_q_tau times phi_c local factors, at s -> 3s"),
-    SeriesName.RIEMANN_ZETA: (riemann_zeta, "local factor 1/(1 - t) at every prime"),
+    SeriesName.ZETA_Q_TAU: zeta_q_tau,
+    SeriesName.ZETA_Q_ITAU: zeta_q_itau,
+    SeriesName.ZETA_ZI_SQRT2: zeta_zi_sqrt2,
+    SeriesName.ZETA_Q_XI8: zeta_q_xi8,
+    SeriesName.PHI_C: phi_c,
+    SeriesName.F_CUBIC: f_cubic,
+    SeriesName.RIEMANN_ZETA: riemann_zeta,
 }
 
 # Stable identifiers accepted on the command line.
@@ -198,5 +197,4 @@ CLI_SERIES = tuple(name.value for name in SeriesName if name is not SeriesName.R
 
 def catalog_entry(name: str | SeriesName, limit: int) -> CatalogEntry:
     key = name if isinstance(name, SeriesName) else SeriesName(name)
-    builder, note = _BUILDERS[key]
-    return CatalogEntry(key, builder(limit), note)
+    return CatalogEntry(key, _BUILDERS[key](limit))

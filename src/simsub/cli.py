@@ -32,6 +32,11 @@ _AMBIENTS = {
 # minutes) rather than report bad input.
 MAX_TABLE_LIMIT = 10 ** 7
 
+# Most bases `enumerate --filter all` lists.  A listed basis costs about 1 KB
+# of peak memory, so the 9.4 million bases of Z[i,tau] index 211, under the
+# default --max-candidates, would need about 9.6 GB.
+MAX_LISTED_BASES = 10 ** 6
+
 # Most coefficient vectors `units` scans, (2 * height + 1) ** rank.  The
 # default heights scan 101^2 (rank 2) and 17^4 = 83,521 (rank 4) vectors; a
 # vector costs 1-2 us at rank 2 and 9-12 us at rank 4 on a 2-core x86 host.
@@ -97,11 +102,14 @@ def cmd_summatory(args) -> int:
 
 def cmd_enumerate(args) -> int:
     ambient = _AMBIENTS[args.ambient]
-    if args.filter == "principal" and lattice.ambient_rank(ambient) != 4:
+    rank = lattice.ambient_rank(ambient)
+    if args.filter == "principal" and rank != 4:
         raise UsageError("--filter principal needs a rank-4 ring ambient")
     if args.filter == "all":
-        subs = lattice.hnf_sublattices(lattice.ambient_rank(ambient), args.index,
-                                       ambient, args.max_candidates)
+        if lattice.hnf_candidates_over(rank, args.index, MAX_LISTED_BASES):
+            raise UsageError(f"--filter all would list more bases than the ceiling "
+                             f"{MAX_LISTED_BASES}")
+        subs = lattice.hnf_sublattices(rank, args.index, ambient, args.max_candidates)
     else:
         subs = lattice.list_ideals(ambient, args.index, args.max_candidates)
         if args.filter == "principal":
@@ -132,25 +140,11 @@ def cmd_verify(args) -> int:
 
 
 def _verify_cubic(args) -> int:
-    bound = args.limit
-    cubic.check_rotation_budget(bound)
-    phi = catalog.phi_c(bound)
-    expected = {m: 24 * phi.a(m) for m in range(1, bound + 1)}
-    report = cubic.verify_rotation_counts(bound, expected)
-    print(f"rotation counts vs 24 * phi-c, |N(den)| <= {bound}: {report.summary()}")
-    ok = report.ok
-    fc = catalog.f_cubic(bound ** 3)
-    rows = []
-    for n in range(1, bound + 1):
-        got = cubic.count_submodules_3d(n ** 3)
-        want = fc.a(n ** 3)
-        rows.append((n ** 3, got, want))
-    mismatches = [r for r in rows if r[1] != r[2]]
-    print(f"submodule counts vs f-cubic at cubes up to {bound ** 3}: "
-          f"{len(rows) - len(mismatches)}/{len(rows)} match")
-    for m, got, want in mismatches:
-        print(f"  index {m}: oracle {got} != expected {want}")
-    return 0 if ok and not mismatches else 1
+    rotations, submodules = cubic.verify_cubic(args.limit)
+    print(f"rotation counts vs 24 * phi-c, |N(den)| <= {args.limit}: {rotations.summary()}")
+    print(f"submodule counts vs f-cubic at cubes up to {args.limit ** 3}: "
+          f"{submodules.summary()}")
+    return 0 if rotations.ok and submodules.ok else 1
 
 
 def cmd_rotations(args) -> int:

@@ -65,9 +65,11 @@ import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import catalog
 from .dirichlet import divisors, icbrt
 from .errors import InvariantViolation
-from .lattice import Ambient, EnumerationBudgetExceeded, Submodule, column_hnf, hnf_canonical
+from .lattice import (Ambient, EnumerationBudgetExceeded, OracleReport, Submodule, column_hnf,
+                      hnf_canonical)
 # canonical_associate is unused here; perfbench/tracer.py patches it by name.
 from .quadratic import (  # noqa: F401
     QuadInt,
@@ -232,9 +234,6 @@ class QuatTau:
             raise ValueError("zero quaternion")
         if not coprime(self.components):
             raise ValueError("quaternion is not primitive")
-
-    def content(self) -> QuadInt:
-        return qgcd(*self.components)
 
     def norm_sq(self) -> QuadInt:
         return sum((c * c for c in self.components), TAU.zero())
@@ -482,35 +481,33 @@ def rotation_counts(bound: int) -> dict[int, int]:
     return {n: len(rots) for n, rots in _rotations_by_norm(bound).items()}
 
 
-@dataclass(frozen=True)
-class RotationCountReport:
-    bound: int
-    rows: tuple[tuple[int, int, int], ...]  # (norm, found, expected)
+def verify_rotation_counts(bound: int, expected: Mapping[int, int]) -> OracleReport:
+    """Compare the rotation count per denominator norm to an expected profile.
 
-    @property
-    def mismatches(self):
-        return tuple(r for r in self.rows if r[1] != r[2])
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        matched = len(self.rows) - len(self.mismatches)
-        # The wording is part of the stable output; 16 = N(4) is the proven
-        # bound on |N(|q|^2)| / |N(den R)| (module docstring).
-        text = f"{matched}/{len(self.rows)} match (scan factor 16)"
-        if self.mismatches:
-            text += "".join(f"\n  |N(den)|={m}: found {got} != expected {want}"
-                            for m, got, want in self.mismatches)
-        return text
-
-
-def verify_rotation_counts(bound: int, expected: Mapping[int, int]) -> RotationCountReport:
-    """Compare the rotation count per denominator norm to an expected profile."""
+    The scan factor 16 in the report is N(4), the proven bound on
+    |N(|q|^2)| / |N(den R)| (module docstring).
+    """
     counts = rotation_counts(bound)
     rows = tuple((m, counts[m], expected.get(m, 0)) for m in range(1, bound + 1))
-    return RotationCountReport(bound, rows)
+    return OracleReport("cubic3", bound, rows, "|N(den)|={}: found {} != expected {}",
+                        " (scan factor 16)")
+
+
+def verify_cubic(bound: int) -> tuple[OracleReport, OracleReport]:
+    """The cubic3 oracles against the catalog, for |N(den)| and n up to the bound.
+
+    Rotation counts per denominator norm against 24 * phi-c, then the
+    submodule counts at the cubes n^3 against f-cubic.  The rotation
+    budget is checked before any coefficient table is built.
+    """
+    check_rotation_budget(bound)
+    phi = catalog.phi_c(bound)
+    rotations = verify_rotation_counts(bound, {m: 24 * phi.a(m) for m in range(1, bound + 1)})
+    fc = catalog.f_cubic(bound ** 3)
+    rows = tuple((n ** 3, count_submodules_3d(n ** 3), fc.a(n ** 3))
+                 for n in range(1, bound + 1))
+    return rotations, OracleReport("cubic3", bound ** 3, rows,
+                                   "index {}: oracle {} != expected {}")
 
 
 def _coset_key(rot: Rotation3):

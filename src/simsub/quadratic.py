@@ -218,14 +218,6 @@ class QuadInt:
         return f"({_int_text(self.a)}{'+' * (self.b >= 0)}{_int_text(self.b)}*{w})"
 
 
-def norm(x: QuadInt) -> int:
-    return x.norm()
-
-
-def conj(x: QuadInt) -> QuadInt:
-    return x.conj()
-
-
 def is_unit(x: QuadInt) -> bool:
     return x.is_unit()
 

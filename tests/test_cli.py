@@ -82,7 +82,24 @@ def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
                         lambda *args, **kwargs: fake)
     code, out, _ = run_cli(capsys, "verify", "--module", "ztau", "--limit", "2")
     assert code == 1
-    assert "1/2 match" in out
+    assert out == "1/2 match\n  m=2: oracle 1 != expected 0\n"
+
+
+def test_verify_cubic3_mismatch_output(capsys, monkeypatch):
+    # one rotation count and one submodule count forced wrong: both tables
+    # report their mismatch row, each in its own wording
+    rotation_counts = cubic.rotation_counts
+    count_submodules_3d = cubic.count_submodules_3d
+    monkeypatch.setattr(cubic, "rotation_counts",
+                        lambda bound: {**rotation_counts(bound), 4: 193})
+    monkeypatch.setattr(cubic, "count_submodules_3d",
+                        lambda m: count_submodules_3d(m) + (m == 8))
+    code, out, _ = run_cli(capsys, "verify", "--module", "cubic3", "--limit", "4")
+    assert code == 1
+    assert out == ("rotation counts vs 24 * phi-c, |N(den)| <= 4: 3/4 match (scan factor 16)\n"
+                   "  |N(den)|=4: found 193 != expected 192\n"
+                   "submodule counts vs f-cubic at cubes up to 64: 3/4 match\n"
+                   "  index 8: oracle 1 != expected 0\n")
 
 
 def test_verify_budget_guard_is_usage_error(capsys):
@@ -218,6 +235,46 @@ def test_budget_guards_run_before_any_table(capsys, monkeypatch):
             assert "ceiling" in err
 
 
+def test_huge_index_is_refused_without_counting_candidates(capsys, monkeypatch):
+    # the diagonal (m, 1, ..., 1) alone holds m^(rank-1) candidates, so the
+    # budget refuses before walking the ordered diagonals of m; m^3 of a
+    # 4,000-digit index is past the int-to-str limit, so no message may print it
+    def no_count(*args):
+        raise AssertionError("candidates counted past the cheap bound")
+
+    monkeypatch.setattr(lattice, "hnf_candidate_count", no_count)
+    for index in (10 ** 400, 10 ** 4000):
+        for ambient in ("ztau", "zitau"):
+            for filt in ("all", "ideals", "principal"):
+                start = time.perf_counter()
+                code, out, err = run_cli(capsys, "enumerate", "--ambient", ambient,
+                                         "--index", str(index), "--filter", filt)
+                assert time.perf_counter() - start < 1.0
+                assert code == 2, (ambient, filt)
+                assert out == ""
+                # Z[tau] has no principal filter, which is refused first
+                word = "rank-4" if (ambient, filt) == ("ztau", "principal") else "ceiling"
+                assert word in err, (ambient, filt, index)
+
+
+def test_listing_ceiling_is_usage_error_before_enumerating(capsys, monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("bases enumerated before the listing ceiling check")
+
+    monkeypatch.setattr(lattice, "hnf_sublattices", no_listing)
+    # 9,438,664 bases (the cheap bound refuses), and sigma_1(10^6) = 2,480,437
+    for ambient, index in (("zitau", 211), ("ztau", 10 ** 6)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "enumerate", "--ambient", ambient,
+                                 "--index", str(index), "--filter", "all")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2, ambient
+        assert out == ""
+        assert "ceiling" in err, ambient
+    # Z[i,tau] index 48 (472,440 bases, about 0.5 GB) stays under the ceiling
+    assert not lattice.hnf_candidates_over(4, 48, cli.MAX_LISTED_BASES)
+
+
 def test_principal_filter_on_ztau_is_usage_error(capsys):
     for index in ("2", "4"):
         code, out, err = run_cli(capsys, "enumerate", "--ambient", "ztau",
@@ -286,7 +343,7 @@ def test_coeffs_output_with_negative_coefficients(capsys, monkeypatch):
     mu = dirichlet_inverse(catalog.riemann_zeta(100))
     assert min(mu.coeffs) < 0
     monkeypatch.setattr(catalog, "catalog_entry", lambda name, limit:
-                        catalog.CatalogEntry(catalog.SeriesName(name), mu, "Moebius"))
+                        catalog.CatalogEntry(catalog.SeriesName(name), mu))
     for fmt in ("json", "csv"):
         code, out, _ = run_cli(capsys, "coeffs", "--series", "zeta-qtau",
                                "--limit", "100", "--format", fmt)
