@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import traceback
@@ -32,9 +31,10 @@ _AMBIENTS = {
 # minutes) rather than report bad input.
 MAX_TABLE_LIMIT = 10 ** 7
 
-# Most bases `enumerate --filter all` lists.  A listed basis costs about 1 KB
-# of peak memory, so the 9.4 million bases of Z[i,tau] index 211, under the
-# default --max-candidates, would need about 9.6 GB.
+# Most bases `enumerate --filter all` lists.  A listed basis costs about 0.5 KB
+# of peak memory (its Submodule; the output is written basis by basis), so the
+# 9.4 million bases of Z[i,tau] index 211, under the default --max-candidates,
+# would need about 4.6 GB.
 MAX_LISTED_BASES = 10 ** 6
 
 # Most coefficient vectors `units` scans, (2 * height + 1) ** rank.  The
@@ -55,11 +55,10 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(rows, header) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """Write the header and each row as the rows iterable yields it."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
 
 
 def _check_table_limit(limit: int) -> None:
@@ -114,19 +113,19 @@ def cmd_enumerate(args) -> int:
         subs = lattice.list_ideals(ambient, args.index, args.max_candidates)
         if args.filter == "principal":
             subs = [s for s in subs if lattice.is_principal(s)]
-    bases = [[list(row) for row in s.basis] for s in subs]
+    # each basis is written as it is formatted, straight from its tuples: a
+    # listing holds up to MAX_LISTED_BASES of them
     if args.format == "json":
-        _emit_json({
-            "ambient": args.ambient,
-            "index": args.index,
-            "filter": args.filter,
-            "count": len(bases),
-            "bases": bases,
-        })
+        # the same bytes as _emit_json of the payload with the bases as lists
+        sys.stdout.write(f'{{"ambient":{json.dumps(args.ambient)},"index":{args.index},'
+                         f'"filter":{json.dumps(args.filter)},"count":{len(subs)},"bases":[')
+        for k, s in enumerate(subs):
+            rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in s.basis)
+            sys.stdout.write(f"{',' if k else ''}[{rows}]")
+        sys.stdout.write("]}\n")
     else:
-        rows = [(k, " ".join(str(v) for row in b for v in row))
-                for k, b in enumerate(bases)]
-        _emit_csv(rows, ("id", "basis"))
+        _emit_csv(((k, " ".join(str(v) for row in s.basis for v in row))
+                   for k, s in enumerate(subs)), ("id", "basis"))
     return 0
 
 

@@ -53,17 +53,33 @@ lexicographic order; the diagonals it leaves out have no candidate to
 discard.  For Z[i,tau] to 80 that is 147 of 2,556 diagonals.
 
 Packing.  A diagonal with at least _PACK candidates gets its own numpy
-pass with scalar diagonal entries, in chunks of at most _CHUNK
-candidates.  Runs of smaller diagonals of the same index share one pass
-of at most _CHUNK candidates, whose diagonal entries are per-candidate
-arrays.  Z[tau] to 400 then takes 400 passes, one per index, in place of
-2,468, and Z[i,tau] to 80 takes 67.  _PACK = 1024 was chosen by timing
-the oracle ranges (Z[tau] to 400, Z[i,tau] to 80, Z[i,sqrt2] to 60) and
-the rank-4 ranges to 300 on a 2-core host: every value from 512 to 4096
-was within the noise; 128 was about 20% slower on Z[tau] to 400, and
-packing every diagonal (no threshold) was about 10% slower on Z[i,tau]
-to 300, where large per-candidate divisor arrays cost more than the
-calls they save.
+passes with scalar diagonal entries, at most _CHUNK candidates each.
+Runs of smaller diagonals share one pass of at most _CHUNK candidates,
+whose diagonal entries are per-candidate arrays, and the runs cross
+index boundaries (every diagonal of an ambient has the same factor
+layout).  So one walk covers a whole range of increasing indices:
+Z[tau] to 400 takes 17 passes, or 7 and 11 in the two walks of two
+workers, where one walk per index took 400; Z[i,tau] to 80 takes 61
+(73 one index at a time).  In count mode a survivor's index is the
+product of its diagonal entries, and one bincount per pass adds the
+survivors to the counts of their indices; in collect mode they come out
+in index order.  _PACK = 1024 was chosen by timing the oracle ranges
+(Z[tau] to 400, Z[i,tau] to 80, Z[i,sqrt2] to 60) and the rank-4 ranges
+to 300 on a 2-core host, one walk per index: every value from 512 to
+4096 was within the noise; 128 was about 20% slower on Z[tau] to 400,
+and packing every diagonal (no threshold) was about 10% slower on
+Z[i,tau] to 300, where large per-candidate divisor arrays cost more than
+the calls they save.
+
+Pass size.  _CHUNK = 2^13 keeps a pass's arrays in cache and its peak
+memory small.  On a 2-core host, Z[i,tau] to 300 (8.4 million candidates
+in 1,255 passes) peaks at 36 MB of RSS in-process at one worker and
+39 MB at two, where 2^20 peaked at 83 and 111 MB; 2^14 already raised the
+peak of the benchmark's `oracles` pass by 1.4 MB.  The price is that a
+pass's numpy calls are short, a few microseconds each, so two worker
+threads contend for the interpreter lock more than they overlap: the
+same range takes a median 0.49 s in-process at one worker and 0.81 s at
+two (0.88 s at two with 2^20 and one walk per index).
 
 Principality.  A generator re + i*im (re, im in the real quadratic
 ring) has relative norm re^2 + im^2.  The search squares each element
@@ -92,10 +108,11 @@ from .quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
 
-# Live candidates of one numpy pass, at most.
-_CHUNK = 1 << 20
+# Live candidates of one numpy pass, packed or not, at most; see "Pass size"
+# in the module docstring for the measurement.
+_CHUNK = 1 << 13
 # A diagonal with fewer candidates than this shares a packed pass with its
-# neighbours of the same index; see the module docstring for the measurement.
+# neighbours, of its index or the next; see "Packing" in the module docstring.
 _PACK = 1024
 
 
@@ -309,39 +326,76 @@ def ordered_diagonals(m: int, r: int) -> Iterator[tuple[int, ...]]:
             yield (d,) + rest
 
 
-@functools.lru_cache(maxsize=4096)
 def hnf_candidate_count(rank: int, m: int) -> int:
-    """Number of index-m HNF bases of Z^rank (sigma_1(m) for rank 2).
+    """Number of index-m HNF bases of Z^rank (sigma_1(m) for rank 2), in closed form.
 
-    Cached, so the budget that verify_series predicts for every m is not
-    walked again when each m is enumerated.
+    An HNF diagonal (d_0, ..., d_{r-1}) with product m holds
+    prod_i d_i^(r-1-i) bases, so the count is the Dirichlet convolution of
+    the r functions d -> d^k, k = 0..r-1.  Each is completely
+    multiplicative, so the count is multiplicative, and at p^e it is
+    sum over e_0 + ... + e_{r-1} = e of prod_k p^(k e_k) = h_e(1, p, ...,
+    p^(r-1)), the complete homogeneous polynomial.  By the q-binomial
+    theorem, prod_{k<r} 1 / (1 - q^k x) = sum_e [e+r-1 choose r-1]_q x^e, so
+    h_e(1, q, ..., q^(r-1)) is the Gaussian binomial
+    prod_{i=1}^{r-1} (q^(e+i) - 1) / (q^i - 1).  Its partial product to i is
+    [e+i choose i]_q, a polynomial in q with integer coefficients, so every
+    step of the product below divides exactly.  Rank 1 is the empty
+    product, 1, and factors nothing.
     """
-    total = 0
-    for diag in ordered_diagonals(m, rank):
-        block = 1
-        for i, d in enumerate(diag):
-            block *= d ** (rank - 1 - i)
-        total += block
-    return total
+    if rank == 1:
+        return 1
+    count, p = 1, 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            count *= _gaussian_binomial(p, e, rank)
+        p += 1
+    return count * _gaussian_binomial(m, 1, rank) if m > 1 else count
+
+
+def _gaussian_binomial(q: int, e: int, rank: int) -> int:
+    """[e+rank-1 choose rank-1]_q, the count of index-q^e HNF bases of Z^rank."""
+    value = 1
+    for i in range(1, rank):
+        value = value * (q ** (e + i) - 1) // (q ** i - 1)
+    return value
+
+
+def _candidates_or_bound(rank: int, m: int, ceiling: int) -> int:
+    """hnf_candidate_count(rank, m), or a lower bound of it that is over ceiling.
+
+    The diagonal (m, 1, ..., 1) alone holds m^(rank-1) bases (the rank - 1
+    entries right of d_0 = m run over [0, m), all others are 0), so past
+    that bound no factoring of m is needed; a 4,000-digit m would take it
+    forever.
+    """
+    bound = m ** (rank - 1)
+    return bound if bound > ceiling else hnf_candidate_count(rank, m)
 
 
 def hnf_candidates_over(rank: int, m: int, ceiling: int) -> bool:
-    """Whether Z^rank has more than ceiling HNF bases of index m.
+    """Whether Z^rank has more than ceiling HNF bases of index m."""
+    return _candidates_or_bound(rank, m, ceiling) > ceiling
 
-    The diagonal (m, 1, ..., 1) alone holds m^(rank-1) of them (the rank - 1
-    entries right of d_0 = m run over [0, m), all others are 0), so past
-    that bound the answer needs no hnf_candidate_count, whose walk of the
-    ordered diagonals of m takes minutes for m near 10^16.
+
+def _check_budget(rank: int, indices, max_candidates: int) -> None:
+    """Refuse indices that hold more than max_candidates HNF bases of Z^rank in all.
+
+    Counts each index once, and none past its cheap bound.
     """
-    return m ** (rank - 1) > ceiling or hnf_candidate_count(rank, m) > ceiling
-
-
-def _check_budget(over: bool, max_candidates: int):
-    # names no candidate count: m^3 of a 4,000-digit m is past the int-to-str limit
-    if over:
-        raise EnumerationBudgetExceeded(
-            f"predicted HNF candidates exceed ceiling {max_candidates}; "
-            f"raise max_candidates to proceed")
+    left = max_candidates
+    for m in indices:
+        if m < 1:
+            raise ValueError("index must be >= 1")
+        left -= _candidates_or_bound(rank, m, left)
+        if left < 0:
+            # names no candidate count: m^3 of a 4,000-digit m is past the int-to-str limit
+            raise EnumerationBudgetExceeded(
+                f"predicted HNF candidates exceed ceiling {max_candidates}; "
+                f"raise max_candidates to proceed")
 
 
 def hnf_sublattices(rank: int, m: int, ambient: Ambient | None = None,
@@ -349,9 +403,7 @@ def hnf_sublattices(rank: int, m: int, ambient: Ambient | None = None,
     """All index-m sublattices of Z^rank, each exactly once, in HNF."""
     if rank not in (1, 2, 4, 6):
         raise ValueError("rank must be one of 1, 2, 4, 6")
-    if m < 1:
-        raise ValueError("index must be >= 1")
-    _check_budget(hnf_candidates_over(rank, m, max_candidates), max_candidates)
+    _check_budget(rank, (m,), max_candidates)
     positions = _positions(rank)
     out = []
     for diag in ordered_diagonals(m, rank):
@@ -406,12 +458,16 @@ def _stabilizer_mask(diag, digits, action, length):
         w = [sum(t[i][l] * entry(l, j) for l in range(j + 1) if t[i][l])
              for i in range(r)]
         for i in range(r - 1, -1, -1):
-            q, rem = divmod(w[i], diag[i])
-            ok = ok & (rem == 0)
-            for i2 in range(i):
-                e = entry(i2, i)
-                if isinstance(e, np.ndarray) or e:
-                    w[i2] = w[i2] - q * e
+            q, rem = _divmod(w[i], diag[i])
+            if isinstance(rem, np.ndarray):
+                ok &= rem == 0
+            elif rem:
+                return np.zeros(length, dtype=bool)
+            if isinstance(q, np.ndarray) or q:
+                for i2 in range(i):
+                    e = entry(i2, i)
+                    if isinstance(e, np.ndarray) or e:
+                        w[i2] = w[i2] - q * e
         if not ok.any():
             break
     return ok
@@ -487,7 +543,7 @@ def _invariant_blocks(a, actions):
     read-only, so worker threads can share them.
     """
     r = len(actions[0].matrix)
-    entries = _entries(_walk(a, actions), r)
+    entries = _entries(_walk((a,), actions), r)
     blocks = {}
     start = 0
     for diag, group in itertools.groupby(zip(*(entries[(i, i)] for i in range(r)))):
@@ -520,34 +576,36 @@ def _nonzero_diagonals(m, actions):
         yield diag, _candidate_factors(diag, actions)
 
 
-def _candidate_sets(m, actions):
-    """Candidate sets (diag, digits, length) over the nonzero diagonals of index m.
+def _candidate_sets(indices, actions):
+    """Candidate sets (diag, digits, length) over the nonzero diagonals of the indices.
 
-    A diagonal with at least _PACK candidates is expanded on its own
-    with scalar diagonal entries, _CHUNK candidates at a time.  Runs of
-    smaller diagonals are packed into one set of at most _CHUNK
-    candidates, whose diagonal entries are per-candidate arrays.  Sets
-    come in lexicographic diagonal order and hold candidates in flat
-    HNF order.
+    The indices increase.  A diagonal with at least _PACK candidates is
+    expanded on its own with scalar diagonal entries, _CHUNK candidates
+    at a time.  Runs of smaller diagonals, across index boundaries, are
+    packed into one set of at most _CHUNK candidates, whose diagonal
+    entries are per-candidate arrays; every diagonal of an ambient has
+    the same factor layout.  Sets come in index order, then lexicographic
+    diagonal order, and hold candidates in flat HNF order.
     """
     pack, packed = [], 0
-    for diag, factors in _nonzero_diagonals(m, actions):
-        total = math.prod(n for n, _ in factors)
-        small = total < _PACK and total <= _CHUNK
-        if pack and (not small or packed + total > _CHUNK):
-            yield _packed_candidates(pack, packed)
-            pack, packed = [], 0
-        if small:
-            pack.append((diag, factors, total))
-            packed += total
-            continue
-        sizes = tuple(n for n, _ in factors)
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            idx = np.unravel_index(np.arange(lo, hi, dtype=np.int64), sizes) if sizes else ()
-            digits = {pos: f if arr is None else arr[f]
-                      for (_, table), f in zip(factors, idx) for pos, arr in table.items()}
-            yield diag, digits, hi - lo
+    for m in indices:
+        for diag, factors in _nonzero_diagonals(m, actions):
+            total = math.prod(n for n, _ in factors)
+            small = total < _PACK and total <= _CHUNK
+            if pack and (not small or packed + total > _CHUNK):
+                yield _packed_candidates(pack, packed)
+                pack, packed = [], 0
+            if small:
+                pack.append((diag, factors, total))
+                packed += total
+                continue
+            sizes = tuple(n for n, _ in factors)
+            for lo in range(0, total, _CHUNK):
+                hi = min(lo + _CHUNK, total)
+                idx = _mixed_radix(np.arange(lo, hi, dtype=np.int64), sizes)
+                digits = {pos: f if arr is None else arr[f]
+                          for (_, table), f in zip(factors, idx) for pos, arr in table.items()}
+                yield diag, digits, hi - lo
     if pack:
         yield _packed_candidates(pack, packed)
 
@@ -570,11 +628,7 @@ def _packed_candidates(pack, length):
     cols = np.repeat(np.array(rows, dtype=np.int64), totals, axis=1)
     local = np.arange(length, dtype=np.int64) - cols[r + nf - 1]
     offsets = dict(zip(tables, cols[r + nf:]))
-    idx = [None] * nf
-    for f in range(nf - 1, 0, -1):
-        local, idx[f] = np.divmod(local, cols[r + f - 1])
-    if nf:
-        idx[0] = local
+    idx = _mixed_radix(local, [None, *cols[r:r + nf - 1]])
     digits = {}
     for f, (_, table) in enumerate(layouts[0]):
         for pos, arr in table.items():
@@ -583,16 +637,46 @@ def _packed_candidates(pack, length):
     return tuple(cols[:r]), digits, length
 
 
+def _mixed_radix(local, radices):
+    """Digit arrays of local in the mixed radices, the last the fastest.
+
+    radices[0] is not read: the first digit is what is left of local.
+    """
+    idx = [None] * len(radices)
+    for f in range(len(radices) - 1, 0, -1):
+        local, digit = _divmod(local, radices[f])
+        idx[f] = digit if isinstance(digit, np.ndarray) else np.zeros_like(local)
+    if radices:
+        idx[0] = local
+    return idx
+
+
+def _divmod(w, d):
+    """Floor divmod of w by d, each a candidate array or a shared scalar.
+
+    An array divided by a scalar d takes numpy's division by a constant
+    and one multiply, about twice as fast as np.divmod, and by 1 no work
+    at all (remainder 0).
+    """
+    if isinstance(d, np.ndarray) or not isinstance(w, np.ndarray):
+        return divmod(w, d)
+    if d == 1:
+        return w, 0
+    q = w // d
+    return q, w - q * d
+
+
 def _starts(sizes):
     return list(itertools.accumulate(sizes, initial=0))[:-1]
 
 
-def _walk(m, actions):
-    """Survivors (diag, digits, length) of every action, per candidate set of index m.
+def _walk(indices, actions):
+    """Survivors (diag, digits, length) of every action, per candidate set of the indices.
 
-    Every action is tested on every candidate of every nonzero diagonal.
+    Every action is tested on every candidate of every nonzero diagonal
+    of every index, in the order of _candidate_sets.
     """
-    for diag, digits, length in _candidate_sets(m, actions):
+    for diag, digits, length in _candidate_sets(indices, actions):
         for act in actions:
             mask = _stabilizer_mask(diag, digits, act, length)
             length = int(np.count_nonzero(mask))
@@ -616,32 +700,48 @@ def _entries(survivors, r):
     return entries
 
 
-def _invariant_sublattices(ambient: Ambient, m: int, max_candidates: int,
-                           collect: bool):
-    if m < 1:
-        raise ValueError("index must be >= 1")
+def _ideal_counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
+    """Invariant sublattices of each of the increasing indices, in one walk.
+
+    A survivor's index is the product of its diagonal entries, so one
+    bincount per pass adds its survivors to the counts of their indices.
+    """
+    at = np.array(indices, dtype=np.int64)
+    counts = np.zeros(len(at), dtype=np.int64)
+    for diag, _, length in _walk(indices, ambient_actions(ambient)):
+        if length:
+            index = np.broadcast_to(math.prod(diag), (length,))
+            counts += np.bincount(np.searchsorted(at, index), minlength=len(at))
+    return counts.tolist()
+
+
+def _ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
+    """Invariant sublattices of the increasing indices, pass by pass as the walk finds them.
+
+    They come in index order, and within an index in diagonal then flat
+    HNF order.
+    """
     r = ambient_rank(ambient)
-    _check_budget(hnf_candidates_over(r, m, max_candidates), max_candidates)
-    survivors = _walk(m, ambient_actions(ambient))
-    if not collect:
-        return sum(length for *_, length in survivors), []
-    entries = _entries(survivors, r)
-    zero = [0] * len(entries[(0, 0)])
-    rows = [list(zip(*(entries[(i, j)] if i <= j else zero for j in range(r))))
-            for i in range(r)]
-    found = [Submodule(ambient, basis) for basis in zip(*rows)]
-    return len(found), found
+    for survivors in _walk(indices, ambient_actions(ambient)):
+        entries = _entries((survivors,), r)
+        zero = [0] * survivors[2]
+        rows = [list(zip(*(entries[(i, j)] if i <= j else zero for j in range(r))))
+                for i in range(r)]
+        for basis in zip(*rows):
+            yield Submodule(ambient, basis)
 
 
 def count_ideals(ambient: Ambient, m: int,
                  max_candidates: int = DEFAULT_MAX_CANDIDATES) -> int:
     """Number of index-m sublattices invariant under all ring generators."""
-    return _invariant_sublattices(ambient, m, max_candidates, collect=False)[0]
+    _check_budget(ambient_rank(ambient), (m,), max_candidates)
+    return _ideal_counts(ambient, (m,))[0]
 
 
 def list_ideals(ambient: Ambient, m: int,
                 max_candidates: int = DEFAULT_MAX_CANDIDATES) -> list[Submodule]:
-    return _invariant_sublattices(ambient, m, max_candidates, collect=True)[1]
+    _check_budget(ambient_rank(ambient), (m,), max_candidates)
+    return list(_ideals(ambient, (m,)))
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +799,24 @@ def count_similarity_submodules(ambient: Ambient, m: int,
     Z[tau] and Z[i,tau] have class number 1, so every ideal qualifies;
     for Z[i,sqrt2] only the principal ideals do.
     """
-    if ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4):
-        return count_ideals(ambient, m, max_candidates)
-    if ambient is Ambient.Z_ISQRT2_AS_Z4:
-        ideals = list_ideals(ambient, m, max_candidates)
-        return sum(1 for s in ideals if is_principal(s))
-    raise ValueError(f"no similarity-submodule count for ambient {ambient}")
+    if ambient not in _EXPECTED_SERIES:
+        raise ValueError(f"no similarity-submodule count for ambient {ambient}")
+    _check_budget(ambient_rank(ambient), (m,), max_candidates)
+    return _similarity_counts(ambient, (m,))[0]
+
+
+def _similarity_counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
+    """count_similarity_submodules of each of the increasing indices, in one walk.
+
+    Each ideal of Z[i,sqrt2] is tested for principality as its pass finds
+    it, so the ideals of the range are never held in one list.
+    """
+    if ambient is not Ambient.Z_ISQRT2_AS_Z4:
+        return _ideal_counts(ambient, indices)
+    counts = dict.fromkeys(indices, 0)
+    for sub in _ideals(ambient, indices):
+        counts[sub.index] += is_principal(sub)
+    return list(counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -751,17 +863,20 @@ class OracleReport:
 def verify_series(ambient: Ambient, limit: int,
                   max_candidates: int = DEFAULT_MAX_CANDIDATES,
                   workers: int | None = None) -> OracleReport:
-    """Compare oracle counts with the catalog coefficients for m <= limit."""
-    rank = ambient_rank(ambient)
-    predicted = 0
-    for m in range(1, limit + 1):
-        predicted += hnf_candidate_count(rank, m)
-        _check_budget(predicted > max_candidates, max_candidates)
+    """Compare oracle counts with the catalog coefficients for m <= limit.
+
+    Worker w walks the indices m = w + 1 (mod workers) in one kernel walk:
+    the split is fixed in advance, so the counts do not depend on timing,
+    and interleaved indices give the workers about equal shares of work.
+    """
+    _check_budget(ambient_rank(ambient), range(1, limit + 1), max_candidates)
     series = _EXPECTED_SERIES[ambient](limit)
     if workers is None:
         workers = worker_count()
-    counts = map_ordered(
-        lambda m: count_similarity_submodules(ambient, m, max_candidates),
-        range(1, limit + 1), workers)
-    rows = tuple((m, counts[m - 1], series.a(m)) for m in range(1, limit + 1))
+    workers = min(workers, limit)
+    parts = map_ordered(
+        lambda w: _similarity_counts(ambient, range(w + 1, limit + 1, workers)),
+        range(workers), workers)
+    rows = tuple((m, parts[(m - 1) % workers][(m - 1) // workers], series.a(m))
+                 for m in range(1, limit + 1))
     return OracleReport(ambient.value, limit, rows)

@@ -409,3 +409,33 @@ def test_rotation_path_output_is_byte_identical_past_the_benchmark(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
+def test_enumerate_output_is_byte_identical(capsys):
+    # SHA-256 of stdout recorded when every basis was copied into a list of
+    # lists and the whole payload was dumped at once; the bases are now
+    # written one by one from their tuples
+    digests = {
+        ("--ambient", "zitau", "--index", "12", "--filter", "all"):
+            "5af20fb59773cb2b129da7cc7ae7a2c1bd2105c2d4060eb8388705417f98ccdc",
+        ("--ambient", "zitau", "--index", "12", "--filter", "all", "--format", "csv"):
+            "0bb992c8f4b4542e43c078ca309f53a1aff48203a2c8d23853bfaf671bce4727",
+        ("--ambient", "ztau", "--index", "20", "--filter", "all"):
+            "f26fd4772695f2a2935179ee26c0aee1e005272a01aa0532c6337534b8deea19",
+        ("--ambient", "zitau", "--index", "45"):
+            "197522d8bdba67625b04caa2894cb692336a98f0abe51689a8cbc8d22082610e",
+        ("--ambient", "zitau", "--index", "45", "--format", "csv"):
+            "d04e35047cf19b413caaf4ec84b250e6b1d78e0009ffd42c3d62267994e862a7",
+        ("--ambient", "zisqrt2", "--index", "68", "--filter", "principal"):
+            "0ce1163669a3ca7643d13484e0f5fa10ef087a38fee6263e952193c691436673",
+        ("--ambient", "zisqrt2", "--index", "68", "--filter", "principal", "--format", "csv"):
+            "e748bd8cb1abe6ce0effd289fe1a623e2fb4c12b7ebd5e5a168521a36c4cdb84",
+        ("--ambient", "ztau", "--index", "2"):  # no ideal: an empty list of bases
+            "76ce2c42554cb2851221949c6df4c618d7ac3c7bb46435a150c1445e6b0ad911",
+        ("--ambient", "ztau", "--index", "2", "--format", "csv"):
+            "d351db380b9ac43a02fa6b289c35278927046930b1e99879de27285b9db049b2",
+    }
+    for argv, want in digests.items():
+        code, out, _ = run_cli(capsys, "enumerate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv

@@ -39,6 +39,18 @@ def test_hnf_sublattice_counts():
         hnf_sublattices(3, 4)
 
 
+def _diagonal_sum(rank, m):
+    # the count by its definition: each HNF diagonal holds prod d_i^(rank-1-i) bases
+    return sum(math.prod(d ** (rank - 1 - i) for i, d in enumerate(diag))
+               for diag in lattice.ordered_diagonals(m, rank))
+
+
+@pytest.mark.parametrize("rank, limit", [(1, 300), (2, 300), (4, 300), (6, 60)])
+def test_hnf_count_closed_form_matches_diagonal_sum(rank, limit):
+    for m in range(1, limit + 1):
+        assert hnf_candidate_count(rank, m) == _diagonal_sum(rank, m), (rank, m)
+
+
 def test_hnf_count_is_sigma1_for_rank2():
     for m in range(1, 61):
         assert hnf_candidate_count(2, m) == catalog.sigma1(m)
@@ -158,14 +170,14 @@ def _kernel_results(limit):
                             Ambient.Z_ISQRT2_AS_Z4)}
 
 
-@pytest.mark.parametrize("setting, value", [
+_LAYOUTS = pytest.mark.parametrize("setting, value", [
     ("_PACK", 1),           # every diagonal in its own pass, scalar divisors
     ("_PACK", 10 ** 9),     # every diagonal packed, up to _CHUNK candidates
     ("_CHUNK", 37),         # diagonals split across chunks, packs cut short
 ])
-def test_walk_results_do_not_depend_on_pass_layout(monkeypatch, setting, value):
-    expected = _kernel_results(48)
-    monkeypatch.setattr(lattice, setting, value)
+
+
+def _record_pass_lengths(monkeypatch):
     lengths = []
     mask = lattice._stabilizer_mask
 
@@ -174,8 +186,42 @@ def test_walk_results_do_not_depend_on_pass_layout(monkeypatch, setting, value):
         return mask(diag, digits, action, length)
 
     monkeypatch.setattr(lattice, "_stabilizer_mask", recorded)
+    return lengths
+
+
+@_LAYOUTS
+def test_walk_results_do_not_depend_on_pass_layout(monkeypatch, setting, value):
+    expected = _kernel_results(48)
+    monkeypatch.setattr(lattice, setting, value)
+    lengths = _record_pass_lengths(monkeypatch)
     try:
         assert _kernel_results(48) == expected
+    finally:
+        lattice._invariant_blocks.cache_clear()
+    assert 0 < max(lengths) <= lattice._CHUNK
+
+
+@_LAYOUTS
+@pytest.mark.parametrize("workers", [1, 2])
+def test_range_walk_matches_single_indices(monkeypatch, setting, value, workers):
+    # one walk over the indices m = w + 1 (mod workers), as verify_series
+    # splits them, gives the per-index counts and bases, concatenated
+    monkeypatch.setattr(lattice, setting, value)
+    lengths = _record_pass_lengths(monkeypatch)
+    parts = [range(w + 1, 49, workers) for w in range(workers)]
+    try:
+        for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
+            counts = lattice.map_ordered(
+                lambda part: lattice._ideal_counts(ambient, part), parts, workers)
+            lists = lattice.map_ordered(
+                lambda part: [s.basis for s in lattice._ideals(ambient, part)], parts, workers)
+            for part, part_counts, part_bases in zip(parts, counts, lists):
+                assert part_counts == [count_ideals(ambient, m) for m in part], ambient
+                assert part_bases == [s.basis for m in part
+                                      for s in list_ideals(ambient, m)], ambient
+            report = verify_series(ambient, 48, workers=workers)
+            assert [row[1] for row in report.rows] == \
+                [count_similarity_submodules(ambient, m) for m in range(1, 49)], ambient
     finally:
         lattice._invariant_blocks.cache_clear()
     assert 0 < max(lengths) <= lattice._CHUNK
@@ -400,19 +446,27 @@ def test_verify_series_zisqrt2_300():
     assert report.summary() == "300/300 match"
 
 
-def test_resource_guard():
+def test_resource_guard(monkeypatch):
     with pytest.raises(EnumerationBudgetExceeded):
         count_ideals(Ambient.Z_ITAU_AS_Z4, 97, max_candidates=1000)
     with pytest.raises(EnumerationBudgetExceeded):
         hnf_sublattices(4, 101, max_candidates=10)
     with pytest.raises(EnumerationBudgetExceeded):
         verify_series(Ambient.Z_ITAU_AS_Z4, 100, max_candidates=10 ** 5)
-    # the budget walk runs once per m: enumerating each m reuses it
-    hnf_candidate_count.cache_clear()
-    assert verify_series(Ambient.Z_ITAU_AS_Z4, 40, workers=1).ok
-    info = hnf_candidate_count.cache_info()
-    assert info.misses == 40 and info.hits == 40
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+    # the budget is computed once per m: verify_series checks the whole
+    # range up front, and no worker checks an index again
+    seen = []
+    count = lattice.hnf_candidate_count
+
+    def recorded(rank, m):
+        seen.append((rank, m))
+        return count(rank, m)
+
+    monkeypatch.setattr(lattice, "hnf_candidate_count", recorded)
+    for workers in (1, 2):
+        seen.clear()
+        assert verify_series(Ambient.Z_ITAU_AS_Z4, 40, workers=workers).ok
+        assert seen == [(4, m) for m in range(1, 41)], workers
 
 
 def test_contains_matches_enumeration():
