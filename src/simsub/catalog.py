@@ -1,8 +1,10 @@
 """Named Dirichlet-series constructors for the module families we count.
 
-Every series here is an Euler product.  It is stated once, as its local
-factor num(t)/den(t) at each rational prime p (t stands for p^-s), and
-built by one `expand_euler` call.  The local factors by splitting type:
+Every series here is an Euler product.  It is stated once, as one
+EulerRule: its local factor num(t)/den(t) (t stands for p^-s) on each
+residue class of p mod 5, 8 or 20, which fixes the splitting type, and at
+its exceptional primes 2 and 5.  It is built by one `expand_euler` call.
+The local factors by splitting type:
 
 * zeta_q_tau -- ideals of Z[tau] by index (Dedekind zeta of Q(tau)):
       p = 5, ramified                   1/(1-t)
@@ -26,9 +28,11 @@ built by one `expand_euler` call.  The local factors by splitting type:
       p = 5, ramified                   (1+t)/(1-5t)
       p = +-1 mod 5, split              (1+t)^2/(1-pt)^2
       other p, inert                    (1+t^2)/(1-p^2 t^2)
+  The split and inert factors depend on p itself; their coefficients are
+  polynomials in p, and the t^1 coefficient is 2 + 2p (split) or 0.
 * f_cubic -- similarity submodules of the rank-3 module Z[tau]^3 by
   index, zeta_q_tau(3s) * phi_c(3s): the product of the zeta_q_tau and
-  phi_c factors, with the coefficient of r moved to index r^3.
+  phi_c rules, with the coefficient of r moved to index r^3.
 * riemann_zeta -- 1/(1-t) at every p.
 """
 
@@ -40,8 +44,9 @@ from enum import Enum
 # convolve, dirichlet_inverse, scale_argument and shift are unused here; perfbench/tracer.py
 # patches them by name.
 from .dirichlet import (  # noqa: F401
+    ClassFactor,
     CoeffSeries,
-    EulerFactor,
+    EulerRule,
     convolve,
     dirichlet_inverse,
     divisors,
@@ -51,12 +56,33 @@ from .dirichlet import (  # noqa: F401
     shift,
 )
 
-# Common local factors, in t = p^(-s); built once, shared by every prime.
-_GEOM = EulerFactor((1,), (1, -1))                    # 1/(1-t)
-_GEOM_SQ = EulerFactor((1,), (1, -2, 1))              # 1/(1-t)^2
-_GEOM_T2 = EulerFactor((1,), (1, 0, -1))              # 1/(1-t^2)
-_GEOM_4TH = EulerFactor((1,), (1, -4, 6, -4, 1))      # 1/(1-t)^4
-_GEOM_T2_SQ = EulerFactor((1,), (1, 0, -2, 0, 1))     # 1/(1-t^2)^2
+# Common local factors, in t = p^(-s), the same at every prime.
+_GEOM = ClassFactor((1,), (1, -1))                    # 1/(1-t)
+_GEOM_SQ = ClassFactor((1,), (1, -2, 1))              # 1/(1-t)^2
+_GEOM_T2 = ClassFactor((1,), (1, 0, -1))              # 1/(1-t^2)
+_GEOM_4TH = ClassFactor((1,), (1, -4, 6, -4, 1))      # 1/(1-t)^4
+_GEOM_T2_SQ = ClassFactor((1,), (1, 0, -2, 0, 1))     # 1/(1-t^2)^2
+
+
+def _split_rule(modulus: int, split: tuple[int, ...], split_factor: ClassFactor,
+                other_factor: ClassFactor, exceptional: dict[int, ClassFactor]) -> EulerRule:
+    """split_factor on the residues in split, other_factor on the rest."""
+    return EulerRule(modulus, tuple(split_factor if r in split else other_factor
+                                    for r in range(modulus)), exceptional)
+
+
+# The rules of the module docstring, one per series.
+_zeta_factor = EulerRule(1, (_GEOM,))
+_tau_factor = _split_rule(5, (1, 4), _GEOM_SQ, _GEOM_T2, {5: _GEOM})
+_itau_factor = _split_rule(20, (1, 9), _GEOM_4TH, _GEOM_T2_SQ, {2: _GEOM_T2, 5: _GEOM_SQ})
+_xi8_factor = _split_rule(8, (1,), _GEOM_4TH, _GEOM_T2_SQ, {2: _GEOM})
+_zi_sqrt2_factor = EulerRule(8, _xi8_factor.classes, {2: ClassFactor((1, -1, 2), (1, -1))})
+_phi_c_factor = _split_rule(
+    5, (1, 4),
+    ClassFactor((1, 2, 1), (1, (0, -2), (0, 0, 1))),  # (1+t)^2/(1-pt)^2
+    ClassFactor((1, 0, 1), (1, 0, (0, 0, -1))),       # (1+t^2)/(1-p^2 t^2)
+    {2: ClassFactor((1, 0, 4), (1, 0, -4)), 5: ClassFactor((1, 1), (1, -5))})
+_f_cubic_factor = _tau_factor * _phi_c_factor
 
 
 class SeriesName(Enum):
@@ -81,15 +107,7 @@ class CatalogEntry:
 
 def riemann_zeta(limit: int) -> CoeffSeries:
     """All coefficients 1: every index m gives exactly the ideal mZ."""
-    return expand_euler(lambda p: _GEOM, limit)
-
-
-def _tau_factor(p: int) -> EulerFactor:
-    if p == 5:
-        return _GEOM
-    if p % 5 in (1, 4):
-        return _GEOM_SQ
-    return _GEOM_T2
+    return expand_euler(_zeta_factor, limit)
 
 
 def zeta_q_tau(limit: int) -> CoeffSeries:
@@ -99,34 +117,12 @@ def zeta_q_tau(limit: int) -> CoeffSeries:
 
 def zeta_q_itau(limit: int) -> CoeffSeries:
     """Ideal count of Z[i,tau] by index."""
-    def factor(p: int) -> EulerFactor:
-        if p == 2:
-            return _GEOM_T2
-        if p == 5:
-            return _GEOM_SQ
-        if p % 20 in (1, 9):
-            return _GEOM_4TH
-        return _GEOM_T2_SQ
-    return expand_euler(factor, limit)
-
-
-def _xi8_factor(p: int) -> EulerFactor:
-    if p == 2:
-        return _GEOM
-    if p % 8 == 1:
-        return _GEOM_4TH
-    return _GEOM_T2_SQ
+    return expand_euler(_itau_factor, limit)
 
 
 def zeta_q_xi8(limit: int) -> CoeffSeries:
     """Ideal count of Z[xi_8] by norm."""
     return expand_euler(_xi8_factor, limit)
-
-
-def _zi_sqrt2_factor(p: int) -> EulerFactor:
-    if p == 2:
-        return EulerFactor((1, -1, 2), _GEOM.den)
-    return _xi8_factor(p)
 
 
 def zeta_zi_sqrt2(limit: int) -> CoeffSeries:
@@ -136,16 +132,6 @@ def zeta_zi_sqrt2(limit: int) -> CoeffSeries:
     all other even ones double.
     """
     return expand_euler(_zi_sqrt2_factor, limit)
-
-
-def _phi_c_factor(p: int) -> EulerFactor:
-    if p == 2:
-        return EulerFactor((1, 0, 4), (1, 0, -4))
-    if p == 5:
-        return EulerFactor((1, 1), (1, -5))
-    if p % 5 in (1, 4):
-        return EulerFactor((1, 2, 1), (1, -2 * p, p * p))
-    return EulerFactor((1, 0, 1), (1, 0, -p * p))
 
 
 def phi_c(limit: int) -> CoeffSeries:
@@ -161,13 +147,13 @@ def phi_c(limit: int) -> CoeffSeries:
 def f_cubic(limit: int) -> CoeffSeries:
     """Similarity submodule count of Z[tau]^3; supported on cubes.
 
-    The product of the zeta_q_tau and phi_c factors is expanded only up
-    to the integer cube root of limit, and a(r) is placed at r^3.
+    The product of the zeta_q_tau and phi_c rules is expanded only up to
+    the integer cube root of limit, and a(r) is placed at r^3.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     r_max = icbrt(limit)
-    base = expand_euler(lambda p: _tau_factor(p) * _phi_c_factor(p), r_max)
+    base = expand_euler(_f_cubic_factor, r_max)
     out = [0] * limit
     for r, c in base.nonzero():
         out[r ** 3 - 1] = c

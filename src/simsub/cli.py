@@ -82,11 +82,11 @@ def cmd_coeffs(args) -> int:
 
 def cmd_summatory(args) -> int:
     _check_table_limit(args.limit)
-    entry = catalog.catalog_entry(args.series, args.limit)
     points = sorted(set(args.at)) if args.at else [args.limit]
     for x in points:
         if not 1 <= x <= args.limit:
             raise UsageError(f"summatory point {x} outside 1..{args.limit}")
+    entry = catalog.catalog_entry(args.series, args.limit)
     values = [(x, summatory(entry.series, x)) for x in points]
     if args.format == "json":
         _emit_json({

@@ -16,36 +16,61 @@ factor, so taking the primes in increasing order and extending the
 nonzero entries found so far writes each nonzero a(n) exactly once.  It
 records every index it writes and returns them, sorted, as the support,
 so on the way from expand_euler to the nonzero coefficients only the
-constructor's count of the zeros reads the whole table.  The primes up
-to sqrt(N) are expanded in full; a prime p with p^2 > N divides an index
-n <= N at most once, so only the t^1 coefficient of its local factor is
-read.  Beside the prime sieve, the allocation of the table and its one
-copy into a tuple, the cost is one local factor call per prime, one
-expansion per distinct factor at the primes up to sqrt(N), and one write
-per nonzero coefficient.
+constructor's count of the zeros reads the whole table.
+
+The local factors come as an EulerRule: a modulus M, one ClassFactor per
+residue class mod M, and the exceptional primes with their own factor.
+A ClassFactor states the t^k coefficients as integer polynomials in p,
+so one object gives the factor at every prime of its class, and its t^1
+coefficient c1 is one polynomial.  A plain callable p -> EulerFactor is
+the rule of modulus 1 whose one class is that function.
+
+The primes up to sqrt(N) are expanded in full, one factor each.  A prime
+p with p^2 > N divides an index n <= N at most once, and then n = m * p
+with m < p, so a(m) is final and a(n) = a(m) * c1: only c1 is read.  It
+is read group by group: each exceptional prime above sqrt(N) on its own
+(5 is one when N < 25), then the other primes of each class, straight
+from the sieve once the exceptional primes' bytes are cleared.  So each
+prime falls in exactly one group, the one whose factor the rule states
+for it, and c1 is evaluated at all the primes of a class together.
+
+Beside the prime sieve, the allocation of the table and its one copy
+into a tuple, the cost is one local factor per prime up to sqrt(N), one
+expansion per distinct factor among them, one c1 polynomial per class,
+and one write per nonzero coefficient; a class whose c1 is 0 lists none
+of its primes.  Only a plain callable is asked for a factor at each
+larger prime.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress, islice, zip_longest
 from operator import lt
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
+
+Poly = tuple[int, ...]  # integer polynomial in p, constant term first; () is 0
 
 
-def primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
+def _sieve(n: int) -> bytearray:
+    """Byte k is 1 exactly when k is prime, for 0 <= k <= n (n >= 1)."""
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             start = p * p
             sieve[start::p] = bytearray(len(range(start, n + 1, p)))
+    return sieve
+
+
+def primes_up_to(n: int) -> list[int]:
+    if n < 2:
+        return []
     # compress makes one int per index it passes, so it skips the even ones
-    return [2, *compress(range(3, n + 1, 2), sieve[3::2])]
+    return [2, *compress(range(3, n + 1, 2), _sieve(n)[3::2])]
 
 
 def divisors(n: int) -> list[int]:
@@ -150,18 +175,11 @@ class EulerFactor:
 
     num: tuple[int, ...]
     den: tuple[int, ...] = (1,)
-    # the t^1 coefficient, read at every prime above sqrt(N) by expand_euler
-    _c1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.den or self.den[0] != 1:
             raise ValueError("local factor is not expandable: "
                              "denominator constant term must be 1")
-        num, den = self.num, self.den
-        c1 = num[1] if len(num) > 1 else 0
-        if num and len(den) > 1:
-            c1 -= den[1] * num[0]
-        object.__setattr__(self, "_c1", c1)
 
     def expand(self, n_terms: int) -> list[int]:
         """First n_terms coefficients of num/den by long division."""
@@ -175,7 +193,11 @@ class EulerFactor:
 
     def linear_coefficient(self) -> int:
         """The t^1 coefficient of num/den, equal to expand(2)[1]."""
-        return self._c1
+        num, den = self.num, self.den
+        c1 = num[1] if len(num) > 1 else 0
+        if num and len(den) > 1:
+            c1 -= den[1] * num[0]
+        return c1
 
     def __mul__(self, other: EulerFactor) -> EulerFactor:
         """Product of two local factors at the same prime."""
@@ -183,17 +205,155 @@ class EulerFactor:
                            _poly_mul(self.den, other.den))
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
+def _poly_mul(a: tuple, b: tuple, mul=operator.mul, add=operator.add, zero=0) -> tuple:
+    """Cauchy product of two coefficient tuples; mul, add and zero default
+    to those of the integers and may be those of the polynomials in p."""
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] += x * y
+            out[i + j] = add(out[i + j], mul(x, y))
     return tuple(out)
 
 
-def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> CoeffSeries:
+def _poly(c: int | Iterable[int]) -> Poly:
+    """An int, or integer coefficients from the constant term up, as a Poly
+    without trailing zeros."""
+    poly = (c,) if isinstance(c, int) else tuple(c)
+    end = len(poly)
+    while end and not poly[end - 1]:
+        end -= 1
+    return poly[:end]
+
+
+def _poly_add(a: Poly, b: Poly) -> Poly:
+    return _poly(map(sum, zip_longest(a, b, fillvalue=0)))
+
+
+def _poly_at(poly: Poly, p: int) -> int:
+    value = 0
+    for c in reversed(poly):
+        value = value * p + c
+    return value
+
+
+def _nonzero_terms(primes: list[int], c1s: list[int]) -> tuple[list[int], list[int]]:
+    if 0 in c1s:
+        return list(compress(primes, c1s)), [c for c in c1s if c]
+    return primes, c1s
+
+
+@dataclass(frozen=True)
+class ClassFactor:
+    """The local factor num(t)/den(t) at every prime p of one class, each
+    t^k coefficient an integer polynomial in p.
+
+    A coefficient is an int or a tuple of ints from the constant term up:
+    den = (1, (0, -2), (0, 0, 1)) is 1 - 2p t + p^2 t^2, that is (1 - pt)^2.
+    Called at p, it gives the EulerFactor at p.  Its t^1 coefficient
+    c1 = num[1] - den[1] num[0] is one polynomial, kept at construction, so
+    linear_terms reads c1 at many primes and builds no factor at any.
+    """
+
+    num: tuple[int | Poly, ...]
+    den: tuple[int | Poly, ...] = (1,)
+    _c1: Poly = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        num, den = tuple(map(_poly, self.num)), tuple(map(_poly, self.den))
+        if not den or den[0] != (1,):
+            raise ValueError("local factor is not expandable: "
+                             "denominator constant term must be 1")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        n0, n1 = (num + ((), ()))[:2]  # the t^0 and t^1 coefficients, 0 if absent
+        d1 = den[1] if len(den) > 1 else ()
+        object.__setattr__(self, "_c1", _poly_add(n1, _poly_mul(d1, tuple(-c for c in n0))))
+
+    def __call__(self, p: int) -> EulerFactor:
+        return EulerFactor(tuple(_poly_at(c, p) for c in self.num),
+                           tuple(_poly_at(c, p) for c in self.den))
+
+    def __mul__(self, other: ClassFactor) -> ClassFactor:
+        """The factor of the product at every prime of both classes."""
+        return ClassFactor(_poly_mul(self.num, other.num, _poly_mul, _poly_add, ()),
+                           _poly_mul(self.den, other.den, _poly_mul, _poly_add, ()))
+
+    def linear_terms(self, primes: Iterable[int]) -> tuple[list[int], list[int]]:
+        """The given primes where c1 is nonzero, in their order, and c1 there.
+
+        When c1 is the zero polynomial, primes is not read.  Otherwise c1 is
+        evaluated by Horner's rule one degree at a time across all the
+        primes, with no call per prime.
+        """
+        c1 = self._c1
+        if not c1:
+            return [], []
+        primes = list(primes)
+        values = [c1[-1]] * len(primes)
+        for c in reversed(c1[:-1]):
+            values = [v * p + c for v, p in zip(values, primes)]
+        return _nonzero_terms(primes, values)
+
+
+class _EachPrime:
+    """The one class of a plain callable rule: any function of p, so its
+    c1 is read from the factor at each prime."""
+
+    __slots__ = ("factor",)
+
+    def __init__(self, factor: Callable[[int], EulerFactor]):
+        self.factor = factor
+
+    def __call__(self, p: int) -> EulerFactor:
+        return self.factor(p)
+
+    def linear_terms(self, primes: Iterable[int]) -> tuple[list[int], list[int]]:
+        primes = list(primes)
+        return _nonzero_terms(primes, [self.factor(p).linear_coefficient() for p in primes])
+
+
+@dataclass(frozen=True)
+class EulerRule:
+    """Local factors by residue class: classes[p % modulus] at a prime p,
+    unless p is one of the exceptional primes, which have their own factor.
+
+    Called at p, it gives the EulerFactor at p, so a rule is a local factor
+    function wherever one is taken.  An exceptional key that is not prime
+    is never read.
+    """
+
+    modulus: int
+    classes: tuple[ClassFactor, ...]
+    exceptional: Mapping[int, ClassFactor] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.modulus < 1 or len(self.classes) != self.modulus:
+            raise ValueError("a rule needs one class per residue mod its modulus")
+
+    def class_of(self, p: int) -> ClassFactor:
+        return self.exceptional.get(p, self.classes[p % self.modulus])
+
+    def __call__(self, p: int) -> EulerFactor:
+        return self.class_of(p)(p)
+
+    def __mul__(self, other: EulerRule) -> EulerRule:
+        """The rule of the product series: class by class over the lcm of
+        the moduli, and at every prime exceptional in either rule."""
+        modulus = math.lcm(self.modulus, other.modulus)
+        return EulerRule(
+            modulus,
+            tuple(self.classes[r % self.modulus] * other.classes[r % other.modulus]
+                  for r in range(modulus)),
+            {p: self.class_of(p) * other.class_of(p)
+             for p in self.exceptional.keys() | other.exceptional.keys()})
+
+
+def expand_euler(local_factor: EulerRule | Callable[[int], EulerFactor],
+                 limit: int) -> CoeffSeries:
     """Multiplicative series from per-prime local factors.
 
+    local_factor is an EulerRule, or a plain callable p -> EulerFactor,
+    taken as the rule of modulus 1 whose one class is that function.
     a(m) is the product over p^e || m of the t^e coefficient of the local
     expansion at p.  The table is built in two phases along its support,
     the sorted nonzero indices, which stays exact because a product of
@@ -209,37 +369,49 @@ def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> Coef
     merged into the support, which keeps only indices up to limit // p:
     no later prime reads past that.
 
-    Phase 2 takes the primes p with p^2 > limit.  Only the t^1
-    coefficient c1 of their local factor can be read, so a(m * p) =
-    a(m) * c1 is written for each support index m <= isqrt(limit) and
-    each such prime p <= limit // m with c1 != 0.  This is exact:
-    m <= limit / p < p, so a(m) is already final and p divides m * p
-    exactly once; and m * p > isqrt(limit), so no phase-2 write is ever
-    read.
+    Phase 2 takes the primes p with p^2 > limit, in groups: each
+    exceptional prime of the rule on its own, then, for each residue r
+    mod the modulus M, the other primes p = r mod M, read from the sieve
+    as compress(range(start, limit + 1, M), sieve[start::M]) from the
+    first start > isqrt(limit) in the class.  The sieve bytes of the
+    exceptional primes are cleared first, so every prime falls in exactly
+    one group, and its local factor is the one that group states.  Only
+    the t^1 coefficient c1 of that factor can be read, and each group
+    gives its primes with c1 != 0, increasing, and c1 at each; a class
+    evaluates its c1 polynomial across all its primes at once, and lists
+    none when c1 is 0.  Then a(m * p) = a(m) * c1 is written for each
+    support index m <= isqrt(limit) and each such prime p <= limit // m.
+    This is exact: m <= limit / p < p, so a(m) is already final and p
+    divides m * p exactly once; m * p > isqrt(limit), so no phase-2 write
+    is ever read; and two writes never meet, since m * p determines p as
+    its largest prime factor, and p its group.
 
     Every index written in either phase is recorded once; sorted, those
     indices and 1 are the support of the returned series.  The table is
     copied once, into the tuple of the result.
 
     Beside the prime sieve, the allocation of the table and that copy,
-    the cost is one local factor call per prime, one expansion per
-    distinct phase-1 factor, and one write per nonzero coefficient (with
-    a sort of the support prefix per phase-1 prime, and one sort of the
-    recorded indices); nothing scans the table, and the constructor's
-    check of the support is one C-level count of the zeros.
+    the cost is one local factor per prime up to isqrt(limit), one
+    expansion per distinct phase-1 factor, one c1 polynomial per class
+    (evaluated without a call per prime), and one write per nonzero
+    coefficient (with a sort of the support prefix per phase-1 prime, and
+    one sort of the recorded indices); nothing scans the table, and the
+    constructor's check of the support is one C-level count of the zeros.
+    Only a plain callable is asked for a factor at each larger prime.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    rule = (local_factor if isinstance(local_factor, EulerRule)
+            else EulerRule(1, (_EachPrime(local_factor),)))
     coeffs = [0] * (limit + 1)
     coeffs[1] = 1
     support = [1]
     written = [1]
     root = math.isqrt(limit)
-    primes = primes_up_to(limit)
-    cut = bisect_right(primes, root)
+    sieve = _sieve(limit)
     expansions: dict[tuple, list[tuple[int, int]]] = {}
-    for p in primes[:cut]:
-        factor = local_factor(p)
+    for p in compress(range(root + 1), sieve[:root + 1]):
+        factor = rule(p)
         e_max = 0
         q = p
         while q <= limit:
@@ -268,18 +440,27 @@ def expand_euler(local_factor: Callable[[int], EulerFactor], limit: int) -> Coef
                     found.append(n)
         support += found
         support.sort()
-    large = []
-    for p in primes[cut:]:
-        c1 = local_factor(p).linear_coefficient()
-        if c1:
-            large.append((p, c1))
-    large_primes = [p for p, _ in large]
-    for m in support[:bisect_right(support, root)]:
-        a = coeffs[m]
-        for p, c1 in large[:bisect_right(large_primes, limit // m)]:
-            n = m * p
-            coeffs[n] = a * c1
-            written.append(n)
+    groups = []
+    for p, cls in rule.exceptional.items():
+        if root < p <= limit and sieve[p]:
+            sieve[p] = 0
+            groups.append(cls.linear_terms((p,)))
+    modulus = rule.modulus
+    for r, cls in enumerate(rule.classes):
+        start = root + 1 + (r - root - 1) % modulus
+        groups.append(cls.linear_terms(
+            compress(range(start, limit + 1, modulus), sieve[start::modulus])))
+    small = support[:bisect_right(support, root)]
+    for primes, c1s in groups:
+        for m in small:
+            k = bisect_right(primes, limit // m)
+            if not k:
+                break
+            a = coeffs[m]
+            for p, c1 in zip(primes[:k], c1s):
+                n = m * p
+                coeffs[n] = a * c1
+                written.append(n)
     written.sort()
     del coeffs[0]
     return CoeffSeries(limit, tuple(coeffs), tuple(written))

@@ -218,6 +218,19 @@ def test_table_ceiling_is_usage_error_before_any_table(capsys, monkeypatch):
     cli._check_table_limit(cli.MAX_TABLE_LIMIT)
 
 
+def test_summatory_point_outside_limit_is_usage_error_before_any_table(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("coefficient table built before the point check")
+
+    monkeypatch.setattr(catalog, "catalog_entry", no_table)
+    for at in ("0", "-5", "3000001"):
+        code, out, err = run_cli(capsys, "summatory", "--series", "phi-c",
+                                 "--limit", "3000000", "--at", "7", "--at", at)
+        assert code == 2, at
+        assert out == ""
+        assert err.startswith("error:") and f"summatory point {at} outside" in err
+
+
 def test_budget_guards_run_before_any_table(capsys, monkeypatch):
     def no_table(*args):
         raise AssertionError("coefficient table built before the budget check")

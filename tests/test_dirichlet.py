@@ -6,14 +6,17 @@ from hypothesis import example, given, strategies as st
 
 from simsub import catalog
 from simsub.dirichlet import (
+    ClassFactor,
     CoeffSeries,
     EulerFactor,
+    EulerRule,
     check_multiplicative,
     convolve,
     dirichlet_inverse,
     dirichlet_polynomial,
     epsilon,
     expand_euler,
+    primes_up_to,
     scale_argument,
     shift,
     summatory,
@@ -289,15 +292,25 @@ def test_catalog_support_is_dense_scan(name, n):
     assert_support_is_dense_scan(catalog.catalog_entry(name, n).series)
 
 
-# Engine laws over random multiplicative series: the local factor at p is
-# drawn per residue class of p, like the catalog's rules by p mod 5 or 8.
-# expand_euler sets a(1) = 1, so a local factor stands for its series only
-# when num[0] = 1, as in every catalog factor.
+# Engine laws over random multiplicative series: the local factors are an
+# EulerRule, one ClassFactor per residue class of p, like the catalog's rules
+# by p mod 5 or 8, with coefficients that may be polynomials in p, and
+# exceptional primes of their own, some of them above sqrt(N) (9 is not
+# prime, so its factor is never read).  A lambda over a rule goes through
+# expand_euler as a plain callable, prime by prime.  expand_euler sets
+# a(1) = 1, so a local factor stands for its series only when num[0] = 1,
+# as in every catalog factor.
 
+_small_polys = st.one_of(_small_ints, st.lists(_small_ints, max_size=2).map(tuple))
 _monic_factors = st.builds(
-    EulerFactor,
-    st.lists(_small_ints, max_size=3).map(lambda tail: (1, *tail)),
-    st.lists(_small_ints, max_size=3).map(lambda tail: (1, *tail)),
+    ClassFactor,
+    st.lists(_small_polys, max_size=3).map(lambda tail: (1, *tail)),
+    st.lists(_small_polys, max_size=3).map(lambda tail: (1, *tail)),
+)
+_class_factors = st.builds(
+    ClassFactor,
+    st.lists(_small_polys, min_size=1, max_size=4).map(tuple),
+    st.lists(_small_polys, max_size=3).map(lambda tail: (1, *tail)),
 )
 _limits = st.integers(1, 120)
 
@@ -306,19 +319,48 @@ _limits = st.integers(1, 120)
 def _local_rules(draw, factors=_monic_factors):
     modulus = draw(st.sampled_from((1, 3, 4, 5, 8)))
     by_class = draw(st.lists(factors, min_size=modulus, max_size=modulus))
-    return lambda p: by_class[p % modulus]
+    exceptional = draw(st.dictionaries(st.sampled_from((2, 3, 5, 7, 9, 11, 13, 37, 97)),
+                                       factors, max_size=3))
+    return EulerRule(modulus, tuple(by_class), exceptional)
 
 
 @given(_local_rules(), _local_rules(), _limits)
 def test_expand_euler_of_product_is_convolution(f, g, n):
     product = expand_euler(lambda p: f(p) * g(p), n)
     assert product.coeffs == convolve(expand_euler(f, n), expand_euler(g, n)).coeffs
+    assert expand_euler(f * g, n) == product
 
 
 @given(_local_rules(), _limits)
 def test_swapped_local_factor_expands_to_inverse(f, n):
     swapped = expand_euler(lambda p: EulerFactor(f(p).den, f(p).num), n)
     assert swapped.coeffs == dirichlet_inverse(expand_euler(f, n)).coeffs
+
+
+@given(_class_factors, _class_factors, st.lists(st.sampled_from(primes_up_to(200)),
+                                                 unique=True).map(sorted))
+def test_class_factor_reads_linear_coefficient_at_each_prime(f, g, primes):
+    for factor in (f, g, f * g):
+        expected = [(p, factor(p).linear_coefficient()) for p in primes]
+        got_primes, got_c1s = factor.linear_terms(iter(primes))
+        assert list(zip(got_primes, got_c1s)) == [(p, c) for p, c in expected if c]
+    assert [(f * g)(p) for p in primes] == [f(p) * g(p) for p in primes]
+
+
+def test_rule_and_class_validation():
+    with pytest.raises(ValueError):
+        ClassFactor((1,), ((0, 1), -1))  # constant term p
+    with pytest.raises(ValueError):
+        ClassFactor((1,), ())
+    with pytest.raises(ValueError):
+        EulerRule(2, (ClassFactor((1,)),))
+    with pytest.raises(ValueError):
+        EulerRule(0, ())
+    phi_split = ClassFactor((1, 2, 1), (1, (0, -2), (0, 0, 1)))
+    assert phi_split(11) == EulerFactor((1, 2, 1), (1, -22, 121))
+    assert phi_split.linear_terms([11, 19]) == ([11, 19], [24, 40])
+    rule = EulerRule(3, (phi_split,) * 3, {3: ClassFactor((1, 1))})
+    assert rule(3) == EulerFactor((1, 1)) and rule(7) == phi_split(7)
 
 
 def _spread(poly, k):
@@ -328,7 +370,7 @@ def _spread(poly, k):
     return tuple(out)
 
 
-@given(_local_rules(_factors), st.integers(1, 4), _limits)
+@given(_local_rules(_class_factors), st.integers(1, 4), _limits)
 def test_scale_argument_of_expansion_is_expansion_at_t_power(f, k, n):
     at_power = expand_euler(lambda p: EulerFactor(_spread(f(p).num, k),
                                                   _spread(f(p).den, k)), n)
@@ -401,6 +443,53 @@ def test_catalog_tables_match_dense_reference(name, monkeypatch):
     monkeypatch.setattr(catalog, "expand_euler", _dense_reference)
     assert sparse == catalog.catalog_entry(name, n).series
     assert_support_is_dense_scan(sparse)
+
+
+# Every exceptional prime (2 and 5) lies above sqrt(N) for some N here, and
+# every class of every rule is first reached somewhere in 1..300.
+@pytest.mark.parametrize("name", catalog.CLI_SERIES + ("riemann-zeta",))
+def test_catalog_tables_match_dense_reference_at_every_small_limit(name, monkeypatch):
+    sparse = [catalog.catalog_entry(name, n).series for n in range(1, 301)]
+    monkeypatch.setattr(catalog, "expand_euler", _dense_reference)
+    for n, series in enumerate(sparse, 1):
+        assert series == catalog.catalog_entry(name, n).series, n
+
+
+def test_catalog_builds_ask_for_no_factor_above_sqrt(monkeypatch):
+    """Phase 2 reads each class's c1 once: no factor is asked for, built or
+    read at any prime above sqrt of the expanded limit."""
+    asked, limits, counts = [], [], {"built": 0, "c1_read": 0}
+    class_call, post_init = ClassFactor.__call__, EulerFactor.__post_init__
+    linear, expand = EulerFactor.linear_coefficient, catalog.expand_euler
+
+    def counting_call(self, p):
+        asked.append(p)
+        return class_call(self, p)
+
+    def counting_post_init(self):
+        counts["built"] += 1
+        post_init(self)
+
+    def counting_linear(self):
+        counts["c1_read"] += 1
+        return linear(self)
+
+    def recording_expand(rule, limit):
+        limits.append(limit)
+        return expand(rule, limit)
+
+    monkeypatch.setattr(ClassFactor, "__call__", counting_call)
+    monkeypatch.setattr(EulerFactor, "__post_init__", counting_post_init)
+    monkeypatch.setattr(EulerFactor, "linear_coefficient", counting_linear)
+    monkeypatch.setattr(catalog, "expand_euler", recording_expand)
+    for name in catalog.CLI_SERIES + ("riemann-zeta",):
+        asked.clear()
+        limits.clear()
+        counts.update(built=0, c1_read=0)
+        catalog.catalog_entry(name, 300000)
+        (limit,) = limits
+        assert asked == primes_up_to(math.isqrt(limit)), name
+        assert counts == {"built": len(asked), "c1_read": 0}, name
 
 
 def test_nonzero_with_negative_and_zero_coefficients():
