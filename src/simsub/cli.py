@@ -16,7 +16,6 @@ import sys
 import traceback
 
 from . import catalog, cubic, lattice, quadratic, quartic
-from .dirichlet import summatory
 from .lattice import Ambient, EnumerationBudgetExceeded
 from .parallel import SettingError
 
@@ -86,8 +85,12 @@ def cmd_summatory(args) -> int:
     for x in points:
         if not 1 <= x <= args.limit:
             raise UsageError(f"summatory point {x} outside 1..{args.limit}")
-    entry = catalog.catalog_entry(args.series, args.limit)
-    values = [(x, summatory(entry.series, x)) for x in points]
+    coeffs = catalog.catalog_entry(args.series, args.limit).series.coeffs
+    values, total, start = [], 0, 0
+    for x in points:  # one running sum over the sorted points
+        total += sum(coeffs[start:x])
+        start = x
+        values.append((x, total))
     if args.format == "json":
         _emit_json({
             "series": args.series,

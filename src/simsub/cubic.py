@@ -357,7 +357,30 @@ def _components(s: QuadInt):
 
 
 def _primitive_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, QuadInt]]:
-    """Every primitive q in Z[tau]^4 with |q|^2 = s exactly, one of each pair +-q.
+    """Every primitive q in Z[tau]^4 with |q|^2 = s exactly, one of each pair +-q."""
+    return _quaternion_search(s, _components(s))
+
+
+def _content4_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, QuadInt]]:
+    """The primitive q of _primitive_quaternions(s) with every component
+    congruent to one lam in {1, tau, tau^2} mod 2.
+
+    Every q of Euler-Rodrigues content 4 is among them.  4 divides s + M11
+    = 2(a^2 + b^2), and likewise 2(a^2 + c^2) and 2(a^2 + d^2), so a^2, b^2,
+    c^2 and d^2 agree mod 2.  2 is inert, Z[tau]/2 is the field F4, and
+    squaring is one-to-one on it, so a, b, c and d agree mod 2, and not in
+    0 as q is primitive.
+    """
+    comps = _components(s)
+    out = []
+    for lam in ((1, 0), (0, 1), (1, 1)):
+        out += _quaternion_search(s, [c for c in comps if (c[0].a % 2, c[0].b % 2) == lam])
+    return out
+
+
+def _quaternion_search(s: QuadInt, comps) -> list[tuple[QuadInt, QuadInt, QuadInt, QuadInt]]:
+    """The primitive q with |q|^2 = s and all four components among comps,
+    a list of _components(s) closed under negation, one of each pair +-q.
 
     Three nested loops run over components whose squares fit under s in
     both embeddings (floats only prune partial sums, with padding); the
@@ -365,7 +388,6 @@ def _primitive_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, 
     in a dict of squares.  The first nonzero component of each listed q
     has positive real embedding.
     """
-    comps = _components(s)
     lead = [c for c in comps if not c[0] or sign_embedding(c[0]) > 0]
     roots = {(c[1], c[2]): c[0] for c in lead}
     cap1 = s.embedding_float() * (1 + 1e-9) + 1e-9
@@ -410,13 +432,14 @@ def _rotations_of_norm(n: int) -> tuple[Rotation3, ...]:
 
     For each canonical d of norm n and g in (1, 2, 4), the primitive q with
     |q|^2 = g * d and Euler-Rodrigues content g give den = d; by the
-    argument in the module docstring no other q does.
+    argument in the module docstring no other q does.  For g = 4 only the
+    residue classes of _content4_quaternions are searched.
     """
     found: dict[tuple, Rotation3] = {}
     for d in norm_equation(TAU, n):
         for g in (1, 2, 4):
             s = d * g
-            for q in _primitive_quaternions(s):
+            for q in (_content4_quaternions if g == 4 else _primitive_quaternions)(s):
                 m = _euler_rodrigues(q)
                 if _form_content(s, m) != g:
                     continue
@@ -437,12 +460,14 @@ def _predicted_triples(bound: int) -> int:
     3-balls of squared radii emb(s) and emb'(s), (4 pi/3)^2 |N(s)|^1.5 / 5^1.5.
     Canonical d of norm n average 0.4304 per n (the residue of the Dedekind
     zeta function of Q(sqrt 5)), and s = g d over g = 1, 2, 4 weighs
-    |N(d)|^1.5 by 1 + 8 + 64 = 73; summing n^1.5 up to the bound gives
+    |N(d)|^1.5 by 1 + 8 + 3 = 12: at g = 4, N(s)^1.5 = 64 N(d)^1.5, and
+    each of the three residue classes keeps 1/4 of the components, so
+    3/64 of the triples; summing n^1.5 up to the bound gives
     bound^2.5 / 2.5.  Bounds past 10^9, far over any ceiling, are clamped
     so that the estimate stays a finite float.
     """
     per_s = (4 * math.pi / 3) ** 2 / 5 ** 1.5
-    return math.ceil(per_s * 73 * 0.4304 * min(bound, 10 ** 9) ** 2.5 / 2.5)
+    return math.ceil(per_s * 12 * 0.4304 * min(bound, 10 ** 9) ** 2.5 / 2.5)
 
 
 def check_rotation_budget(bound: int) -> None:

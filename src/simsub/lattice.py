@@ -103,7 +103,7 @@ import numpy as np
 from . import catalog
 from .dirichlet import divisors
 from .parallel import map_ordered, worker_count
-from .quadratic import elements_in_embedding_box, is_canonical_associate, pair_mul, pair_norm
+from .quadratic import elements_in_embedding_box, is_canonical_associate, pair_mul
 from .quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
@@ -748,6 +748,29 @@ def list_ideals(ambient: Ambient, m: int,
 # principality
 
 
+def _norm_targets(quad, n: int, bound: float) -> list[tuple[int, int]]:
+    """(u, v) of each totally positive w = u + v*omega with N(w) = n >= 1 and
+    both float embeddings at most the bound.
+
+    N(w) = n gives (2u + c1 v)^2 = D v^2 + 4n, and w is totally positive iff
+    its trace 2u + c1 v is the positive root; |v| (omega - omega') is
+    |emb(w) - emb'(w)| < bound.  One exact isqrt per v.
+    """
+    w1, w2 = quad.omega_float, quad.omega_conj_float
+    c1, disc = quad.c1, quad.discriminant
+    vmax = int(bound / (w1 - w2)) + 1
+    out = []
+    for v in range(-vmax, vmax + 1):
+        t = disc * v * v + 4 * n
+        root = math.isqrt(t)
+        if root * root != t or (root - c1 * v) % 2:
+            continue
+        u = (root - c1 * v) // 2
+        if u + v * w1 <= bound and u + v * w2 <= bound:
+            out.append((u, v))
+    return out
+
+
 def is_principal(sub: Submodule) -> bool:
     """Whether an ideal is generated by a single element.
 
@@ -755,8 +778,14 @@ def is_principal(sub: Submodule) -> bool:
     index.  Units i^k mu^l move any generator into the fundamental domain
     where both archimedean square-magnitudes are at most sqrt(index)*mu1;
     we scan that box enlarged by a factor 2 per embedding, so an empty
-    scan proves non-principality.  Floats only size the box; a candidate
-    re + i*im is screened by the exact integer norm of re^2 + im^2.
+    scan proves non-principality.  Floats only size the box.
+
+    A pair re, im of box elements whose embeddings pass the float cap test
+    gives w = re^2 + im^2 with both embeddings in [0, cap + 1e-9], so
+    N(re + i*im) = N(w) = n forces w totally positive: w is one of the
+    _norm_targets under a padded cap.  So looking up w - re^2 among the
+    squared box elements, for each re and target, tries exactly the pairs
+    of the full pair scan with N(w) = n.
     """
     ring = _QUARTIC_RING.get(sub.ambient)
     if ring is None:
@@ -769,26 +798,28 @@ def is_principal(sub: Submodule) -> bool:
     cap = 2.0 * math.sqrt(n) * mu1
     side = math.sqrt(cap) * 1.0000001
     c1, c0 = quad.c1, quad.c0
-    pairs = []
+    w1, w2 = quad.omega_float, quad.omega_conj_float
+    by_square: dict[tuple[int, int], list] = {}  # the box elements by their square
     for x in elements_in_embedding_box(quad, side, side):
-        e1 = x.embedding_float() ** 2
-        e2 = x.conj_embedding_float() ** 2
+        a, b = x.a, x.b
+        e1 = (a + b * w1) ** 2
+        e2 = (a + b * w2) ** 2
         if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
-            pairs.append((e1, x.a, x.b, e2, pair_mul((x.a, x.b), (x.a, x.b), c1, c0)))
-    pairs.sort()
-    for r1, ra, rb, r2, (ru, rv) in pairs:
-        for s1, sa, sb, s2, (su, sv) in pairs:
-            if r1 + s1 > cap + 1e-9 or r2 + s2 > cap + 1e-9:
-                continue
-            # re^2 + im^2 = u + v*w, and abs_norm(re + i*im) = |norm(u + v*w)|
-            if abs(pair_norm((ru + su, rv + sv), c1, c0)) != n:
-                continue
-            cand = QuarticInt((ra, sa, rb, sb), ring)
-            if not sub.contains(cand.coeffs):
-                continue
-            generated = hnf_canonical(list(zip(*regular_rep(cand))))
-            if generated == sub.basis:
-                return True
+            by_square.setdefault(pair_mul((a, b), (a, b), c1, c0), []).append((e1, a, b, e2))
+    targets = _norm_targets(quad, n, cap * (1 + 1e-9) + 1e-6)
+    for (ru, rv), roots in by_square.items():
+        for u, v in targets:
+            partners = by_square.get((u - ru, v - rv), ())
+            for r1, ra, rb, r2 in roots:
+                for s1, sa, sb, s2 in partners:
+                    if r1 + s1 > cap + 1e-9 or r2 + s2 > cap + 1e-9:
+                        continue
+                    cand = QuarticInt((ra, sa, rb, sb), ring)
+                    if not sub.contains(cand.coeffs):
+                        continue
+                    generated = hnf_canonical(list(zip(*regular_rep(cand))))
+                    if generated == sub.basis:
+                        return True
     return False
 
 

@@ -27,7 +27,7 @@ class QuadRing:
 
     _ALLOWED = {(1, 1): "tau", (0, 2): "sqrt2"}
 
-    __slots__ = ("c1", "c0", "name", "_fund", "_window")
+    __slots__ = ("c1", "c0", "name", "omega_float", "omega_conj_float", "_fund", "_window")
 
     def __init__(self, c1: int, c0: int) -> None:
         try:
@@ -36,6 +36,9 @@ class QuadRing:
             raise ValueError(f"unsupported quadratic ring: w^2 = {c1}*w + {c0}")
         self.c1 = c1
         self.c0 = c0
+        # the larger and smaller root of x^2 = c1*x + c0, as floats
+        self.omega_float = (c1 + math.sqrt(self.discriminant)) / 2.0
+        self.omega_conj_float = (c1 - math.sqrt(self.discriminant)) / 2.0
         fund = QuadInt(0, 1, self) if self.name == "tau" else QuadInt(1, 1, self)
         self._fund = fund
         # (d, e) with d*a + e*b the w-coefficient of (a + b w) * fund^-2
@@ -49,15 +52,6 @@ class QuadRing:
     @property
     def fundamental_unit(self) -> QuadInt:
         return self._fund
-
-    @property
-    def omega_float(self) -> float:
-        # larger root of x^2 = c1*x + c0
-        return (self.c1 + math.sqrt(self.discriminant)) / 2.0
-
-    @property
-    def omega_conj_float(self) -> float:
-        return (self.c1 - math.sqrt(self.discriminant)) / 2.0
 
     def zero(self) -> QuadInt:
         return QuadInt(0, 0, self)

@@ -3,13 +3,14 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 from simsub import catalog, cli, cubic, lattice
-from simsub.dirichlet import dirichlet_inverse
+from simsub.dirichlet import dirichlet_inverse, summatory
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -134,6 +135,20 @@ def test_summatory(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["values"] == [{"x": 1, "sum": 1}, {"x": 5, "sum": 3}]
+
+
+def test_summatory_running_sum_matches_each_point(capsys):
+    rng = random.Random(20)
+    limit = 5000
+    points = rng.sample(range(1, limit + 1), 50)
+    argv = ["summatory", "--series", "phi-c", "--limit", str(limit)]
+    for x in points:
+        argv += ["--at", str(x)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    series = catalog.phi_c(limit)
+    assert json.loads(out)["values"] == [{"x": x, "sum": summatory(series, x)}
+                                         for x in sorted(points)]
 
 
 def test_rotations_command(capsys):

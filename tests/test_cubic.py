@@ -518,6 +518,87 @@ def test_primitive_quaternions_match_brute_force():
         assert len(got) == len(set(got)) and set(got) == expected, s
 
 
+def _in_one_nonzero_class_mod_2(q):
+    classes = {(c.a % 2, c.b % 2) for c in q}
+    return len(classes) == 1 and classes != {(0, 0)}
+
+
+def test_content4_quaternions_are_the_class_of_every_content_4_q():
+    # every primitive q with |q|^2 = 4d and content 4 has a = b = c = d = lam != 0 mod 2,
+    # and the class search lists exactly the primitive q of those classes
+    content4 = 0
+    for n in range(1, 17):
+        for d in norm_equation(TAU, n):
+            s = d * 4
+            every = cubic._primitive_quaternions(s)
+            for q in every:
+                if cubic._form_content(s, cubic._euler_rodrigues(q)) == 4:
+                    assert _in_one_nonzero_class_mod_2(q), q
+                    content4 += 1
+            got = cubic._content4_quaternions(s)
+            assert len(got) == len(set(got))
+            assert set(got) == {q for q in every if _in_one_nonzero_class_mod_2(q)}, s
+    assert content4 > 0
+
+
+def _unrestricted_rotations_of_norm(n):
+    """Reference: every primitive q with |q|^2 in {d, 2d, 4d}, kept when den = d."""
+    found = {}
+    for d in norm_equation(TAU, n):
+        for g in (1, 2, 4):
+            for q in cubic._primitive_quaternions(d * g):
+                rot = quat_to_rotation(QuatTau(q))
+                if rot.den == d:
+                    found.setdefault(rot.key(), []).append(rot)
+    assert all(len(rots) == 1 for rots in found.values())
+    return tuple(found[k][0] for k in sorted(found))
+
+
+def test_rotations_of_norm_match_unrestricted_enumeration():
+    for n in range(1, 17):
+        got = cubic._rotations_of_norm(n)
+        assert tuple(r.key() for r in got) == tuple(
+            r.key() for r in _unrestricted_rotations_of_norm(n)), n
+
+
+def _visited_triples(s, comps):
+    """Component triples that the loops of cubic._quaternion_search look up."""
+    lead = [c for c in comps if not c[0] or sign_embedding(c[0]) > 0]
+    cap1 = s.embedding_float() * (1 + 1e-9) + 1e-9
+    cap2 = s.conj_embedding_float() * (1 + 1e-9) + 1e-9
+    return sum(1 for x0, _, _, f0, g0 in lead
+               for x1, _, _, f1, g1 in (comps if x0 else lead)
+               if f0 + f1 <= cap1 and g0 + g1 <= cap2
+               for x2, _, _, f2, g2 in (comps if x0 or x1 else lead)
+               if f0 + f1 + f2 <= cap1 and g0 + g1 + g2 <= cap2)
+
+
+def test_predicted_triples_against_counted_triples():
+    visited = 0
+    for n in range(1, 17):
+        for d in norm_equation(TAU, n):
+            for g in (1, 2):
+                visited += _visited_triples(d * g, cubic._components(d * g))
+            comps = cubic._components(d * 4)
+            visited += sum(_visited_triples(d * 4, [c for c in comps
+                                                    if (c[0].a % 2, c[0].b % 2) == lam])
+                           for lam in ((1, 0), (0, 1), (1, 1)))
+    assert visited == 2084
+    assert cubic._predicted_triples(16) == 3320
+    assert visited <= cubic._predicted_triples(16) <= 2 * visited
+
+
+def test_first_refused_rotation_bound(monkeypatch):
+    monkeypatch.setattr(cubic, "_norm_cache", {})
+    monkeypatch.setattr(cubic, "_rotations_of_norm", _no_enumeration)
+    cubic.check_rotation_budget(394)
+    with pytest.raises(EnumerationBudgetExceeded, match="ceiling 10000000"):
+        cubic.check_rotation_budget(395)
+    with pytest.raises(EnumerationBudgetExceeded):
+        rotation_counts(395)
+    assert cubic._norm_cache == {}
+
+
 def test_integral_route_matches_quadrat_route():
     # every primitive q with |q|^2 = g d, content any of 1, 2, 4, N(d) <= 9
     seen = 0

@@ -24,7 +24,7 @@ from simsub.lattice import (
     list_ideals,
     verify_series,
 )
-from simsub.quadratic import QuadInt, elements_in_embedding_box, pair_mul, pair_norm
+from simsub.quadratic import QuadInt, elements_in_embedding_box, pair_mul, pair_norm, sign_embedding
 from simsub.quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 
@@ -334,6 +334,73 @@ def test_is_principal_matches_quartic_norm_reference(ambient, limit):
         assert principal == sum(catalog.zeta_q_itau(limit).coeffs)
     else:
         assert principal == sum(catalog.zeta_zi_sqrt2(limit).coeffs)
+
+
+def _principal_cap(quad, n):
+    # the cap of is_principal, and the padded bound of its target list
+    cap = 2.0 * math.sqrt(n) * quad.fundamental_unit.embedding_float()
+    return cap, cap * (1 + 1e-9) + 1e-6
+
+
+@pytest.mark.parametrize("ring", [ITAU, ISQRT2])
+def test_norm_targets_match_brute_scan(ring):
+    # every n <= 300: one brute scan of the [0, 2 cap]^2 embedding box of n = 300,
+    # by exact norm and total positivity, then the float cap test of each n
+    quad = ring.quad
+    w1, w2 = quad.omega_float, quad.omega_conj_float
+    wide = 2 * _principal_cap(quad, 300)[1]
+    positive = [x for x in elements_in_embedding_box(quad, wide, wide)
+                if 1 <= x.norm() <= 300 and x.a > 0
+                and x.a + x.b * w1 <= wide and x.a + x.b * w2 <= wide]
+    assert all(sign_embedding(x) > 0 and sign_embedding(x.conj()) > 0 for x in positive)
+    for n in range(1, 301):
+        bound = _principal_cap(quad, n)[1]
+        expected = sorted((x.a, x.b) for x in positive if x.norm() == n
+                          and x.a + x.b * w1 <= bound and x.a + x.b * w2 <= bound)
+        got = lattice._norm_targets(quad, n, bound)
+        assert sorted(got) == expected and len(set(got)) == len(got), (quad, n)
+
+
+def _norm_passing_pairs(sub):
+    """Coefficients of every box pair of the full pair scan whose re^2 + im^2 has norm n."""
+    ring = {Ambient.Z_ITAU_AS_Z4: ITAU, Ambient.Z_ISQRT2_AS_Z4: ISQRT2}[sub.ambient]
+    quad, n = ring.quad, sub.index
+    cap = _principal_cap(quad, n)[0]
+    side = math.sqrt(cap) * 1.0000001
+    box = []
+    for x in elements_in_embedding_box(quad, side, side):
+        e1, e2 = x.embedding_float() ** 2, x.conj_embedding_float() ** 2
+        if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
+            box.append((e1, e2, x.a, x.b, pair_mul((x.a, x.b), (x.a, x.b), quad.c1, quad.c0)))
+    return sorted((ra, sa, rb, sb) for r1, r2, ra, rb, (ru, rv) in box
+                  for s1, s2, sa, sb, (su, sv) in box
+                  if r1 + s1 <= cap + 1e-9 and r2 + s2 <= cap + 1e-9
+                  and abs(pair_norm((ru + su, rv + sv), quad.c1, quad.c0)) == n)
+
+
+@pytest.mark.parametrize("ambient, limit", [
+    (Ambient.Z_ISQRT2_AS_Z4, 60),
+    (Ambient.Z_ITAU_AS_Z4, 30),
+])
+def test_is_principal_tries_exactly_the_norm_passing_pairs(ambient, limit, monkeypatch):
+    # with every membership test failing, the lookup tries each pair once;
+    # the ideals are listed as invariant already, so the ideal check is skipped
+    tried = []
+
+    def record(sub, vector):
+        tried.append(tuple(vector))
+        return False
+
+    subs = [sub for m in range(1, limit + 1) for sub in list_ideals(ambient, m)]
+    monkeypatch.setattr(lattice, "is_invariant", lambda sub, actions: True)
+    monkeypatch.setattr(Submodule, "contains", record)
+    total = 0
+    for sub in subs:
+        tried.clear()
+        assert not is_principal(sub)
+        assert sorted(tried) == _norm_passing_pairs(sub), sub.basis
+        total += len(tried)
+    assert total >= len(subs)
 
 
 _parts = st.integers(-10 ** 6, 10 ** 6)
