@@ -83,6 +83,7 @@ from .quadratic import (  # noqa: F401
     is_canonical_associate,
     norm_equation,
     pair_mul,
+    pair_sign,
     sign_embedding,
 )
 
@@ -346,13 +347,15 @@ def _components(s: QuadInt):
     """(x, x^2 coordinates, x^2 embeddings) for each x with s - x^2 totally >= 0."""
     e1 = s.embedding_float()
     e2 = s.conj_embedding_float()
+    c1, c0 = TAU.c1, TAU.c0
+    w1, w2 = TAU.omega_float, TAU.omega_conj_float
     out = []
     for x in elements_in_embedding_box(TAU, math.sqrt(e1) * 1.000001,
                                        math.sqrt(e2) * 1.000001):
-        sq = x * x
-        r = s - sq
-        if sign_embedding(r) >= 0 and sign_embedding(r.conj()) >= 0:
-            out.append((x, sq.a, sq.b, sq.embedding_float(), sq.conj_embedding_float()))
+        qa, qb = pair_mul(x, x, c1, c0)
+        ra, rb = s.a - qa, s.b - qb  # s - x^2, and its conjugate below
+        if pair_sign((ra, rb), c1, c0) >= 0 and pair_sign((ra + c1 * rb, -rb), c1, c0) >= 0:
+            out.append((QuadInt(*x, TAU), qa, qb, qa + qb * w1, qa + qb * w2))
     return out
 
 

@@ -58,28 +58,23 @@ Runs of smaller diagonals share one pass of at most _CHUNK candidates,
 whose diagonal entries are per-candidate arrays, and the runs cross
 index boundaries (every diagonal of an ambient has the same factor
 layout).  So one walk covers a whole range of increasing indices:
-Z[tau] to 400 takes 17 passes, or 7 and 11 in the two walks of two
-workers, where one walk per index took 400; Z[i,tau] to 80 takes 61
-(73 one index at a time).  In count mode a survivor's index is the
-product of its diagonal entries, and one bincount per pass adds the
-survivors to the counts of their indices; in collect mode they come out
-in index order.  _PACK = 1024 was chosen by timing the oracle ranges
-(Z[tau] to 400, Z[i,tau] to 80, Z[i,sqrt2] to 60) and the rank-4 ranges
-to 300 on a 2-core host, one walk per index: every value from 512 to
-4096 was within the noise; 128 was about 20% slower on Z[tau] to 400,
-and packing every diagonal (no threshold) was about 10% slower on
-Z[i,tau] to 300, where large per-candidate divisor arrays cost more than
-the calls they save.
+Z[tau] to 400 takes 17 passes, where one walk per index took 400;
+Z[i,tau] to 80 takes 61 (73 one index at a time).  In count mode a
+survivor's index is the product of its diagonal entries, and one
+bincount per pass adds the survivors to the counts of their indices; in
+collect mode they come out in index order.  _PACK = 1024 was chosen by
+timing the oracle ranges (Z[tau] to 400, Z[i,tau] to 80, Z[i,sqrt2] to
+60) and the rank-4 ranges to 300 on a 2-core host, one walk per index:
+every value from 512 to 4096 was within the noise; 128 was about 20%
+slower on Z[tau] to 400, and packing every diagonal (no threshold) was
+about 10% slower on Z[i,tau] to 300, where large per-candidate divisor
+arrays cost more than the calls they save.
 
 Pass size.  _CHUNK = 2^13 keeps a pass's arrays in cache and its peak
 memory small.  On a 2-core host, Z[i,tau] to 300 (8.4 million candidates
-in 1,255 passes) peaks at 36 MB of RSS in-process at one worker and
-39 MB at two, where 2^20 peaked at 83 and 111 MB; 2^14 already raised the
-peak of the benchmark's `oracles` pass by 1.4 MB.  The price is that a
-pass's numpy calls are short, a few microseconds each, so two worker
-threads contend for the interpreter lock more than they overlap: the
-same range takes a median 0.49 s in-process at one worker and 0.81 s at
-two (0.88 s at two with 2^20 and one walk per index).
+in 1,255 passes) peaks at 36 MB of RSS in-process, where 2^20 peaked at
+83 MB; 2^14 already raised the peak of the benchmark's `oracles` pass by
+1.4 MB.  The same range takes a median 0.49 s in-process.
 
 Principality.  A generator re + i*im (re, im in the real quadratic
 ring) has relative norm re^2 + im^2.  The search squares each element
@@ -102,7 +97,7 @@ import numpy as np
 
 from . import catalog
 from .dirichlet import divisors
-from .parallel import map_ordered, worker_count
+from .parallel import map_ordered
 from .quadratic import elements_in_embedding_box, is_canonical_associate, pair_mul
 from .quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
@@ -540,7 +535,7 @@ def _invariant_blocks(a, actions):
     Maps each diagonal that holds an invariant HNF to (count, digits),
     digits in flat HNF order, in lexicographic diagonal order; diagonals
     that hold none are absent.  The mapping and its digit arrays are
-    read-only, so worker threads can share them.
+    read-only, so any caller can share them.
     """
     r = len(actions[0].matrix)
     entries = _entries(_walk((a,), actions), r)
@@ -801,11 +796,11 @@ def is_principal(sub: Submodule) -> bool:
     w1, w2 = quad.omega_float, quad.omega_conj_float
     by_square: dict[tuple[int, int], list] = {}  # the box elements by their square
     for x in elements_in_embedding_box(quad, side, side):
-        a, b = x.a, x.b
+        a, b = x
         e1 = (a + b * w1) ** 2
         e2 = (a + b * w2) ** 2
         if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
-            by_square.setdefault(pair_mul((a, b), (a, b), c1, c0), []).append((e1, a, b, e2))
+            by_square.setdefault(pair_mul(x, x, c1, c0), []).append((e1, a, b, e2))
     targets = _norm_targets(quad, n, cap * (1 + 1e-9) + 1e-6)
     for (ru, rv), roots in by_square.items():
         for u, v in targets:
@@ -892,22 +887,14 @@ class OracleReport:
 
 
 def verify_series(ambient: Ambient, limit: int,
-                  max_candidates: int = DEFAULT_MAX_CANDIDATES,
-                  workers: int | None = None) -> OracleReport:
+                  max_candidates: int = DEFAULT_MAX_CANDIDATES) -> OracleReport:
     """Compare oracle counts with the catalog coefficients for m <= limit.
 
-    Worker w walks the indices m = w + 1 (mod workers) in one kernel walk:
-    the split is fixed in advance, so the counts do not depend on timing,
-    and interleaved indices give the workers about equal shares of work.
+    The counts come from one kernel walk over 1..limit.
     """
     _check_budget(ambient_rank(ambient), range(1, limit + 1), max_candidates)
     series = _EXPECTED_SERIES[ambient](limit)
-    if workers is None:
-        workers = worker_count()
-    workers = min(workers, limit)
-    parts = map_ordered(
-        lambda w: _similarity_counts(ambient, range(w + 1, limit + 1, workers)),
-        range(workers), workers)
-    rows = tuple((m, parts[(m - 1) % workers][(m - 1) // workers], series.a(m))
-                 for m in range(1, limit + 1))
+    counts, = map_ordered(lambda indices: _similarity_counts(ambient, indices),
+                          (range(1, limit + 1),), 1)
+    rows = tuple((m, count, series.a(m)) for m, count in enumerate(counts, 1))
     return OracleReport(ambient.value, limit, rows)

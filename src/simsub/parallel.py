@@ -1,40 +1,13 @@
-"""Worker-count plumbing for the enumeration kernels.
+"""The in-order map that `lattice.verify_series` makes its one walk through.
 
-The kernels partition work deterministically (by index or by diagonal
-type) and merge in input order, so results do not depend on the degree
-of parallelism.
+It is kept only because `perfbench/tracer.py` imports this module and
+patches `lattice.map_ordered` to time the walk; the benchmark rework
+(ROADMAP item 2) deletes it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 
-
-class SettingError(ValueError):
-    """An environment setting such as SIMSUB_THREADS has an invalid value."""
-
-
-def worker_count() -> int:
-    """Workers to use: SIMSUB_THREADS if set, else all cores."""
-    raw = os.environ.get("SIMSUB_THREADS")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise SettingError(f"SIMSUB_THREADS must be an integer >= 1, got {raw!r}")
-        return n
-    return os.cpu_count() or 1
-
-
-def map_ordered(fn, items, workers: int | None = None) -> list:
-    """Map preserving input order, optionally on a thread pool."""
-    items = list(items)
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def map_ordered(fn, items, workers: int = 1) -> list:
+    """[fn(x) for x in items]; workers is accepted for the tracer's patch and unused."""
+    return [fn(x) for x in items]

@@ -226,13 +226,18 @@ def unit_inverse(u: QuadInt) -> QuadInt:
 
 
 def sign_embedding(x: QuadInt) -> int:
-    """Sign of the real embedding a + b*w (w the positive root), exactly.
+    """Sign of the real embedding a + b*w (w the positive root), exactly."""
+    return pair_sign((x.a, x.b), x.ring.c1, x.ring.c0)
+
+
+def pair_sign(x: tuple[int, int], c1: int, c0: int) -> int:
+    """Sign of the real embedding of an (a, b) pair, w^2 = c1 w + c0, exactly.
 
     Writes 2(a + b w) = s + b*sqrt(D) with s = 2a + b*c1 and compares
     s^2 against D*b^2; D is a non-square so ties cannot occur.
     """
-    s = 2 * x.a + x.b * x.ring.c1
-    b = x.b
+    a, b = x
+    s = 2 * a + b * c1
     if b == 0:
         return (s > 0) - (s < 0)
     if s == 0:
@@ -241,7 +246,7 @@ def sign_embedding(x: QuadInt) -> int:
         return 1
     if s < 0 and b < 0:
         return -1
-    d = s * s - x.ring.discriminant * b * b
+    d = s * s - (c1 * c1 + 4 * c0) * b * b
     if d == 0:
         raise InvariantViolation("non-square discriminant cannot give a tie")
     if s > 0:  # b < 0
@@ -472,24 +477,24 @@ def splitting_class(p: int, ring: QuadRing) -> SplittingClass:
 
 
 def elements_in_embedding_box(ring: QuadRing, bound1: float, bound2: float):
-    """All x with |emb(x)| <= bound1 and |emb'(x)| <= bound2, a bit padded.
+    """The (a, b) pair of each x = a + b*w with |emb(x)| <= bound1 and
+    |emb'(x)| <= bound2, a bit padded, b then a increasing.
 
     The box is computed with floats and widened by one unit in each
     integer coordinate, so it may over-include but never under-include;
-    callers apply their own exact filters.
+    callers apply their own exact filters, and build a QuadInt only for
+    the pairs they keep.
     """
     w1 = ring.omega_float
     w2 = ring.omega_conj_float
     bmax = int((bound1 + bound2) / (w1 - w2)) + 1
-    out = []
     for b in range(-bmax, bmax + 1):
         lo = max(-bound1 - b * w1, -bound2 - b * w2)
         hi = min(bound1 - b * w1, bound2 - b * w2)
         if hi < lo - 1:
             continue
         for a in range(math.floor(lo) - 1, math.ceil(hi) + 2):
-            out.append(QuadInt(a, b, ring))
-    return out
+            yield a, b
 
 
 @lru_cache(maxsize=4096)
@@ -503,10 +508,10 @@ def norm_equation(ring: QuadRing, n: int) -> tuple[QuadInt, ...]:
         raise ValueError("n must be >= 1")
     f = ring._fund.embedding_float()
     root = math.sqrt(n)
-    hits = [x for x in elements_in_embedding_box(ring, root * f * f * 1.001, root * 1.001)
-            if x.norm() == n and is_canonical_associate(x)]
-    hits.sort(key=lambda x: (x.a, x.b))
-    return tuple(hits)
+    c1, c0 = ring.c1, ring.c0
+    pairs = sorted(p for p in elements_in_embedding_box(ring, root * f * f * 1.001, root * 1.001)
+                   if pair_norm(p, c1, c0) == n)
+    return tuple(x for x in (QuadInt(a, b, ring) for a, b in pairs) if is_canonical_associate(x))
 
 
 def units_up_to_height(ring: QuadRing, height: int) -> list[QuadInt]:

@@ -186,15 +186,6 @@ def test_nonpositive_limit_or_index_is_parser_error(capsys):
         assert "must be >= 1" in err, argv
 
 
-def test_invalid_thread_setting_is_usage_error(capsys, monkeypatch):
-    for raw in ("0", "abc"):
-        monkeypatch.setenv("SIMSUB_THREADS", raw)
-        code, out, err = run_cli(capsys, "verify", "--module", "ztau", "--limit", "3")
-        assert code == 2, raw
-        assert out == ""
-        assert err.startswith("error: SIMSUB_THREADS must be an integer >= 1"), raw
-
-
 def test_internal_error_is_not_usage_error(capsys, monkeypatch):
     def broken(n):
         raise ValueError("does not divide")
@@ -379,16 +370,22 @@ def test_coeffs_output_with_negative_coefficients(capsys, monkeypatch):
         assert out == _coeffs_reference("zeta-qtau", 100, mu, fmt), fmt
 
 
-def test_worker_count_does_not_change_results(capsys, monkeypatch):
-    # the packed numpy passes and the shared block cache run under the pool
+def test_thread_setting_is_ignored(capsys, monkeypatch):
+    # verify walks 1..limit once, on the calling thread; SIMSUB_THREADS, which
+    # once sized a thread pool, changes neither the output nor the exit code
     for module, limit in (("zitau", 20), ("ztau", 60), ("zisqrt2", 20)):
         argv = ("verify", "--module", module, "--limit", str(limit))
-        monkeypatch.setenv("SIMSUB_THREADS", "1")
-        _, serial, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv("SIMSUB_THREADS", "3")
-        _, threaded, _ = run_cli(capsys, *argv)
-        assert serial == threaded, module
-        assert f"{limit}/{limit} match" in serial, module
+        outputs = set()
+        for raw in (None, "0", "abc", "3"):
+            if raw is None:
+                monkeypatch.delenv("SIMSUB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("SIMSUB_THREADS", raw)
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, (module, raw)
+            outputs.add(out)
+        assert len(outputs) == 1, module
+        assert f"{limit}/{limit} match" in outputs.pop(), module
 
 
 def test_console_entry_point():

@@ -202,24 +202,20 @@ def test_walk_results_do_not_depend_on_pass_layout(monkeypatch, setting, value):
 
 
 @_LAYOUTS
-@pytest.mark.parametrize("workers", [1, 2])
-def test_range_walk_matches_single_indices(monkeypatch, setting, value, workers):
-    # one walk over the indices m = w + 1 (mod workers), as verify_series
-    # splits them, gives the per-index counts and bases, concatenated
+def test_range_walk_matches_single_indices(monkeypatch, setting, value):
+    # one walk over 1..48, as verify_series makes it, gives the per-index
+    # counts and bases, concatenated
     monkeypatch.setattr(lattice, setting, value)
     lengths = _record_pass_lengths(monkeypatch)
-    parts = [range(w + 1, 49, workers) for w in range(workers)]
+    indices = range(1, 49)
     try:
         for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
-            counts = lattice.map_ordered(
-                lambda part: lattice._ideal_counts(ambient, part), parts, workers)
-            lists = lattice.map_ordered(
-                lambda part: [s.basis for s in lattice._ideals(ambient, part)], parts, workers)
-            for part, part_counts, part_bases in zip(parts, counts, lists):
-                assert part_counts == [count_ideals(ambient, m) for m in part], ambient
-                assert part_bases == [s.basis for m in part
-                                      for s in list_ideals(ambient, m)], ambient
-            report = verify_series(ambient, 48, workers=workers)
+            counts = lattice._ideal_counts(ambient, indices)
+            bases = [s.basis for s in lattice._ideals(ambient, indices)]
+            assert counts == [count_ideals(ambient, m) for m in indices], ambient
+            assert bases == [s.basis for m in indices
+                             for s in list_ideals(ambient, m)], ambient
+            report = verify_series(ambient, 48)
             assert [row[1] for row in report.rows] == \
                 [count_similarity_submodules(ambient, m) for m in range(1, 49)], ambient
     finally:
@@ -302,7 +298,8 @@ def is_principal_by_quartic(sub):
     cap = 2.0 * math.sqrt(n) * mu1
     side = math.sqrt(cap) * 1.0000001
     pairs = []
-    for x in elements_in_embedding_box(ring.quad, side, side):
+    for a, b in elements_in_embedding_box(ring.quad, side, side):
+        x = QuadInt(a, b, ring.quad)
         e1 = x.embedding_float() ** 2
         e2 = x.conj_embedding_float() ** 2
         if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
@@ -349,8 +346,8 @@ def test_norm_targets_match_brute_scan(ring):
     quad = ring.quad
     w1, w2 = quad.omega_float, quad.omega_conj_float
     wide = 2 * _principal_cap(quad, 300)[1]
-    positive = [x for x in elements_in_embedding_box(quad, wide, wide)
-                if 1 <= x.norm() <= 300 and x.a > 0
+    box = [QuadInt(a, b, quad) for a, b in elements_in_embedding_box(quad, wide, wide)]
+    positive = [x for x in box if 1 <= x.norm() <= 300 and x.a > 0
                 and x.a + x.b * w1 <= wide and x.a + x.b * w2 <= wide]
     assert all(sign_embedding(x) > 0 and sign_embedding(x.conj()) > 0 for x in positive)
     for n in range(1, 301):
@@ -368,7 +365,8 @@ def _norm_passing_pairs(sub):
     cap = _principal_cap(quad, n)[0]
     side = math.sqrt(cap) * 1.0000001
     box = []
-    for x in elements_in_embedding_box(quad, side, side):
+    for a, b in elements_in_embedding_box(quad, side, side):
+        x = QuadInt(a, b, quad)
         e1, e2 = x.embedding_float() ** 2, x.conj_embedding_float() ** 2
         if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
             box.append((e1, e2, x.a, x.b, pair_mul((x.a, x.b), (x.a, x.b), quad.c1, quad.c0)))
@@ -426,14 +424,13 @@ def _i_blocks(ambient):
 
 def test_block_cache_cold_and_warm_agree():
     for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
-        for workers in (1, 2):
-            lattice._invariant_blocks.cache_clear()
-            cold = verify_series(ambient, 40, workers=workers)
-            cold_bases = [s.basis for s in list_ideals(ambient, 48)]
-            assert lattice._invariant_blocks.cache_info().hits > 0
-            warm = verify_series(ambient, 40, workers=workers)
-            assert cold.ok and warm.rows == cold.rows, (ambient, workers)
-            assert [s.basis for s in list_ideals(ambient, 48)] == cold_bases
+        lattice._invariant_blocks.cache_clear()
+        cold = verify_series(ambient, 40)
+        cold_bases = [s.basis for s in list_ideals(ambient, 48)]
+        assert lattice._invariant_blocks.cache_info().hits > 0
+        warm = verify_series(ambient, 40)
+        assert cold.ok and warm.rows == cold.rows, ambient
+        assert [s.basis for s in list_ideals(ambient, 48)] == cold_bases
 
 
 def test_block_cache_shared_across_threads():
@@ -501,6 +498,25 @@ def test_verify_series_small_ranges():
     assert verify_series(Ambient.Z_ISQRT2_AS_Z4, 20).ok
 
 
+def test_verify_series_makes_one_walk(monkeypatch):
+    # the counts of 1..limit come from one kernel walk, whatever the ambient
+    calls = []
+    walk = lattice._similarity_counts
+
+    def recorded(ambient, indices):
+        calls.append((ambient, indices))
+        return walk(ambient, indices)
+
+    monkeypatch.setattr(lattice, "_similarity_counts", recorded)
+    for ambient, limit in ((Ambient.Z_TAU_AS_Z2, 60), (Ambient.Z_ITAU_AS_Z4, 30),
+                           (Ambient.Z_ISQRT2_AS_Z4, 30)):
+        calls.clear()
+        report = verify_series(ambient, limit)
+        assert calls == [(ambient, range(1, limit + 1))], ambient
+        assert [row[:2] for row in report.rows] == \
+            [(m, count_similarity_submodules(ambient, m)) for m in range(1, limit + 1)], ambient
+
+
 def test_verify_series_zitau_300():
     # the budget still counts the full HNF set: 4,387,882,163 for m <= 300
     assert sum(hnf_candidate_count(4, m) for m in range(1, 301)) == 4_387_882_163
@@ -521,7 +537,7 @@ def test_resource_guard(monkeypatch):
     with pytest.raises(EnumerationBudgetExceeded):
         verify_series(Ambient.Z_ITAU_AS_Z4, 100, max_candidates=10 ** 5)
     # the budget is computed once per m: verify_series checks the whole
-    # range up front, and no worker checks an index again
+    # range up front, and its walk checks no index again
     seen = []
     count = lattice.hnf_candidate_count
 
@@ -530,10 +546,8 @@ def test_resource_guard(monkeypatch):
         return count(rank, m)
 
     monkeypatch.setattr(lattice, "hnf_candidate_count", recorded)
-    for workers in (1, 2):
-        seen.clear()
-        assert verify_series(Ambient.Z_ITAU_AS_Z4, 40, workers=workers).ok
-        assert seen == [(4, m) for m in range(1, 41)], workers
+    assert verify_series(Ambient.Z_ITAU_AS_Z4, 40).ok
+    assert seen == [(4, m) for m in range(1, 41)]
 
 
 def test_contains_matches_enumeration():
