@@ -370,7 +370,7 @@ def test_coeffs_output_with_negative_coefficients(capsys, monkeypatch):
         assert out == _coeffs_reference("zeta-qtau", 100, mu, fmt), fmt
 
 
-def test_thread_setting_is_ignored(capsys, monkeypatch):
+def test_worker_count_does_not_change_results(capsys, monkeypatch):
     # verify walks 1..limit once, on the calling thread; SIMSUB_THREADS, which
     # once sized a thread pool, changes neither the output nor the exit code
     for module, limit in (("zitau", 20), ("ztau", 60), ("zisqrt2", 20)):

@@ -202,19 +202,22 @@ def test_walk_results_do_not_depend_on_pass_layout(monkeypatch, setting, value):
 
 
 @_LAYOUTS
-def test_range_walk_matches_single_indices(monkeypatch, setting, value):
-    # one walk over 1..48, as verify_series makes it, gives the per-index
-    # counts and bases, concatenated
+@pytest.mark.parametrize("walks", [1, 2])
+def test_range_walk_matches_single_indices(monkeypatch, setting, value, walks):
+    # a walk over any increasing indices, here the residue classes of 1..48
+    # mod walks, gives the per-index counts and bases, concatenated; the one
+    # walk over 1..48 is the one verify_series makes
     monkeypatch.setattr(lattice, setting, value)
     lengths = _record_pass_lengths(monkeypatch)
-    indices = range(1, 49)
+    parts = [range(w + 1, 49, walks) for w in range(walks)]
     try:
         for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
-            counts = lattice._ideal_counts(ambient, indices)
-            bases = [s.basis for s in lattice._ideals(ambient, indices)]
-            assert counts == [count_ideals(ambient, m) for m in indices], ambient
-            assert bases == [s.basis for m in indices
-                             for s in list_ideals(ambient, m)], ambient
+            for part in parts:
+                counts = lattice._ideal_counts(ambient, part)
+                bases = [s.basis for s in lattice._ideals(ambient, part)]
+                assert counts == [count_ideals(ambient, m) for m in part], ambient
+                assert bases == [s.basis for m in part
+                                 for s in list_ideals(ambient, m)], ambient
             report = verify_series(ambient, 48)
             assert [row[1] for row in report.rows] == \
                 [count_similarity_submodules(ambient, m) for m in range(1, 49)], ambient
