@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import traceback
@@ -208,7 +209,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="simsub",
         description="similarity-submodule counts, zeta coefficient tables, "

@@ -4,19 +4,66 @@ Full-rank sublattices of Z^r of index m are enumerated through their
 column Hermite normal form: upper-triangular basis, positive diagonal
 with product m, off-diagonal entries of row i reduced mod the diagonal
 entry d_i.  Invariance under ring multiplier actions is tested by exact
-triangular solves, vectorized over blocks of candidates with numpy so
-the rank-4 scans stay desk-scale.
+triangular solves, vectorized over blocks of candidates with numpy.  That
+kernel counts the ideals of Z[tau] (rank 2).  The ideals of the rank-4
+rings Z[i,tau] and Z[i,sqrt2] come from Hermite forms over Z[tau] and
+Z[sqrt2] instead, and the rank-4 kernel is kept as the reference the
+tests compare them with.
 
 One Hermite normal form.  Z and Z[tau] are both norm-Euclidean, so one
 column reduction, `column_hnf`, serves both: `hnf_canonical` runs it over
 Z and `cubic.hnf_over_ztau` over Z[tau].  The rings differ only in the
 pivot size and the canonical associate, which `Submodule` checks by one rule.
 
-Flag pruning.  Let V_k = span(e_1..e_k) and let an action T keep V_k,
-that is T[i][l] == 0 for all i >= k > l.  Write an HNF basis B in
-blocks: the leading k x k block B11, the trailing block B22 on the
-coordinates k+1..r, and the off-block entries B12 (rows i < k, columns
-j >= k).  If L = B Z^r is T-invariant, then
+Hermite forms over Z[w].  Let R = Z[w], w = tau or sqrt2, and identify
+Z[i,w] = R + R i with R^2 by P + i Q -> (P, Q); in the basis (1, i, w, i w)
+the pair (P, Q) has the Z-coordinates (P_a, Q_a, P_b, Q_b).  An ideal of
+index m is an R-submodule M of R^2 of index m with i M in M, where
+i (P, Q) = (-Q, P).  R is Euclidean, so a PID.  Proof that each M has
+exactly one form [[d1, x], [0, d2]], with columns (d1, 0) and (x, d2):
+
+- the second coordinates of M form a nonzero ideal d2 R, and the first
+  coordinates of M meet R x 0 in a nonzero ideal d1 R (m (1, 0) lies in
+  M); with d1 and d2 canonical associates, both are unique;
+- for any (x, d2) in M, M = R (d1, 0) + R (x, d2): a vector (P, Q) of M
+  has Q = beta d2, and (P, Q) - beta (x, d2) lies in M and in R x 0;
+- (x', d2) lies in M iff (x' - x, 0) does, that is iff d1 | x' - x, so x
+  is unique in any fixed residue system mod d1 R;
+- conversely, any canonical d1, d2 and any x span a module with exactly
+  these invariants: alpha (d1, 0) + beta (x, d2) has second coordinate
+  beta d2, which is 0 only for beta = 0.
+
+So the modules of finite index and the triples (d1, d2, x mod d1)
+correspond one to one.  R^2 / M is an extension of R / d2 R by R / d1 R,
+so the index is N(d1) N(d2); canonical associates have positive norm.
+The residue system is the box 0 <= a < h, 0 <= b < l of the pairs
+(a, b) = a + b w, for the integer HNF [[h, k], [0, l]] of d1 R in the
+basis (1, w), h l = N(d1): subtracting a multiple of (k, l) and then one
+of (h, 0) moves any pair into the box, and two box pairs that differ by
+a vector of d1 R have the same b (the difference of b is a multiple of l
+below l) and then the same a.  A pair z lies in d R, that is d | z,
+iff z = s (h, 0) + t (k, l) for integers s and t, for the HNF of d R.
+
+M is i-stable iff i, which is R-linear, maps both generators into M,
+and (u, v) lies in M iff d2 | v and d1 | u - (v / d2) x.  So
+i (d1, 0) = (0, d1) needs d2 | d1 and d1 | (d1 / d2) x, and
+i (x, d2) = (-d2, x) needs d2 | x and d1 | -d2 - (x / d2) x.  The walk
+takes d1 and d2 from one table of canonical associates by norm
+(`quadratic.norm_table`), drops the pairs where d2 does not divide d1
+(N(d2) | N(d1) first), and tests every x of the box of d1 by these exact
+divisions; it reads no catalog series and no closed form of the count.
+A surviving form becomes its Z-HNF by `hnf_canonical` of the Z-span of
+(d1, 0), w (d1, 0), (x, d2) and w (x, d2), whose index is checked
+against m, and the ideals of an index are sorted into the kernel's order
+(diagonal, then flat HNF).  For Z[i,tau] to 80 the walk tests 1,551
+candidates for 35 ideals; the reference kernel tests 154,705 in 61 numpy
+passes.
+
+Flag pruning (the rank-4 reference kernel).  Let V_k = span(e_1..e_k)
+and let an action T keep V_k, that is T[i][l] == 0 for all i >= k > l.
+Write an HNF basis B in blocks: the leading k x k block B11, the
+trailing block B22 on the coordinates k+1..r, and the off-block entries
+B12 (rows i < k, columns j >= k).  If L = B Z^r is T-invariant, then
 
 - L meets V_k in the lattice spanned by the first k columns (B is
   upper triangular with nonzero diagonal, so Bx lies in V_k only when
@@ -44,16 +91,18 @@ blocks of each index a are computed once per process, in a bounded cache
 of read-only tables keyed by (a, actions) (`_invariant_blocks`) that
 lists only the block diagonals holding an invariant HNF.
 
-Nonzero-diagonal walk.  With a split, a diagonal's candidate set is
-empty exactly when its leading or trailing block holds no invariant HNF
-(the set is their cross product with the free digits).  So the walk of
+Nonzero-diagonal walk (the rank-4 reference kernel).  With a split, a
+diagonal's candidate set is empty exactly when its leading or trailing
+block holds no invariant HNF (the set is their cross product with the
+free digits).  So the walk of
 index m lists only the diagonals lead + trail with lead from the table
 of a | m and trail from the table of m / a, sorted back into
 lexicographic order; the diagonals it leaves out have no candidate to
 discard.  For Z[i,tau] to 80 that is 147 of 2,556 diagonals.
 
-Packing.  A diagonal with at least _PACK candidates gets its own numpy
-passes with scalar diagonal entries, at most _CHUNK candidates each.
+Packing (rank 2 and the reference kernel).  A diagonal with at least
+_PACK candidates gets its own numpy passes with scalar diagonal entries,
+at most _CHUNK candidates each.
 Runs of smaller diagonals share one pass of at most _CHUNK candidates,
 whose diagonal entries are per-candidate arrays, and the runs cross
 index boundaries (every diagonal of an ambient has the same factor
@@ -71,10 +120,11 @@ about 10% slower on Z[i,tau] to 300, where large per-candidate divisor
 arrays cost more than the calls they save.
 
 Pass size.  _CHUNK = 2^13 keeps a pass's arrays in cache and its peak
-memory small.  On a 2-core host, Z[i,tau] to 300 (8.4 million candidates
-in 1,255 passes) peaks at 36 MB of RSS in-process, where 2^20 peaked at
-83 MB; 2^14 already raised the peak of the benchmark's `oracles` pass by
-1.4 MB.  The same range takes a median 0.49 s in-process.
+memory small.  On a 2-core host, the reference walk of Z[i,tau] to 300
+(8.4 million candidates in 1,255 passes) peaks at 36 MB of RSS
+in-process, where 2^20 peaked at 83 MB; 2^14 already raised the peak of
+the benchmark's `oracles` pass by 1.4 MB, when the kernel still walked
+Z[i,tau] there.  The same range takes a median 0.49 s in-process.
 
 Principality.  A generator re + i*im (re, im in the real quadratic
 ring) has relative norm re^2 + im^2.  The search squares each element
@@ -97,8 +147,10 @@ import numpy as np
 
 from . import catalog
 from .dirichlet import divisors
+from .errors import InvariantViolation
 from .parallel import map_ordered
-from .quadratic import elements_in_embedding_box, is_canonical_associate, pair_mul
+from .quadratic import (_pair_divmod, elements_in_embedding_box, is_canonical_associate,
+                        norm_table, pair_mul)
 from .quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
@@ -696,9 +748,10 @@ def _entries(survivors, r):
 
 
 def _ideal_counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
-    """Invariant sublattices of each of the increasing indices, in one walk.
+    """Invariant sublattices of each of the increasing indices, in one kernel walk.
 
-    A survivor's index is the product of its diagonal entries, so one
+    The numpy kernel counts Z[tau]; at rank 4 it is the reference.  A
+    survivor's index is the product of its diagonal entries, so one
     bincount per pass adds its survivors to the counts of their indices.
     """
     at = np.array(indices, dtype=np.int64)
@@ -711,10 +764,11 @@ def _ideal_counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
 
 
 def _ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
-    """Invariant sublattices of the increasing indices, pass by pass as the walk finds them.
+    """Invariant sublattices of the increasing indices, pass by pass as the kernel finds them.
 
-    They come in index order, and within an index in diagonal then flat
-    HNF order.
+    The numpy kernel lists Z[tau]; at rank 4 it is the reference.  They
+    come in index order, and within an index in diagonal then flat HNF
+    order.
     """
     r = ambient_rank(ambient)
     for survivors in _walk(indices, ambient_actions(ambient)):
@@ -726,17 +780,114 @@ def _ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
             yield Submodule(ambient, basis)
 
 
+# ---------------------------------------------------------------------------
+# rank 4: Hermite forms over Z[w]
+
+
+def _multiples_hnf(d, c1, c0):
+    """(h, k, l) of the integer HNF [[h, k], [0, l]] of d Z[w], in the basis (1, w)."""
+    (h, k), (_, l) = hnf_canonical([d, pair_mul(d, (0, 1), c1, c0)])
+    return h, k, l
+
+
+def _is_multiple(z, hnf) -> bool:
+    """Whether the pair z = (a, b) lies in d Z[w], given the integer HNF (h, k, l) of d Z[w].
+
+    z = s (h, 0) + t (k, l) needs the integer t = b / l, then the integer
+    s = (a - t k) / h.
+    """
+    h, k, l = hnf
+    a, b = z
+    return not (b % l or (a - b // l * k) % h)
+
+
+def _hermite_forms(ambient: Ambient, indices: Sequence[int]):
+    """(m, d1, d2, x) of each ideal of the increasing indices, index by index.
+
+    d1, d2 and x are (a, b) pairs of Z[w]: the ideal is the Z[w]-module
+    spanned by (d1, 0) and (x, d2); see "Hermite forms over Z[w]" in the
+    module docstring.  Once d2 | d1, every x of the box of d1 is tested by
+    exact division; within an index the forms come in no fixed order.
+    """
+    quad = _QUARTIC_RING[ambient].quad
+    c1, c0 = quad.c1, quad.c0
+    table = [[(x.a, x.b) for x in xs] for xs in norm_table(quad, max(indices, default=0))]
+    hnfs = {}
+    for m in indices:
+        for n2 in divisors(m):
+            n1 = m // n2
+            if n1 % n2:  # d2 | d1 needs N(d2) | N(d1)
+                continue
+            for d1 in table[n1]:
+                for d2 in table[n2]:
+                    e, r = _pair_divmod(d1, d2, c1, c0)
+                    if r != (0, 0):
+                        continue
+                    for d in (d1, d2):
+                        if d not in hnfs:
+                            hnfs[d] = _multiples_hnf(d, c1, c0)
+                    hnf1, hnf2 = hnfs[d1], hnfs[d2]
+                    # d2 | x, d1 | e x and d1 | -d2 - (x / d2) x: i maps both generators in
+                    for x in itertools.product(range(hnf1[0]), range(hnf1[2])):
+                        if not (_is_multiple(x, hnf2)
+                                and _is_multiple(pair_mul(e, x, c1, c0), hnf1)):
+                            continue
+                        yx = pair_mul(_pair_divmod(x, d2, c1, c0)[0], x, c1, c0)
+                        if _is_multiple((-d2[0] - yx[0], -d2[1] - yx[1]), hnf1):
+                            yield m, d1, d2, x
+
+
+def _hermite_counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
+    """_ideal_counts of a rank-4 ring ambient, by Hermite forms over Z[w]."""
+    counts = dict.fromkeys(indices, 0)
+    for m, *_ in _hermite_forms(ambient, indices):
+        counts[m] += 1
+    return list(counts.values())
+
+
+def _hermite_ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
+    """_ideals of a rank-4 ring ambient, by Hermite forms over Z[w], in the same order.
+
+    Each form becomes the Z-HNF, in the basis (1, i, w, i*w), of the Z-span of
+    (d1, 0), w (d1, 0), (x, d2) and w (x, d2); the forms of an index are
+    sorted by diagonal, then flat HNF order.
+    """
+    quad = _QUARTIC_RING[ambient].quad
+    c1, c0 = quad.c1, quad.c0
+    positions = _positions(4)
+    for m, forms in itertools.groupby(_hermite_forms(ambient, indices), key=lambda f: f[0]):
+        bases = []
+        for _, d1, d2, x in forms:
+            d1w, xw, d2w = (pair_mul(p, (0, 1), c1, c0) for p in (d1, x, d2))
+            basis = hnf_canonical([(d1[0], 0, d1[1], 0), (d1w[0], 0, d1w[1], 0),
+                                   (x[0], d2[0], x[1], d2[1]), (xw[0], d2w[0], xw[1], d2w[1])])
+            if math.prod(basis[i][i] for i in range(4)) != m:
+                raise InvariantViolation(f"Hermite form {d1}, {x}, {d2} has index other than {m}")
+            bases.append(basis)
+        bases.sort(key=lambda b: (tuple(b[i][i] for i in range(4)),
+                                  tuple(b[i][j] for i, j in positions)))
+        for basis in bases:
+            yield Submodule(ambient, basis)
+
+
+def _counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
+    """Ideals of each of the increasing indices: Hermite forms at rank 4, the kernel at rank 2."""
+    walk = _hermite_counts if ambient in _QUARTIC_RING else _ideal_counts
+    return walk(ambient, indices)
+
+
 def count_ideals(ambient: Ambient, m: int,
                  max_candidates: int = DEFAULT_MAX_CANDIDATES) -> int:
     """Number of index-m sublattices invariant under all ring generators."""
     _check_budget(ambient_rank(ambient), (m,), max_candidates)
-    return _ideal_counts(ambient, (m,))[0]
+    return _counts(ambient, (m,))[0]
 
 
 def list_ideals(ambient: Ambient, m: int,
                 max_candidates: int = DEFAULT_MAX_CANDIDATES) -> list[Submodule]:
     _check_budget(ambient_rank(ambient), (m,), max_candidates)
-    return list(_ideals(ambient, (m,)))
+    walk = _hermite_ideals if ambient in _QUARTIC_RING else _ideals
+    return list(walk(ambient, (m,)))
 
 
 # ---------------------------------------------------------------------------
@@ -834,13 +985,13 @@ def count_similarity_submodules(ambient: Ambient, m: int,
 def _similarity_counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
     """count_similarity_submodules of each of the increasing indices, in one walk.
 
-    Each ideal of Z[i,sqrt2] is tested for principality as its pass finds
+    Each ideal of Z[i,sqrt2] is tested for principality as the walk finds
     it, so the ideals of the range are never held in one list.
     """
     if ambient is not Ambient.Z_ISQRT2_AS_Z4:
-        return _ideal_counts(ambient, indices)
+        return _counts(ambient, indices)
     counts = dict.fromkeys(indices, 0)
-    for sub in _ideals(ambient, indices):
+    for sub in _hermite_ideals(ambient, indices):
         counts[sub.index] += is_principal(sub)
     return list(counts.values())
 
@@ -890,7 +1041,8 @@ def verify_series(ambient: Ambient, limit: int,
                   max_candidates: int = DEFAULT_MAX_CANDIDATES) -> OracleReport:
     """Compare oracle counts with the catalog coefficients for m <= limit.
 
-    The counts come from one kernel walk over 1..limit.
+    The counts come from one walk over 1..limit: the numpy kernel for
+    Z[tau], Hermite forms over Z[w] for the rank-4 rings.
     """
     _check_budget(ambient_rank(ambient), range(1, limit + 1), max_candidates)
     series = _EXPECTED_SERIES[ambient](limit)

@@ -497,6 +497,28 @@ def elements_in_embedding_box(ring: QuadRing, bound1: float, bound2: float):
             yield a, b
 
 
+def _canonical_by_norm(ring: QuadRing, lo: int, hi: int) -> dict[int, list[QuadInt]]:
+    """Canonical associates with lo <= norm <= hi (1 <= lo), by norm, each list in
+    (a, b) order, from one box scan.
+
+    A canonical x of norm n has embedding ratio r in [1, fund^4) and
+    emb(x) emb'(x) = n, so emb'(x) = sqrt(n / r) <= sqrt(n) and emb(x) =
+    sqrt(n r) < sqrt(n) fund^2: the box sized for hi holds every norm below.
+    """
+    f = ring._fund.embedding_float()
+    root = math.sqrt(hi)
+    c1, c0 = ring.c1, ring.c0
+    pairs = sorted((a, b) for a, b in elements_in_embedding_box(ring, root * f * f * 1.001,
+                                                                root * 1.001)
+                   if lo <= a * a + c1 * a * b - c0 * b * b <= hi)  # pair_norm, inlined
+    table: dict[int, list[QuadInt]] = {}
+    for a, b in pairs:
+        x = QuadInt(a, b, ring)
+        if is_canonical_associate(x):
+            table.setdefault(x.norm(), []).append(x)
+    return table
+
+
 @lru_cache(maxsize=4096)
 def norm_equation(ring: QuadRing, n: int) -> tuple[QuadInt, ...]:
     """Canonical associates with norm exactly n (n >= 1).
@@ -506,12 +528,14 @@ def norm_equation(ring: QuadRing, n: int) -> tuple[QuadInt, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = ring._fund.embedding_float()
-    root = math.sqrt(n)
-    c1, c0 = ring.c1, ring.c0
-    pairs = sorted(p for p in elements_in_embedding_box(ring, root * f * f * 1.001, root * 1.001)
-                   if pair_norm(p, c1, c0) == n)
-    return tuple(x for x in (QuadInt(a, b, ring) for a, b in pairs) if is_canonical_associate(x))
+    return tuple(_canonical_by_norm(ring, n, n).get(n, ()))
+
+
+def norm_table(ring: QuadRing, limit: int) -> tuple[tuple[QuadInt, ...], ...]:
+    """norm_equation(ring, n) at position n for every n <= limit (position 0
+    is empty), from one box scan sized for the limit."""
+    table = _canonical_by_norm(ring, 1, limit) if limit >= 1 else {}
+    return tuple(tuple(table.get(n, ())) for n in range(limit + 1))
 
 
 def units_up_to_height(ring: QuadRing, height: int) -> list[QuadInt]:

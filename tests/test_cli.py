@@ -137,6 +137,25 @@ def test_summatory(capsys):
     assert payload["values"] == [{"x": 1, "sum": 1}, {"x": 5, "sum": 3}]
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # repeated --at, then no --at; a usage error, then a good call: each
+    # prints and exits as it does under a freshly built parser
+    calls = [("summatory", "--series", "zeta-qtau", "--limit", "20", "--at", "5", "--at", "1"),
+             ("summatory", "--series", "zeta-qtau", "--limit", "20"),
+             ("coeffs", "--series", "zeta-qtau", "--limit", "0"),
+             ("coeffs", "--series", "zeta-qtau", "--limit", "5")]
+    warm = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert warm == fresh
+    assert [code for code, _, _ in warm] == [0, 0, 2, 0]
+    total = summatory(catalog.zeta_q_tau(20), 20)
+    assert json.loads(warm[1][1])["values"] == [{"x": 20, "sum": total}]
+
+
 def test_summatory_running_sum_matches_each_point(capsys):
     rng = random.Random(20)
     limit = 5000

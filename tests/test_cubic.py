@@ -173,8 +173,9 @@ def quadrat_rows(rot):
     return tuple(tuple(QuadRat(e, rot.den) for e in row) for row in rot.mat)
 
 
-def rotation_by_quadrat(rows):
-    d = den_by_quadrat(rows)
+def rotation_by_quadrat(rows, d=None):
+    # d is den_by_quadrat(rows), for a caller that has it already
+    d = den_by_quadrat(rows) if d is None else d
     return Rotation3(tuple(tuple(e.num * exact_div(d, e.den) for e in row) for row in rows), d)
 
 
@@ -609,8 +610,9 @@ def test_integral_route_matches_quadrat_route():
                     rows = rows_by_quadrat(q)
                     rot = quat_to_rotation(QuatTau(q))
                     assert key_by_quadrat(quadrat_rows(rot)) == key_by_quadrat(rows)
-                    assert rot.den == den(rot) == den_by_quadrat(rows)
-                    via_rows = rotation_by_quadrat(rows)
+                    d = den_by_quadrat(rows)
+                    assert rot.den == den(rot) == d
+                    via_rows = rotation_by_quadrat(rows, d)
                     assert via_rows == rot and via_rows.den == rot.den
                     seen += 1
     assert seen > 600

@@ -24,7 +24,9 @@ from simsub.lattice import (
     list_ideals,
     verify_series,
 )
-from simsub.quadratic import QuadInt, elements_in_embedding_box, pair_mul, pair_norm, sign_embedding
+from simsub.errors import InvariantViolation
+from simsub.quadratic import (SQRT2, TAU, QuadInt, elements_in_embedding_box, norm_equation,
+                              norm_table, pair_mul, pair_norm, sign_embedding)
 from simsub.quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 
@@ -133,9 +135,10 @@ def test_is_invariant_examples():
 
 
 def test_vector_kernel_agrees_with_scalar_invariance():
-    # the numpy block kernel and the direct per-submodule test are
-    # independent code paths; they must select identical bases, and the
-    # pruned kernel must return them in flat HNF order
+    # the numpy block kernel, the Hermite forms over Z[w] (rank 4) and the
+    # direct per-submodule test are independent code paths; they must
+    # select identical bases, and the first two must return them in flat
+    # HNF order
     for ambient, limit in ((Ambient.Z_ISQRT2_AS_Z4, 16), (Ambient.Z_ITAU_AS_Z4, 16),
                            (Ambient.Z_TAU_AS_Z2, 60)):
         actions = ambient_actions(ambient)
@@ -143,8 +146,8 @@ def test_vector_kernel_agrees_with_scalar_invariance():
         for m in range(1, limit + 1):
             scalar = [s.basis for s in hnf_sublattices(rank, m, ambient)
                       if is_invariant(s, actions)]
-            kernel = [s.basis for s in list_ideals(ambient, m)]
-            assert scalar == kernel, (ambient, m)
+            kernel = [s.basis for s in lattice._ideals(ambient, (m,))]
+            assert scalar == kernel == [s.basis for s in list_ideals(ambient, m)], (ambient, m)
 
 
 def test_list_ideals_in_diagonal_then_flat_hnf_order():
@@ -161,10 +164,11 @@ def test_list_ideals_in_diagonal_then_flat_hnf_order():
 
 def _kernel_results(limit):
     # the blocks are built by the same walk, so they are rebuilt under the
-    # settings being tested
+    # settings being tested; the kernel is called directly, as list_ideals
+    # takes the Hermite forms at rank 4
     lattice._invariant_blocks.cache_clear()
-    return {ambient: ([count_ideals(ambient, m) for m in range(1, limit + 1)],
-                      [[s.basis for s in list_ideals(ambient, m)]
+    return {ambient: ([lattice._ideal_counts(ambient, (m,))[0] for m in range(1, limit + 1)],
+                      [[s.basis for s in lattice._ideals(ambient, (m,))]
                        for m in range(1, limit + 1)])
             for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4,
                             Ambient.Z_ISQRT2_AS_Z4)}
@@ -204,9 +208,10 @@ def test_walk_results_do_not_depend_on_pass_layout(monkeypatch, setting, value):
 @_LAYOUTS
 @pytest.mark.parametrize("walks", [1, 2])
 def test_range_walk_matches_single_indices(monkeypatch, setting, value, walks):
-    # a walk over any increasing indices, here the residue classes of 1..48
-    # mod walks, gives the per-index counts and bases, concatenated; the one
-    # walk over 1..48 is the one verify_series makes
+    # a kernel walk over any increasing indices, here the residue classes
+    # of 1..48 mod walks, gives the per-index counts and bases, concatenated
+    # (at rank 4, those of the Hermite forms); the one walk over 1..48 is
+    # the one verify_series makes
     monkeypatch.setattr(lattice, setting, value)
     lengths = _record_pass_lengths(monkeypatch)
     parts = [range(w + 1, 49, walks) for w in range(walks)]
@@ -234,6 +239,45 @@ def test_walk_skips_exactly_the_empty_diagonals():
             nonempty = [diag for diag in lattice.ordered_diagonals(m, 4)
                         if math.prod(n for n, _ in lattice._candidate_factors(diag, actions))]
             assert walked == nonempty, (ambient, m)
+
+
+@pytest.mark.parametrize("ambient", [Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4])
+def test_hermite_forms_match_the_kernel(ambient):
+    # bases and order of every index m <= 200, from one walk of each; the
+    # walks list each index in order, so equal lists are equal per index
+    hermite = [s.basis for s in lattice._hermite_ideals(ambient, range(1, 201))]
+    assert hermite == [s.basis for s in lattice._ideals(ambient, range(1, 201))]
+    counts = lattice._hermite_counts(ambient, range(1, 201))
+    assert counts == lattice._ideal_counts(ambient, range(1, 201))
+    assert sum(counts) == len(hermite)
+
+
+@pytest.mark.parametrize("ring", [TAU, SQRT2])
+def test_norm_table_matches_norm_equation(ring):
+    table = norm_table(ring, 1000)
+    assert len(table) == 1001 and table[0] == ()
+    for n in range(1, 1001):
+        assert table[n] == norm_equation(ring, n), n
+
+
+@given(st.sampled_from([Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4]),
+       st.integers(min_value=1, max_value=600))
+@example(Ambient.Z_ITAU_AS_Z4, 125)
+@example(Ambient.Z_ISQRT2_AS_Z4, 578)
+def test_hermite_ideals_are_invariant_of_their_index(ambient, m):
+    subs = list_ideals(ambient, m, max_candidates=10 ** 12)
+    assert len(subs) == count_ideals(ambient, m, max_candidates=10 ** 12)
+    assert len({s.basis for s in subs}) == len(subs)
+    for sub in subs:
+        assert sub.index == m and is_invariant(sub, ambient_actions(ambient))
+
+
+def test_hermite_form_of_wrong_index_raises(monkeypatch):
+    # a form whose module has index 1 reported at index 2
+    monkeypatch.setattr(lattice, "_hermite_forms",
+                        lambda ambient, indices: iter([(2, (1, 0), (1, 0), (0, 0))]))
+    with pytest.raises(InvariantViolation):
+        list_ideals(Ambient.Z_ITAU_AS_Z4, 2)
 
 
 def test_flag_split_detection():
@@ -426,14 +470,15 @@ def _i_blocks(ambient):
 
 
 def test_block_cache_cold_and_warm_agree():
+    # the rank-4 reference kernel, called directly
     for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
         lattice._invariant_blocks.cache_clear()
-        cold = verify_series(ambient, 40)
-        cold_bases = [s.basis for s in list_ideals(ambient, 48)]
+        cold = lattice._ideal_counts(ambient, range(1, 41))
+        cold_bases = [s.basis for s in lattice._ideals(ambient, (48,))]
         assert lattice._invariant_blocks.cache_info().hits > 0
-        warm = verify_series(ambient, 40)
-        assert cold.ok and warm.rows == cold.rows, ambient
-        assert [s.basis for s in list_ideals(ambient, 48)] == cold_bases
+        warm = lattice._ideal_counts(ambient, range(1, 41))
+        assert warm == cold == [count_ideals(ambient, m) for m in range(1, 41)], ambient
+        assert [s.basis for s in lattice._ideals(ambient, (48,))] == cold_bases
 
 
 def test_block_cache_shared_across_threads():
@@ -442,7 +487,8 @@ def test_block_cache_shared_across_threads():
     results = [None] * 4
 
     def work(k):
-        results[k] = [count_ideals(Ambient.Z_ITAU_AS_Z4, m) for m in range(1, 25)]
+        results[k] = [lattice._ideal_counts(Ambient.Z_ITAU_AS_Z4, (m,))[0]
+                      for m in range(1, 25)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -472,7 +518,7 @@ def test_block_cache_entries_are_read_only_and_bounded():
         blocks[(1, 5)] = (0, {})
     # the restriction of i is the same in both rings, so they share the entry
     assert lattice._invariant_blocks(5, _i_blocks(Ambient.Z_ISQRT2_AS_Z4)) is blocks
-    verify_series(Ambient.Z_ITAU_AS_Z4, 120, max_candidates=10 ** 9)
+    lattice._ideal_counts(Ambient.Z_ITAU_AS_Z4, range(1, 121))
     info = lattice._invariant_blocks.cache_info()
     assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
@@ -520,11 +566,11 @@ def test_verify_series_makes_one_walk(monkeypatch):
             [(m, count_similarity_submodules(ambient, m)) for m in range(1, limit + 1)], ambient
 
 
-def test_verify_series_zitau_300():
-    # the budget still counts the full HNF set: 4,387,882,163 for m <= 300
-    assert sum(hnf_candidate_count(4, m) for m in range(1, 301)) == 4_387_882_163
-    report = verify_series(Ambient.Z_ITAU_AS_Z4, 300, max_candidates=10 ** 10)
-    assert report.summary() == "300/300 match"
+def test_verify_series_zitau_1000():
+    # the budget still counts the full HNF set: 536,361,101,601 for m <= 1000
+    assert sum(hnf_candidate_count(4, m) for m in range(1, 1001)) == 536_361_101_601
+    report = verify_series(Ambient.Z_ITAU_AS_Z4, 1000, max_candidates=10 ** 12)
+    assert report.summary() == "1000/1000 match"
 
 
 def test_verify_series_zisqrt2_300():
