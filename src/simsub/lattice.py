@@ -3,23 +3,37 @@
 Full-rank sublattices of Z^r of index m are enumerated through their
 column Hermite normal form: upper-triangular basis, positive diagonal
 with product m, off-diagonal entries of row i reduced mod the diagonal
-entry d_i.  Invariance under ring multiplier actions is tested by exact
-triangular solves, vectorized over blocks of candidates with numpy.  That
-kernel counts the ideals of Z[tau] (rank 2).  The ideals of the rank-4
-rings Z[i,tau] and Z[i,sqrt2] come from Hermite forms over Z[tau] and
-Z[sqrt2] instead, and the rank-4 kernel is kept as the reference the
-tests compare them with.
+entry d_i.  Invariance under ring multiplier actions is tested one basis
+at a time by exact back substitution (`is_invariant`).  The ideals of the
+rings come from Hermite forms over the real quadratic ring R = Z[tau] or
+Z[sqrt2] instead: of rank 1 for Z[tau] itself, of rank 2 for Z[i,tau]
+and Z[i,sqrt2].  Both take their diagonal entries from one table of
+canonical associates by norm (`quadratic.norm_table`, one box scan for a
+whole range of indices), and neither reads a catalog series or a closed
+form of the count.
 
 One Hermite normal form.  Z and Z[tau] are both norm-Euclidean, so one
 column reduction, `column_hnf`, serves both: `hnf_canonical` runs it over
 Z and `cubic.hnf_over_ztau` over Z[tau].  The rings differ only in the
 pivot size and the canonical associate, which `Submodule` checks by one rule.
 
-Hermite forms over Z[w].  Let R = Z[w], w = tau or sqrt2, and identify
-Z[i,w] = R + R i with R^2 by P + i Q -> (P, Q); in the basis (1, i, w, i w)
-the pair (P, Q) has the Z-coordinates (P_a, Q_a, P_b, Q_b).  An ideal of
-index m is an R-submodule M of R^2 of index m with i M in M, where
-i (P, Q) = (-Q, P).  R is Euclidean, so a PID.  Proof that each M has
+Hermite forms over Z[tau], rank 1.  R = Z[tau] is Euclidean, so a PID,
+and each nonzero ideal is d R for some d.  d is unique up to a unit, so
+exactly one generator is a canonical associate
+(`quadratic.is_canonical_associate`).  Multiplication by d is Z-linear
+on R = Z + Z tau with determinant N(d), so d R has index |N(d)| = N(d),
+as canonical associates have positive norm.  So the ideals of index m
+and the canonical d of norm m correspond one to one, and their count is
+the length of the table's entry m.  The Z-HNF [[h, k], [0, l]] of d R in
+the basis (1, tau) is that of the Z-span of d and tau d
+(`_multiples_hnf`); h l = m is checked, and the ideals of an index are
+sorted by diagonal (h, l), then by k.
+
+Hermite forms over Z[w], rank 2.  Let R = Z[w], w = tau or sqrt2, and
+identify Z[i,w] = R + R i with R^2 by P + i Q -> (P, Q); in the basis
+(1, i, w, i w) the pair (P, Q) has the Z-coordinates (P_a, Q_a, P_b,
+Q_b).  An ideal of index m is an R-submodule M of R^2 of index m with
+i M in M, where i (P, Q) = (-Q, P).  R is Euclidean, so a PID.  Proof that each M has
 exactly one form [[d1, x], [0, d2]], with columns (d1, 0) and (x, d2):
 
 - the second coordinates of M form a nonzero ideal d2 R, and the first
@@ -54,77 +68,14 @@ takes d1 and d2 from one table of canonical associates by norm
 divisions; it reads no catalog series and no closed form of the count.
 A surviving form becomes its Z-HNF by `hnf_canonical` of the Z-span of
 (d1, 0), w (d1, 0), (x, d2) and w (x, d2), whose index is checked
-against m, and the ideals of an index are sorted into the kernel's order
-(diagonal, then flat HNF).  For Z[i,tau] to 80 the walk tests 1,551
-candidates for 35 ideals; the reference kernel tests 154,705 in 61 numpy
-passes.
+against m, and the ideals of an index are sorted by diagonal, then in
+flat HNF order.  For Z[i,tau] to 80 the walk tests 1,551 candidates for
+35 ideals.
 
-Flag pruning (the rank-4 reference kernel).  Let V_k = span(e_1..e_k)
-and let an action T keep V_k, that is T[i][l] == 0 for all i >= k > l.
-Write an HNF basis B in blocks: the leading k x k block B11, the
-trailing block B22 on the coordinates k+1..r, and the off-block entries
-B12 (rows i < k, columns j >= k).  If L = B Z^r is T-invariant, then
-
-- L meets V_k in the lattice spanned by the first k columns (B is
-  upper triangular with nonzero diagonal, so Bx lies in V_k only when
-  x_{k+1..r} = 0); T maps V_k into itself, so that lattice, whose HNF
-  is B11, is invariant under the block T11;
-- the projection P of L onto the coordinates k+1..r is spanned by B22
-  (the first k columns project to 0); T is block upper triangular, so
-  P(Tv) = T22 P(v) and P(L) is invariant under T22.
-
-Both blocks are reduced HNFs in their own right, and a restriction of T
-satisfies T's minimal polynomial.  So the kernel finds the invariant
-leading and trailing blocks by running itself on the restricted actions,
-and enumerates only their cross product with the free off-block digits.
-This discards only candidates that provably fail; every survivor still
-passes the full test under every action.  The factors of the cross
-product come in flat HNF order (leading block, off-block digits column
-by column, trailing block), so collected bases need no sort.  For
-Z[i,tau] and Z[i,sqrt2] the action of i keeps span(1, i), so k = 2;
-rank-2 Z[tau] has no split and takes the flat path.  The budget check
-(max_candidates) still counts the full HNF set, not the pruned one.
-
-A block's invariant HNFs depend only on its diagonal and the restricted
-actions, and the restriction of i is the same on both blocks.  So the
-blocks of each index a are computed once per process, in a bounded cache
-of read-only tables keyed by (a, actions) (`_invariant_blocks`) that
-lists only the block diagonals holding an invariant HNF.
-
-Nonzero-diagonal walk (the rank-4 reference kernel).  With a split, a
-diagonal's candidate set is empty exactly when its leading or trailing
-block holds no invariant HNF (the set is their cross product with the
-free digits).  So the walk of
-index m lists only the diagonals lead + trail with lead from the table
-of a | m and trail from the table of m / a, sorted back into
-lexicographic order; the diagonals it leaves out have no candidate to
-discard.  For Z[i,tau] to 80 that is 147 of 2,556 diagonals.
-
-Packing (rank 2 and the reference kernel).  A diagonal with at least
-_PACK candidates gets its own numpy passes with scalar diagonal entries,
-at most _CHUNK candidates each.
-Runs of smaller diagonals share one pass of at most _CHUNK candidates,
-whose diagonal entries are per-candidate arrays, and the runs cross
-index boundaries (every diagonal of an ambient has the same factor
-layout).  So one walk covers a whole range of increasing indices:
-Z[tau] to 400 takes 17 passes, where one walk per index took 400;
-Z[i,tau] to 80 takes 61 (73 one index at a time).  In count mode a
-survivor's index is the product of its diagonal entries, and one
-bincount per pass adds the survivors to the counts of their indices; in
-collect mode they come out in index order.  _PACK = 1024 was chosen by
-timing the oracle ranges (Z[tau] to 400, Z[i,tau] to 80, Z[i,sqrt2] to
-60) and the rank-4 ranges to 300 on a 2-core host, one walk per index:
-every value from 512 to 4096 was within the noise; 128 was about 20%
-slower on Z[tau] to 400, and packing every diagonal (no threshold) was
-about 10% slower on Z[i,tau] to 300, where large per-candidate divisor
-arrays cost more than the calls they save.
-
-Pass size.  _CHUNK = 2^13 keeps a pass's arrays in cache and its peak
-memory small.  On a 2-core host, the reference walk of Z[i,tau] to 300
-(8.4 million candidates in 1,255 passes) peaks at 36 MB of RSS
-in-process, where 2^20 peaked at 83 MB; 2^14 already raised the peak of
-the benchmark's `oracles` pass by 1.4 MB, when the kernel still walked
-Z[i,tau] there.  The same range takes a median 0.49 s in-process.
+The budget.  `max_candidates` bounds the full Z-HNF set of each index,
+the set `hnf_sublattices` lists, at both ranks: not the Hermite work,
+which is far smaller, so a ceiling admits the same ranges whichever walk
+counts the ideals.
 
 Principality.  A generator re + i*im (re, im in the real quadratic
 ring) has relative norm re^2 + im^2.  The search squares each element
@@ -140,27 +91,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
 
 from . import catalog
 from .dirichlet import divisors
 from .errors import InvariantViolation
 from .parallel import map_ordered
-from .quadratic import (_pair_divmod, elements_in_embedding_box, is_canonical_associate,
-                        norm_table, pair_mul)
+from .quadratic import (TAU, _pair_divmod, elements_in_embedding_box,
+                        is_canonical_associate, norm_table, pair_mul)
 from .quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
-
-# Live candidates of one numpy pass, packed or not, at most; see "Pass size"
-# in the module docstring for the measurement.
-_CHUNK = 1 << 13
-# A diagonal with fewer candidates than this shares a packed pass with its
-# neighbours, of its index or the next; see "Packing" in the module docstring.
-_PACK = 1024
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -178,19 +119,11 @@ class Ambient(Enum):
 
 @dataclass(frozen=True)
 class MultiplierAction:
-    """Integer matrix of multiplication by a ring generator.
-
-    Tuples of actions key the flag_split cache, and with a block index
-    the _invariant_blocks cache, so the hash of the fields is taken once,
-    when the action is built; equality stays field by field.
-    """
+    """Integer matrix of multiplication by a ring generator."""
 
     name: str
     matrix: tuple[tuple[int, ...], ...]
     minimal_poly: tuple[int, ...]  # low-order-first coefficients
-
-    def __hash__(self):
-        return self._hash
 
     def __post_init__(self):
         r = len(self.matrix)
@@ -204,7 +137,6 @@ class MultiplierAction:
                       for j in range(r)] for i in range(r)]
         if any(v for row in acc for v in row):
             raise ValueError(f"action {self.name} violates its minimal polynomial")
-        object.__setattr__(self, "_hash", hash((self.name, self.matrix, self.minimal_poly)))
 
 
 _TAU_ACTION_2 = MultiplierAction(
@@ -431,7 +363,9 @@ def hnf_candidates_over(rank: int, m: int, ceiling: int) -> bool:
 def _check_budget(rank: int, indices, max_candidates: int) -> None:
     """Refuse indices that hold more than max_candidates HNF bases of Z^rank in all.
 
-    Counts each index once, and none past its cheap bound.
+    Counts each index once, and none past its cheap bound.  The count is
+    the full Z-HNF set at both ranks, not the Hermite work over Z[w]; see
+    "The budget" in the module docstring.
     """
     left = max_candidates
     for m in indices:
@@ -443,6 +377,12 @@ def _check_budget(rank: int, indices, max_candidates: int) -> None:
             raise EnumerationBudgetExceeded(
                 f"predicted HNF candidates exceed ceiling {max_candidates}; "
                 f"raise max_candidates to proceed")
+
+
+@functools.lru_cache(maxsize=8)
+def _positions(r: int) -> tuple[tuple[int, int], ...]:
+    """Strictly-upper HNF positions in flat enumeration order."""
+    return tuple((i, j) for j in range(1, r) for i in range(j))
 
 
 def hnf_sublattices(rank: int, m: int, ambient: Ambient | None = None,
@@ -477,311 +417,7 @@ def is_invariant(sub: Submodule, actions: Sequence[MultiplierAction]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vectorized invariance kernel
-
-
-def _stabilizer_mask(diag, digits, action, length):
-    """Boolean mask of candidates whose lattice is preserved by the action.
-
-    Each diagonal entry is a scalar shared by all candidates or an array
-    with one value per candidate; digits maps the strictly-upper
-    positions (i, j) to arrays of off-diagonal values.  Membership of
-    each transformed basis column is decided by exact back substitution;
-    floor divmod keeps the exactness test (remainder == 0) valid for
-    negative entries.
-    """
-    r = len(diag)
-    t = action.matrix
-
-    def entry(i, j):
-        if i == j:
-            return diag[j]
-        if i < j:
-            return digits[(i, j)]
-        return 0
-
-    ok = np.ones(length, dtype=bool)
-    for j in range(r):
-        w = [sum(t[i][l] * entry(l, j) for l in range(j + 1) if t[i][l])
-             for i in range(r)]
-        for i in range(r - 1, -1, -1):
-            q, rem = _divmod(w[i], diag[i])
-            if isinstance(rem, np.ndarray):
-                ok &= rem == 0
-            elif rem:
-                return np.zeros(length, dtype=bool)
-            if isinstance(q, np.ndarray) or q:
-                for i2 in range(i):
-                    e = entry(i2, i)
-                    if isinstance(e, np.ndarray) or e:
-                        w[i2] = w[i2] - q * e
-        if not ok.any():
-            break
-    return ok
-
-
-@functools.lru_cache(maxsize=32)
-def flag_split(actions: tuple[MultiplierAction, ...]):
-    """Smallest split of the ambient that some actions keep, or None.
-
-    Returns (k, lead, trail) for the smallest k whose flag space
-    V_k = span(e_1..e_k) is kept by at least one action, that is
-    matrix[i][l] == 0 for all i >= k > l.  lead and trail hold each such
-    action restricted to V_k and to the coordinates k+1..r; a
-    restriction satisfies the same minimal polynomial, which
-    MultiplierAction checks again.
-    """
-    r = len(actions[0].matrix)
-    for k in range(1, r):
-        kept = [a for a in actions
-                if not any(a.matrix[i][l] for i in range(k, r) for l in range(k))]
-        if kept:
-            return k, tuple(_restrict(a, 0, k) for a in kept), \
-                tuple(_restrict(a, k, r) for a in kept)
-    return None
-
-
-def _restrict(action: MultiplierAction, lo: int, hi: int) -> MultiplierAction:
-    block = tuple(tuple(row[lo:hi]) for row in action.matrix[lo:hi])
-    return MultiplierAction(action.name, block, action.minimal_poly)
-
-
-@functools.lru_cache(maxsize=8)
-def _positions(r: int) -> tuple[tuple[int, int], ...]:
-    """Strictly-upper HNF positions in flat enumeration order."""
-    return tuple((i, j) for j in range(1, r) for i in range(j))
-
-
-def _candidate_factors(diag, actions):
-    """Factors whose cross product is the candidate set over one diagonal.
-
-    A factor is (size, table), where table maps strictly-upper positions
-    to arrays of that size, or to None when the entry is the factor's
-    index itself.  Without a flag split every position is such a free
-    factor over [0, d_i).  With a split at k the invariant leading and
-    trailing blocks are two factors, found by this kernel on the
-    restricted actions, and each off-block position (i < k <= j) is a
-    free factor.  The factors come in flat HNF order, the first most
-    significant, so their cross product needs no sort: the leading
-    block holds the positions of the first k columns, and the trailing
-    block of both rank-4 splits (k = 2) only the last position (2, 3).
-    """
-    r = len(diag)
-    split = flag_split(actions)
-    if split is None:
-        return [(diag[i], {(i, j): None}) for i, j in _positions(r)]
-    k, lead, trail = split
-    blocks = []
-    for lo, hi, block_actions in ((0, k, lead), (k, r, trail)):
-        block = diag[lo:hi]
-        n, digits = _invariant_blocks(math.prod(block), block_actions).get(block, (0, {}))
-        blocks.append((n, {(i + lo, j + lo): arr for (i, j), arr in digits.items()}))
-    return [blocks[0], *((diag[i], {(i, j): None}) for j in range(k, r) for i in range(k)),
-            blocks[1]]
-
-
-@functools.lru_cache(maxsize=1024)
-def _invariant_blocks(a, actions):
-    """Invariant HNFs of index a by diagonal, for one flag block, once per process.
-
-    Maps each diagonal that holds an invariant HNF to (count, digits),
-    digits in flat HNF order, in lexicographic diagonal order; diagonals
-    that hold none are absent.  The mapping and its digit arrays are
-    read-only, so any caller can share them.
-    """
-    r = len(actions[0].matrix)
-    entries = _entries(_walk((a,), actions), r)
-    blocks = {}
-    start = 0
-    for diag, group in itertools.groupby(zip(*(entries[(i, i)] for i in range(r)))):
-        n = len(list(group))
-        digits = {pos: np.array(entries[pos][start:start + n], dtype=np.int64)
-                  for pos in _positions(r)}
-        for arr in digits.values():
-            arr.flags.writeable = False
-        blocks[diag] = (n, digits)
-        start += n
-    return MappingProxyType(blocks)
-
-
-def _nonzero_diagonals(m, actions):
-    """(diag, factors) for each index-m diagonal with candidates, lexicographic.
-
-    With a flag split a diagonal has candidates only when both of its
-    blocks hold an invariant HNF, so the diagonals are built from the
-    nonzero block diagonals of each block index a | m; without one every
-    diagonal has candidates.
-    """
-    split = flag_split(actions)
-    if split is None:
-        diags = ordered_diagonals(m, len(actions[0].matrix))
-    else:
-        _, lead, trail = split
-        diags = sorted(d1 + d2 for a in divisors(m) for d1 in _invariant_blocks(a, lead)
-                       for d2 in _invariant_blocks(m // a, trail))
-    for diag in diags:
-        yield diag, _candidate_factors(diag, actions)
-
-
-def _candidate_sets(indices, actions):
-    """Candidate sets (diag, digits, length) over the nonzero diagonals of the indices.
-
-    The indices increase.  A diagonal with at least _PACK candidates is
-    expanded on its own with scalar diagonal entries, _CHUNK candidates
-    at a time.  Runs of smaller diagonals, across index boundaries, are
-    packed into one set of at most _CHUNK candidates, whose diagonal
-    entries are per-candidate arrays; every diagonal of an ambient has
-    the same factor layout.  Sets come in index order, then lexicographic
-    diagonal order, and hold candidates in flat HNF order.
-    """
-    pack, packed = [], 0
-    for m in indices:
-        for diag, factors in _nonzero_diagonals(m, actions):
-            total = math.prod(n for n, _ in factors)
-            small = total < _PACK and total <= _CHUNK
-            if pack and (not small or packed + total > _CHUNK):
-                yield _packed_candidates(pack, packed)
-                pack, packed = [], 0
-            if small:
-                pack.append((diag, factors, total))
-                packed += total
-                continue
-            sizes = tuple(n for n, _ in factors)
-            for lo in range(0, total, _CHUNK):
-                hi = min(lo + _CHUNK, total)
-                idx = _mixed_radix(np.arange(lo, hi, dtype=np.int64), sizes)
-                digits = {pos: f if arr is None else arr[f]
-                          for (_, table), f in zip(factors, idx) for pos, arr in table.items()}
-                yield diag, digits, hi - lo
-    if pack:
-        yield _packed_candidates(pack, packed)
-
-
-def _packed_candidates(pack, length):
-    """One candidate set over consecutive diagonals of equal rank and factor layout.
-
-    Per-diagonal values (diagonal entries, factor sizes, the diagonal's
-    first candidate, the offsets of its block tables in their
-    concatenation) are repeated once per candidate in a single call;
-    the factor indices then come from the candidate's offset within its
-    diagonal by mixed-radix division.
-    """
-    diags, layouts, totals = zip(*pack)
-    r, nf = len(diags[0]), len(layouts[0])
-    tables = [f for f, (_, table) in enumerate(layouts[0])
-              if all(arr is not None for arr in table.values())]
-    sizes = [[fs[f][0] for fs in layouts] for f in range(nf)]
-    rows = [*zip(*diags), *sizes[1:], _starts(totals), *(_starts(sizes[f]) for f in tables)]
-    cols = np.repeat(np.array(rows, dtype=np.int64), totals, axis=1)
-    local = np.arange(length, dtype=np.int64) - cols[r + nf - 1]
-    offsets = dict(zip(tables, cols[r + nf:]))
-    idx = _mixed_radix(local, [None, *cols[r:r + nf - 1]])
-    digits = {}
-    for f, (_, table) in enumerate(layouts[0]):
-        for pos, arr in table.items():
-            digits[pos] = idx[f] if arr is None else \
-                np.concatenate([fs[f][1][pos] for fs in layouts])[offsets[f] + idx[f]]
-    return tuple(cols[:r]), digits, length
-
-
-def _mixed_radix(local, radices):
-    """Digit arrays of local in the mixed radices, the last the fastest.
-
-    radices[0] is not read: the first digit is what is left of local.
-    """
-    idx = [None] * len(radices)
-    for f in range(len(radices) - 1, 0, -1):
-        local, digit = _divmod(local, radices[f])
-        idx[f] = digit if isinstance(digit, np.ndarray) else np.zeros_like(local)
-    if radices:
-        idx[0] = local
-    return idx
-
-
-def _divmod(w, d):
-    """Floor divmod of w by d, each a candidate array or a shared scalar.
-
-    An array divided by a scalar d takes numpy's division by a constant
-    and one multiply, about twice as fast as np.divmod, and by 1 no work
-    at all (remainder 0).
-    """
-    if isinstance(d, np.ndarray) or not isinstance(w, np.ndarray):
-        return divmod(w, d)
-    if d == 1:
-        return w, 0
-    q = w // d
-    return q, w - q * d
-
-
-def _starts(sizes):
-    return list(itertools.accumulate(sizes, initial=0))[:-1]
-
-
-def _walk(indices, actions):
-    """Survivors (diag, digits, length) of every action, per candidate set of the indices.
-
-    Every action is tested on every candidate of every nonzero diagonal
-    of every index, in the order of _candidate_sets.
-    """
-    for diag, digits, length in _candidate_sets(indices, actions):
-        for act in actions:
-            mask = _stabilizer_mask(diag, digits, act, length)
-            length = int(np.count_nonzero(mask))
-            if length == 0:
-                break
-            digits = {pos: arr[mask] for pos, arr in digits.items()}
-            diag = tuple(d[mask] if isinstance(d, np.ndarray) else d for d in diag)
-        yield diag, digits, length
-
-
-def _entries(survivors, r):
-    """Upper-triangular entries (i <= j) of the survivors, as lists in walk order."""
-    entries = {(i, j): [] for j in range(r) for i in range(j + 1)}
-    for diag, digits, length in survivors:
-        if not length:
-            continue
-        for i, d in enumerate(diag):
-            entries[(i, i)] += d.tolist() if isinstance(d, np.ndarray) else [d] * length
-        for pos, arr in digits.items():
-            entries[pos] += arr.tolist()
-    return entries
-
-
-def _ideal_counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
-    """Invariant sublattices of each of the increasing indices, in one kernel walk.
-
-    The numpy kernel counts Z[tau]; at rank 4 it is the reference.  A
-    survivor's index is the product of its diagonal entries, so one
-    bincount per pass adds its survivors to the counts of their indices.
-    """
-    at = np.array(indices, dtype=np.int64)
-    counts = np.zeros(len(at), dtype=np.int64)
-    for diag, _, length in _walk(indices, ambient_actions(ambient)):
-        if length:
-            index = np.broadcast_to(math.prod(diag), (length,))
-            counts += np.bincount(np.searchsorted(at, index), minlength=len(at))
-    return counts.tolist()
-
-
-def _ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
-    """Invariant sublattices of the increasing indices, pass by pass as the kernel finds them.
-
-    The numpy kernel lists Z[tau]; at rank 4 it is the reference.  They
-    come in index order, and within an index in diagonal then flat HNF
-    order.
-    """
-    r = ambient_rank(ambient)
-    for survivors in _walk(indices, ambient_actions(ambient)):
-        entries = _entries((survivors,), r)
-        zero = [0] * survivors[2]
-        rows = [list(zip(*(entries[(i, j)] if i <= j else zero for j in range(r))))
-                for i in range(r)]
-        for basis in zip(*rows):
-            yield Submodule(ambient, basis)
-
-
-# ---------------------------------------------------------------------------
-# rank 4: Hermite forms over Z[w]
+# ideals: Hermite forms over Z[tau] and Z[w]
 
 
 def _multiples_hnf(d, c1, c0):
@@ -805,9 +441,10 @@ def _hermite_forms(ambient: Ambient, indices: Sequence[int]):
     """(m, d1, d2, x) of each ideal of the increasing indices, index by index.
 
     d1, d2 and x are (a, b) pairs of Z[w]: the ideal is the Z[w]-module
-    spanned by (d1, 0) and (x, d2); see "Hermite forms over Z[w]" in the
-    module docstring.  Once d2 | d1, every x of the box of d1 is tested by
-    exact division; within an index the forms come in no fixed order.
+    spanned by (d1, 0) and (x, d2); see "Hermite forms over Z[w], rank 2"
+    in the module docstring.  Once d2 | d1, every x of the box of d1 is
+    tested by exact division; within an index the forms come in no fixed
+    order.
     """
     quad = _QUARTIC_RING[ambient].quad
     c1, c0 = quad.c1, quad.c0
@@ -837,16 +474,8 @@ def _hermite_forms(ambient: Ambient, indices: Sequence[int]):
                             yield m, d1, d2, x
 
 
-def _hermite_counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
-    """_ideal_counts of a rank-4 ring ambient, by Hermite forms over Z[w]."""
-    counts = dict.fromkeys(indices, 0)
-    for m, *_ in _hermite_forms(ambient, indices):
-        counts[m] += 1
-    return list(counts.values())
-
-
 def _hermite_ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
-    """_ideals of a rank-4 ring ambient, by Hermite forms over Z[w], in the same order.
+    """_ideals of a rank-4 ring ambient, by Hermite forms over Z[w].
 
     Each form becomes the Z-HNF, in the basis (1, i, w, i*w), of the Z-span of
     (d1, 0), w (d1, 0), (x, d2) and w (x, d2); the forms of an index are
@@ -870,10 +499,46 @@ def _hermite_ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submod
             yield Submodule(ambient, basis)
 
 
+def _ztau_ideals(indices: Sequence[int]) -> Iterator[Submodule]:
+    """_ideals of Z[tau]: d Z[tau] for each canonical d of norm m, in its Z-HNF.
+
+    See "Hermite forms over Z[tau], rank 1" in the module docstring.
+    """
+    c1, c0 = TAU.c1, TAU.c0
+    table = norm_table(TAU, max(indices, default=0))
+    for m in indices:
+        bases = []
+        for d in table[m]:
+            h, k, l = _multiples_hnf((d.a, d.b), c1, c0)
+            if h * l != m:
+                raise InvariantViolation(f"ideal {d} Z[tau] has index other than {m}")
+            bases.append(((h, k), (0, l)))
+        bases.sort(key=lambda b: ((b[0][0], b[1][1]), b[0][1]))
+        for basis in bases:
+            yield Submodule(Ambient.Z_TAU_AS_Z2, basis)
+
+
+def _ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
+    """Ideals of the increasing indices, index by index, each index sorted by
+    diagonal, then in flat HNF order."""
+    if ambient in _QUARTIC_RING:
+        return _hermite_ideals(ambient, indices)
+    return _ztau_ideals(indices)
+
+
 def _counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
-    """Ideals of each of the increasing indices: Hermite forms at rank 4, the kernel at rank 2."""
-    walk = _hermite_counts if ambient in _QUARTIC_RING else _ideal_counts
-    return walk(ambient, indices)
+    """Ideals of each of the increasing indices, from one norm_table scan.
+
+    Z[tau] has one ideal per canonical associate of norm m; a rank-4 ring
+    has one per Hermite form over Z[w] of index m.
+    """
+    if ambient not in _QUARTIC_RING:
+        table = norm_table(TAU, max(indices, default=0))
+        return [len(table[m]) for m in indices]
+    counts = dict.fromkeys(indices, 0)
+    for m, *_ in _hermite_forms(ambient, indices):
+        counts[m] += 1
+    return list(counts.values())
 
 
 def count_ideals(ambient: Ambient, m: int,
@@ -886,8 +551,7 @@ def count_ideals(ambient: Ambient, m: int,
 def list_ideals(ambient: Ambient, m: int,
                 max_candidates: int = DEFAULT_MAX_CANDIDATES) -> list[Submodule]:
     _check_budget(ambient_rank(ambient), (m,), max_candidates)
-    walk = _hermite_ideals if ambient in _QUARTIC_RING else _ideals
-    return list(walk(ambient, (m,)))
+    return list(_ideals(ambient, (m,)))
 
 
 # ---------------------------------------------------------------------------
@@ -1041,8 +705,8 @@ def verify_series(ambient: Ambient, limit: int,
                   max_candidates: int = DEFAULT_MAX_CANDIDATES) -> OracleReport:
     """Compare oracle counts with the catalog coefficients for m <= limit.
 
-    The counts come from one walk over 1..limit: the numpy kernel for
-    Z[tau], Hermite forms over Z[w] for the rank-4 rings.
+    The counts come from one walk over 1..limit, by Hermite forms over
+    Z[tau] (rank 1) for Z[tau] and over Z[w] (rank 2) for the rank-4 rings.
     """
     _check_budget(ambient_rank(ambient), range(1, limit + 1), max_candidates)
     series = _EXPECTED_SERIES[ambient](limit)

@@ -1,7 +1,5 @@
 import math
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -15,7 +13,6 @@ from simsub.lattice import (
     ambient_actions,
     count_ideals,
     count_similarity_submodules,
-    flag_split,
     hnf_canonical,
     hnf_candidate_count,
     hnf_sublattices,
@@ -134,26 +131,26 @@ def test_is_invariant_examples():
         assert is_invariant(s, (identity,))
 
 
-def test_vector_kernel_agrees_with_scalar_invariance():
-    # the numpy block kernel, the Hermite forms over Z[w] (rank 4) and the
-    # direct per-submodule test are independent code paths; they must
-    # select identical bases, and the first two must return them in flat
-    # HNF order
-    for ambient, limit in ((Ambient.Z_ISQRT2_AS_Z4, 16), (Ambient.Z_ITAU_AS_Z4, 16),
-                           (Ambient.Z_TAU_AS_Z2, 60)):
-        actions = ambient_actions(ambient)
-        rank = lattice.ambient_rank(ambient)
-        for m in range(1, limit + 1):
-            scalar = [s.basis for s in hnf_sublattices(rank, m, ambient)
-                      if is_invariant(s, actions)]
-            kernel = [s.basis for s in lattice._ideals(ambient, (m,))]
-            assert scalar == kernel == [s.basis for s in list_ideals(ambient, m)], (ambient, m)
+@pytest.mark.parametrize("ambient, limit", [
+    (Ambient.Z_ISQRT2_AS_Z4, 16),
+    (Ambient.Z_ITAU_AS_Z4, 16),
+    (Ambient.Z_TAU_AS_Z2, 200),
+])
+def test_hermite_ideals_agree_with_scalar_invariance(ambient, limit):
+    # the Hermite forms over Z[tau] (rank 2) and Z[w] (rank 4) and the
+    # direct per-submodule test of every HNF basis are independent code
+    # paths; they must select identical bases, in diagonal then flat HNF order
+    actions = ambient_actions(ambient)
+    rank = lattice.ambient_rank(ambient)
+    for m in range(1, limit + 1):
+        scalar = [s.basis for s in hnf_sublattices(rank, m, ambient)
+                  if is_invariant(s, actions)]
+        assert scalar == [s.basis for s in list_ideals(ambient, m)], (ambient, m)
 
 
 def test_list_ideals_in_diagonal_then_flat_hnf_order():
-    # the walk emits bases without a sort; in Z[i,tau] the first index
-    # where one diagonal holds ideals that a trailing-block-first order
-    # would swap is 125
+    # in Z[i,tau] the first index where one diagonal holds ideals that a
+    # trailing-block-first order would swap is 125
     for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
         for m in range(1, 161):
             bases = [s.basis for s in list_ideals(ambient, m, max_candidates=10 ** 9)]
@@ -162,94 +159,22 @@ def test_list_ideals_in_diagonal_then_flat_hnf_order():
             assert key == sorted(key) and len(set(key)) == len(key), (ambient, m)
 
 
-def _kernel_results(limit):
-    # the blocks are built by the same walk, so they are rebuilt under the
-    # settings being tested; the kernel is called directly, as list_ideals
-    # takes the Hermite forms at rank 4
-    lattice._invariant_blocks.cache_clear()
-    return {ambient: ([lattice._ideal_counts(ambient, (m,))[0] for m in range(1, limit + 1)],
-                      [[s.basis for s in lattice._ideals(ambient, (m,))]
-                       for m in range(1, limit + 1)])
-            for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4,
-                            Ambient.Z_ISQRT2_AS_Z4)}
-
-
-_LAYOUTS = pytest.mark.parametrize("setting, value", [
-    ("_PACK", 1),           # every diagonal in its own pass, scalar divisors
-    ("_PACK", 10 ** 9),     # every diagonal packed, up to _CHUNK candidates
-    ("_CHUNK", 37),         # diagonals split across chunks, packs cut short
-])
-
-
-def _record_pass_lengths(monkeypatch):
-    lengths = []
-    mask = lattice._stabilizer_mask
-
-    def recorded(diag, digits, action, length):
-        lengths.append(length)
-        return mask(diag, digits, action, length)
-
-    monkeypatch.setattr(lattice, "_stabilizer_mask", recorded)
-    return lengths
-
-
-@_LAYOUTS
-def test_walk_results_do_not_depend_on_pass_layout(monkeypatch, setting, value):
-    expected = _kernel_results(48)
-    monkeypatch.setattr(lattice, setting, value)
-    lengths = _record_pass_lengths(monkeypatch)
-    try:
-        assert _kernel_results(48) == expected
-    finally:
-        lattice._invariant_blocks.cache_clear()
-    assert 0 < max(lengths) <= lattice._CHUNK
-
-
-@_LAYOUTS
 @pytest.mark.parametrize("walks", [1, 2])
-def test_range_walk_matches_single_indices(monkeypatch, setting, value, walks):
-    # a kernel walk over any increasing indices, here the residue classes
-    # of 1..48 mod walks, gives the per-index counts and bases, concatenated
-    # (at rank 4, those of the Hermite forms); the one walk over 1..48 is
-    # the one verify_series makes
-    monkeypatch.setattr(lattice, setting, value)
-    lengths = _record_pass_lengths(monkeypatch)
+def test_range_walk_matches_single_indices(walks):
+    # a walk over any increasing indices, here the residue classes of 1..48
+    # mod walks, gives the per-index counts and bases, concatenated; the one
+    # walk over 1..48 is the one verify_series makes
     parts = [range(w + 1, 49, walks) for w in range(walks)]
-    try:
-        for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
-            for part in parts:
-                counts = lattice._ideal_counts(ambient, part)
-                bases = [s.basis for s in lattice._ideals(ambient, part)]
-                assert counts == [count_ideals(ambient, m) for m in part], ambient
-                assert bases == [s.basis for m in part
-                                 for s in list_ideals(ambient, m)], ambient
-            report = verify_series(ambient, 48)
-            assert [row[1] for row in report.rows] == \
-                [count_similarity_submodules(ambient, m) for m in range(1, 49)], ambient
-    finally:
-        lattice._invariant_blocks.cache_clear()
-    assert 0 < max(lengths) <= lattice._CHUNK
-
-
-def test_walk_skips_exactly_the_empty_diagonals():
-    for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
-        actions = ambient_actions(ambient)
-        for m in range(1, 121):
-            walked = [diag for diag, _ in lattice._nonzero_diagonals(m, actions)]
-            nonempty = [diag for diag in lattice.ordered_diagonals(m, 4)
-                        if math.prod(n for n, _ in lattice._candidate_factors(diag, actions))]
-            assert walked == nonempty, (ambient, m)
-
-
-@pytest.mark.parametrize("ambient", [Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4])
-def test_hermite_forms_match_the_kernel(ambient):
-    # bases and order of every index m <= 200, from one walk of each; the
-    # walks list each index in order, so equal lists are equal per index
-    hermite = [s.basis for s in lattice._hermite_ideals(ambient, range(1, 201))]
-    assert hermite == [s.basis for s in lattice._ideals(ambient, range(1, 201))]
-    counts = lattice._hermite_counts(ambient, range(1, 201))
-    assert counts == lattice._ideal_counts(ambient, range(1, 201))
-    assert sum(counts) == len(hermite)
+    for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
+        for part in parts:
+            counts = lattice._counts(ambient, part)
+            bases = [s.basis for s in lattice._ideals(ambient, part)]
+            assert counts == [count_ideals(ambient, m) for m in part], ambient
+            assert bases == [s.basis for m in part for s in list_ideals(ambient, m)], ambient
+            assert sum(counts) == len(bases), ambient
+        report = verify_series(ambient, 48)
+        assert [row[1] for row in report.rows] == \
+            [count_similarity_submodules(ambient, m) for m in range(1, 49)], ambient
 
 
 @pytest.mark.parametrize("ring", [TAU, SQRT2])
@@ -280,15 +205,24 @@ def test_hermite_form_of_wrong_index_raises(monkeypatch):
         list_ideals(Ambient.Z_ITAU_AS_Z4, 2)
 
 
-def test_flag_split_detection():
-    # i keeps span(1, i) in both rank-4 rings; tau and sqrt2 keep no flag
-    # space, and rank-2 Z[tau] has no split at all
-    for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
-        k, lead, trail = flag_split(ambient_actions(ambient))
-        assert k == 2
-        assert [a.name for a in lead] == [a.name for a in trail] == ["i"]
-        assert lead[0].matrix == trail[0].matrix == ((0, -1), (1, 0))
-    assert flag_split(ambient_actions(Ambient.Z_TAU_AS_Z2)) is None
+@given(st.integers(min_value=1, max_value=3000))
+@example(1)
+@example(2)
+@example(2900)
+def test_ztau_ideals_are_invariant_of_their_index(m):
+    subs = list_ideals(Ambient.Z_TAU_AS_Z2, m)
+    assert len(subs) == count_ideals(Ambient.Z_TAU_AS_Z2, m)
+    assert len({s.basis for s in subs}) == len(subs)
+    for sub in subs:
+        assert sub.index == m and is_invariant(sub, ambient_actions(Ambient.Z_TAU_AS_Z2))
+
+
+def test_ztau_ideal_of_wrong_index_raises(monkeypatch):
+    # a norm table that lists the unit 1, of norm 1, at norm 2
+    monkeypatch.setattr(lattice, "norm_table",
+                        lambda ring, limit: ((), (), (QuadInt(1, 0, TAU),)))
+    with pytest.raises(InvariantViolation):
+        list_ideals(Ambient.Z_TAU_AS_Z2, 2)
 
 
 def test_count_ideals_examples():
@@ -465,64 +399,6 @@ def test_pair_square_norm_matches_quartic_norm(ring, a, b, c, d):
     assert abs(pair_norm((ru + su, rv + sv), c1, c0)) == x.abs_norm()
 
 
-def _i_blocks(ambient):
-    return flag_split(ambient_actions(ambient))[1]
-
-
-def test_block_cache_cold_and_warm_agree():
-    # the rank-4 reference kernel, called directly
-    for ambient in (Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
-        lattice._invariant_blocks.cache_clear()
-        cold = lattice._ideal_counts(ambient, range(1, 41))
-        cold_bases = [s.basis for s in lattice._ideals(ambient, (48,))]
-        assert lattice._invariant_blocks.cache_info().hits > 0
-        warm = lattice._ideal_counts(ambient, range(1, 41))
-        assert warm == cold == [count_ideals(ambient, m) for m in range(1, 41)], ambient
-        assert [s.basis for s in lattice._ideals(ambient, (48,))] == cold_bases
-
-
-def test_block_cache_shared_across_threads():
-    lattice._invariant_blocks.cache_clear()
-    expected = [catalog.zeta_q_itau(24).a(m) for m in range(1, 25)]
-    results = [None] * 4
-
-    def work(k):
-        results[k] = [lattice._ideal_counts(Ambient.Z_ITAU_AS_Z4, (m,))[0]
-                      for m in range(1, 25)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert results == [expected] * 4
-
-
-def test_block_cache_entries_are_read_only_and_bounded():
-    lattice._invariant_blocks.cache_clear()
-    # i keeps the lattice with columns (5, 0), (x, 1) iff x^2 = -1 mod 5,
-    # and no lattice with columns (1, 0), (0, 5): that diagonal is absent
-    blocks = lattice._invariant_blocks(5, _i_blocks(Ambient.Z_ITAU_AS_Z4))
-    assert list(blocks) == [(5, 1)]
-    n, digits = blocks[(5, 1)]
-    assert n == 2 and digits[(0, 1)].tolist() == [2, 3]
-    with pytest.raises(ValueError):
-        digits[(0, 1)][0] = 1
-    with pytest.raises(TypeError):
-        blocks[(1, 5)] = (0, {})
-    # the restriction of i is the same in both rings, so they share the entry
-    assert lattice._invariant_blocks(5, _i_blocks(Ambient.Z_ISQRT2_AS_Z4)) is blocks
-    lattice._ideal_counts(Ambient.Z_ITAU_AS_Z4, range(1, 121))
-    info = lattice._invariant_blocks.cache_info()
-    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
-
-
 def test_is_principal_requires_ideal():
     plain = Submodule(Ambient.Z_ISQRT2_AS_Z4,
                       ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)))
@@ -548,7 +424,7 @@ def test_verify_series_small_ranges():
 
 
 def test_verify_series_makes_one_walk(monkeypatch):
-    # the counts of 1..limit come from one kernel walk, whatever the ambient
+    # the counts of 1..limit come from one walk, whatever the ambient
     calls = []
     walk = lattice._similarity_counts
 

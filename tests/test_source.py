@@ -44,10 +44,40 @@ def test_src_starts_no_threads():
         assert not lines, f"{path.name}: thread pool import at lines {lines}"
 
 
-def test_cli_import_leaves_out_concurrent_futures():
-    code = "import sys, simsub.cli; print('concurrent.futures' in sys.modules)"
+def _numpy_imports(tree):
+    """Lines that import numpy or a numpy submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            yield node.lineno
+
+
+def test_src_imports_no_numpy():
+    # the oracles are exact integer walks in pure Python
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        lines = list(_numpy_imports(ast.parse(path.read_text(), filename=str(path))))
+        assert not lines, f"{path.name}: numpy import at lines {lines}"
+
+
+def _cli_import_loads(module):
+    code = f"import sys, simsub.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    assert _cli_import_loads("concurrent.futures") == "False\n"
+
+
+def test_cli_import_leaves_out_numpy():
+    assert _cli_import_loads("numpy") == "False\n"
