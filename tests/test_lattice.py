@@ -159,16 +159,28 @@ def test_list_ideals_in_diagonal_then_flat_hnf_order():
             assert key == sorted(key) and len(set(key)) == len(key), (ambient, m)
 
 
+# the ids are those of the pass layouts of the former numpy kernel, which
+# the walk sizes here stand in for
+_WALK_SIZES = pytest.mark.parametrize("size", [
+    pytest.param(1, id="_PACK-1"),                  # every index walked alone
+    pytest.param(10 ** 9, id="_PACK-1000000000"),   # each part in one walk
+    pytest.param(37, id="_CHUNK-37"),               # parts cut into walks of 37
+])
+
+
+@_WALK_SIZES
 @pytest.mark.parametrize("walks", [1, 2])
-def test_range_walk_matches_single_indices(walks):
+def test_range_walk_matches_single_indices(walks, size):
     # a walk over any increasing indices, here the residue classes of 1..48
-    # mod walks, gives the per-index counts and bases, concatenated; the one
-    # walk over 1..48 is the one verify_series makes
+    # mod walks, cut into walks of at most size indices (so over norm tables
+    # of different extents), gives the per-index counts and bases,
+    # concatenated; the one walk over 1..48 is the one verify_series makes
     parts = [range(w + 1, 49, walks) for w in range(walks)]
     for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
         for part in parts:
-            counts = lattice._counts(ambient, part)
-            bases = [s.basis for s in lattice._ideals(ambient, part)]
+            cuts = [part[i:i + size] for i in range(0, len(part), size)]
+            counts = [c for cut in cuts for c in lattice._counts(ambient, cut)]
+            bases = [s.basis for cut in cuts for s in lattice._ideals(ambient, cut)]
             assert counts == [count_ideals(ambient, m) for m in part], ambient
             assert bases == [s.basis for m in part for s in list_ideals(ambient, m)], ambient
             assert sum(counts) == len(bases), ambient
