@@ -171,18 +171,16 @@ def cmd_units(args) -> int:
         raise UsageError(f"--height {height} scans over {MAX_UNIT_SCAN} coefficient "
                          f"vectors of ring {args.ring}")
     if real:
-        units = quadratic.units_up_to_height(ring, height)
-        decomposed = []
-        for u in units:
-            sign, exp = quadratic.unit_normal_form(u)
-            ok = quadratic.unit_from_normal_form(ring, sign, exp) == u
-            decomposed.append(ok)
+        scan, normal_form, from_normal_form = (
+            quadratic.units_up_to_height, quadratic.unit_normal_form,
+            quadratic.unit_from_normal_form)
     else:
-        units = quartic.units_up_to_height(ring, height)
-        decomposed = []
-        for u in units:
-            k, ell = quartic.quartic_unit_normal_form(u)
-            decomposed.append(quartic.unit_from_normal_form(ring, k, ell) == u)
+        scan, normal_form, from_normal_form = (
+            quartic.units_up_to_height, quartic.quartic_unit_normal_form,
+            quartic.unit_from_normal_form)
+    units = scan(ring, height)
+    # every unit is decomposed, so a failing decomposition raises (exit 3)
+    decomposed = [from_normal_form(ring, *normal_form(u)) == u for u in units]
     payload = {
         "ring": args.ring,
         "height": height,

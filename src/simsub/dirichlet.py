@@ -10,36 +10,13 @@ knows the support passes it in and the constructor checks it exactly
 (one C-level count of the zeros); otherwise the constructor finds it
 with one scan.
 
-expand_euler writes only the nonzero coefficients of a multiplicative
-series.  Every index n > 1 is m * p^e for one prime p, its largest prime
-factor, so taking the primes in increasing order and extending the
-nonzero entries found so far writes each nonzero a(n) exactly once.  It
-records every index it writes and returns them, sorted, as the support,
-so on the way from expand_euler to the nonzero coefficients only the
-constructor's count of the zeros reads the whole table.
-
-The local factors come as an EulerRule: a modulus M, one ClassFactor per
-residue class mod M, and the exceptional primes with their own factor.
-A ClassFactor states the t^k coefficients as integer polynomials in p,
-so one object gives the factor at every prime of its class, and its t^1
-coefficient c1 is one polynomial.  A plain callable p -> EulerFactor is
-the rule of modulus 1 whose one class is that function.
-
-The primes up to sqrt(N) are expanded in full, one factor each.  A prime
-p with p^2 > N divides an index n <= N at most once, and then n = m * p
-with m < p, so a(m) is final and a(n) = a(m) * c1: only c1 is read.  It
-is read group by group: each exceptional prime above sqrt(N) on its own
-(5 is one when N < 25), then the other primes of each class, straight
-from the sieve once the exceptional primes' bytes are cleared.  So each
-prime falls in exactly one group, the one whose factor the rule states
-for it, and c1 is evaluated at all the primes of a class together.
-
-Beside the prime sieve, the allocation of the table and its one copy
-into a tuple, the cost is one local factor per prime up to sqrt(N), one
-expansion per distinct factor among them, one c1 polynomial per class,
-and one write per nonzero coefficient; a class whose c1 is 0 lists none
-of its primes.  Only a plain callable is asked for a factor at each
-larger prime.
+expand_euler builds a multiplicative series from its local factors,
+given as an EulerRule: a modulus M, one ClassFactor per residue class mod
+M, and the exceptional primes with their own factor.  A ClassFactor
+states the t^k coefficients as integer polynomials in p, so one object
+gives the factor at every prime of its class.  expand_euler writes only
+the nonzero coefficients and returns them with their support; its
+docstring has the two phases and their cost.
 """
 
 from __future__ import annotations
@@ -50,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress, islice, zip_longest
 from operator import lt
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 Poly = tuple[int, ...]  # integer polynomial in p, constant term first; () is 0
 
@@ -191,14 +168,6 @@ class EulerFactor:
             out.append(c)
         return out
 
-    def linear_coefficient(self) -> int:
-        """The t^1 coefficient of num/den, equal to expand(2)[1]."""
-        num, den = self.num, self.den
-        c1 = num[1] if len(num) > 1 else 0
-        if num and len(den) > 1:
-            c1 -= den[1] * num[0]
-        return c1
-
     def __mul__(self, other: EulerFactor) -> EulerFactor:
         """Product of two local factors at the same prime."""
         return EulerFactor(_poly_mul(self.num, other.num),
@@ -234,12 +203,6 @@ def _poly_at(poly: Poly, p: int) -> int:
     for c in reversed(poly):
         value = value * p + c
     return value
-
-
-def _nonzero_terms(primes: list[int], c1s: list[int]) -> tuple[list[int], list[int]]:
-    if 0 in c1s:
-        return list(compress(primes, c1s)), [c for c in c1s if c]
-    return primes, c1s
 
 
 @dataclass(frozen=True)
@@ -292,24 +255,9 @@ class ClassFactor:
         values = [c1[-1]] * len(primes)
         for c in reversed(c1[:-1]):
             values = [v * p + c for v, p in zip(values, primes)]
-        return _nonzero_terms(primes, values)
-
-
-class _EachPrime:
-    """The one class of a plain callable rule: any function of p, so its
-    c1 is read from the factor at each prime."""
-
-    __slots__ = ("factor",)
-
-    def __init__(self, factor: Callable[[int], EulerFactor]):
-        self.factor = factor
-
-    def __call__(self, p: int) -> EulerFactor:
-        return self.factor(p)
-
-    def linear_terms(self, primes: Iterable[int]) -> tuple[list[int], list[int]]:
-        primes = list(primes)
-        return _nonzero_terms(primes, [self.factor(p).linear_coefficient() for p in primes])
+        if 0 in values:
+            return list(compress(primes, values)), [v for v in values if v]
+        return primes, values
 
 
 @dataclass(frozen=True)
@@ -348,12 +296,9 @@ class EulerRule:
              for p in self.exceptional.keys() | other.exceptional.keys()})
 
 
-def expand_euler(local_factor: EulerRule | Callable[[int], EulerFactor],
-                 limit: int) -> CoeffSeries:
-    """Multiplicative series from per-prime local factors.
+def expand_euler(rule: EulerRule, limit: int) -> CoeffSeries:
+    """Multiplicative series from the local factors of an EulerRule.
 
-    local_factor is an EulerRule, or a plain callable p -> EulerFactor,
-    taken as the rule of modulus 1 whose one class is that function.
     a(m) is the product over p^e || m of the t^e coefficient of the local
     expansion at p.  The table is built in two phases along its support,
     the sorted nonzero indices, which stays exact because a product of
@@ -397,12 +342,12 @@ def expand_euler(local_factor: EulerRule | Callable[[int], EulerFactor],
     coefficient (with a sort of the support prefix per phase-1 prime, and
     one sort of the recorded indices); nothing scans the table, and the
     constructor's check of the support is one C-level count of the zeros.
-    Only a plain callable is asked for a factor at each larger prime.
+    No local factor is asked for at a prime above isqrt(limit).
     """
+    if not isinstance(rule, EulerRule):
+        raise TypeError(f"expand_euler needs an EulerRule, not {type(rule).__name__}")
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    rule = (local_factor if isinstance(local_factor, EulerRule)
-            else EulerRule(1, (_EachPrime(local_factor),)))
     coeffs = [0] * (limit + 1)
     coeffs[1] = 1
     support = [1]

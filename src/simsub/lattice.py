@@ -6,11 +6,11 @@ with product m, off-diagonal entries of row i reduced mod the diagonal
 entry d_i.  Invariance under ring multiplier actions is tested one basis
 at a time by exact back substitution (`is_invariant`).  The ideals of the
 rings come from Hermite forms over the real quadratic ring R = Z[tau] or
-Z[sqrt2] instead: of rank 1 for Z[tau] itself, of rank 2 for Z[i,tau]
-and Z[i,sqrt2].  Both take their diagonal entries from one table of
-canonical associates by norm (`quadratic.norm_table`, one box scan for a
-whole range of indices), and neither reads a catalog series or a closed
-form of the count.
+Z[sqrt2] instead, in one walk: of rank 1 for Z[tau] itself, of rank 2
+for Z[i,tau] and Z[i,sqrt2].  Both ranks take their diagonal entries
+from one table of canonical associates by norm (`quadratic.norm_table`,
+one box scan for a whole range of indices), and neither reads a catalog
+series or a closed form of the count.
 
 One Hermite normal form.  Z and Z[tau] are both norm-Euclidean, so one
 column reduction, `column_hnf`, serves both: `hnf_canonical` runs it over
@@ -25,9 +25,7 @@ on R = Z + Z tau with determinant N(d), so d R has index |N(d)| = N(d),
 as canonical associates have positive norm.  So the ideals of index m
 and the canonical d of norm m correspond one to one, and their count is
 the length of the table's entry m.  The Z-HNF [[h, k], [0, l]] of d R in
-the basis (1, tau) is that of the Z-span of d and tau d
-(`_multiples_hnf`); h l = m is checked, and the ideals of an index are
-sorted by diagonal (h, l), then by k.
+the basis (1, tau) is that of the Z-span of d and tau d.
 
 Hermite forms over Z[w], rank 2.  Let R = Z[w], w = tau or sqrt2, and
 identify Z[i,w] = R + R i with R^2 by P + i Q -> (P, Q); in the basis
@@ -66,16 +64,20 @@ takes d1 and d2 from one table of canonical associates by norm
 (`quadratic.norm_table`), drops the pairs where d2 does not divide d1
 (N(d2) | N(d1) first), and tests every x of the box of d1 by these exact
 divisions; it reads no catalog series and no closed form of the count.
-A surviving form becomes its Z-HNF by `hnf_canonical` of the Z-span of
-(d1, 0), w (d1, 0), (x, d2) and w (x, d2), whose index is checked
-against m, and the ideals of an index are sorted by diagonal, then in
-flat HNF order.  For Z[i,tau] to 80 the walk tests 1,551 candidates for
-35 ideals.
+The Z-HNF of the ideal, in the basis (1, i, w, i w), is that of the
+Z-span of (d1, 0), w (d1, 0), (x, d2) and w (x, d2).  For Z[i,tau] to 80
+the walk tests 1,551 candidates for 35 ideals.
+
+One walk for both ranks.  `_forms` yields, for each ideal, its index m
+and the integer columns named above: d and tau d at rank 1, the four
+columns of the Hermite form at rank 2.  `_counts` counts them, and
+`_ideals` takes the Z-HNF of each by `hnf_canonical`, checks that its
+diagonal product is m, and sorts the ideals of an index by diagonal,
+then in flat HNF order; for Z[tau] that is by (h, l), then by k.
 
 The budget.  `max_candidates` bounds the full Z-HNF set of each index,
 the set `hnf_sublattices` lists, at both ranks: not the Hermite work,
-which is far smaller, so a ceiling admits the same ranges whichever walk
-counts the ideals.
+which is far smaller.
 
 Principality.  A generator re + i*im (re, im in the real quadratic
 ring) has relative norm re^2 + im^2.  The search squares each element
@@ -437,18 +439,27 @@ def _is_multiple(z, hnf) -> bool:
     return not (b % l or (a - b // l * k) % h)
 
 
-def _hermite_forms(ambient: Ambient, indices: Sequence[int]):
-    """(m, d1, d2, x) of each ideal of the increasing indices, index by index.
+def _forms(ambient: Ambient, indices: Sequence[int]):
+    """(m, columns) of each ideal of the increasing indices, index by index.
 
-    d1, d2 and x are (a, b) pairs of Z[w]: the ideal is the Z[w]-module
-    spanned by (d1, 0) and (x, d2); see "Hermite forms over Z[w], rank 2"
-    in the module docstring.  Once d2 | d1, every x of the box of d1 is
-    tested by exact division; within an index the forms come in no fixed
-    order.
+    The columns are integer vectors, in the basis of the ambient, whose
+    Z-span is the ideal.  For Z[tau] they are d and tau d for each canonical
+    d of norm m; see "Hermite forms over Z[tau], rank 1" in the module
+    docstring.  For a rank-4 ring they are (d1, 0), w (d1, 0), (x, d2) and
+    w (x, d2) for each Hermite form [[d1, x], [0, d2]] over Z[w]; see
+    "Hermite forms over Z[w], rank 2".  There, once d2 | d1, every x of the
+    box of d1 is tested by exact division.  Within an index the forms come
+    in no fixed order.
     """
-    quad = _QUARTIC_RING[ambient].quad
+    ring = _QUARTIC_RING.get(ambient)
+    quad = TAU if ring is None else ring.quad
     c1, c0 = quad.c1, quad.c0
     table = [[(x.a, x.b) for x in xs] for xs in norm_table(quad, max(indices, default=0))]
+    if ring is None:
+        for m in indices:
+            for d in table[m]:
+                yield m, (d, pair_mul(d, (0, 1), c1, c0))
+        return
     hnfs = {}
     for m in indices:
         for n2 in divisors(m):
@@ -464,6 +475,7 @@ def _hermite_forms(ambient: Ambient, indices: Sequence[int]):
                         if d not in hnfs:
                             hnfs[d] = _multiples_hnf(d, c1, c0)
                     hnf1, hnf2 = hnfs[d1], hnfs[d2]
+                    d1w, d2w = (pair_mul(p, (0, 1), c1, c0) for p in (d1, d2))
                     # d2 | x, d1 | e x and d1 | -d2 - (x / d2) x: i maps both generators in
                     for x in itertools.product(range(hnf1[0]), range(hnf1[2])):
                         if not (_is_multiple(x, hnf2)
@@ -471,72 +483,37 @@ def _hermite_forms(ambient: Ambient, indices: Sequence[int]):
                             continue
                         yx = pair_mul(_pair_divmod(x, d2, c1, c0)[0], x, c1, c0)
                         if _is_multiple((-d2[0] - yx[0], -d2[1] - yx[1]), hnf1):
-                            yield m, d1, d2, x
+                            xw = pair_mul(x, (0, 1), c1, c0)
+                            yield m, ((d1[0], 0, d1[1], 0), (d1w[0], 0, d1w[1], 0),
+                                      (x[0], d2[0], x[1], d2[1]),
+                                      (xw[0], d2w[0], xw[1], d2w[1]))
 
 
-def _hermite_ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
-    """_ideals of a rank-4 ring ambient, by Hermite forms over Z[w].
+def _ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
+    """Ideals of the increasing indices, index by index, each index sorted by
+    diagonal, then in flat HNF order.
 
-    Each form becomes the Z-HNF, in the basis (1, i, w, i*w), of the Z-span of
-    (d1, 0), w (d1, 0), (x, d2) and w (x, d2); the forms of an index are
-    sorted by diagonal, then flat HNF order.
+    Each form of `_forms` becomes the Z-HNF of its columns, whose index is
+    checked against m.
     """
-    quad = _QUARTIC_RING[ambient].quad
-    c1, c0 = quad.c1, quad.c0
-    positions = _positions(4)
-    for m, forms in itertools.groupby(_hermite_forms(ambient, indices), key=lambda f: f[0]):
+    positions = _positions(ambient_rank(ambient))
+    for m, forms in itertools.groupby(_forms(ambient, indices), key=lambda f: f[0]):
         bases = []
-        for _, d1, d2, x in forms:
-            d1w, xw, d2w = (pair_mul(p, (0, 1), c1, c0) for p in (d1, x, d2))
-            basis = hnf_canonical([(d1[0], 0, d1[1], 0), (d1w[0], 0, d1w[1], 0),
-                                   (x[0], d2[0], x[1], d2[1]), (xw[0], d2w[0], xw[1], d2w[1])])
-            if math.prod(basis[i][i] for i in range(4)) != m:
-                raise InvariantViolation(f"Hermite form {d1}, {x}, {d2} has index other than {m}")
+        for _, columns in forms:
+            basis = hnf_canonical(columns)
+            if math.prod(row[i] for i, row in enumerate(basis)) != m:
+                raise InvariantViolation(f"ideal spanned by {columns} has index other than {m}")
             bases.append(basis)
-        bases.sort(key=lambda b: (tuple(b[i][i] for i in range(4)),
+        bases.sort(key=lambda b: (tuple(row[i] for i, row in enumerate(b)),
                                   tuple(b[i][j] for i, j in positions)))
         for basis in bases:
             yield Submodule(ambient, basis)
 
 
-def _ztau_ideals(indices: Sequence[int]) -> Iterator[Submodule]:
-    """_ideals of Z[tau]: d Z[tau] for each canonical d of norm m, in its Z-HNF.
-
-    See "Hermite forms over Z[tau], rank 1" in the module docstring.
-    """
-    c1, c0 = TAU.c1, TAU.c0
-    table = norm_table(TAU, max(indices, default=0))
-    for m in indices:
-        bases = []
-        for d in table[m]:
-            h, k, l = _multiples_hnf((d.a, d.b), c1, c0)
-            if h * l != m:
-                raise InvariantViolation(f"ideal {d} Z[tau] has index other than {m}")
-            bases.append(((h, k), (0, l)))
-        bases.sort(key=lambda b: ((b[0][0], b[1][1]), b[0][1]))
-        for basis in bases:
-            yield Submodule(Ambient.Z_TAU_AS_Z2, basis)
-
-
-def _ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
-    """Ideals of the increasing indices, index by index, each index sorted by
-    diagonal, then in flat HNF order."""
-    if ambient in _QUARTIC_RING:
-        return _hermite_ideals(ambient, indices)
-    return _ztau_ideals(indices)
-
-
 def _counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
-    """Ideals of each of the increasing indices, from one norm_table scan.
-
-    Z[tau] has one ideal per canonical associate of norm m; a rank-4 ring
-    has one per Hermite form over Z[w] of index m.
-    """
-    if ambient not in _QUARTIC_RING:
-        table = norm_table(TAU, max(indices, default=0))
-        return [len(table[m]) for m in indices]
+    """Ideals of each of the increasing indices: the forms `_forms` yields."""
     counts = dict.fromkeys(indices, 0)
-    for m, *_ in _hermite_forms(ambient, indices):
+    for m, _ in _forms(ambient, indices):
         counts[m] += 1
     return list(counts.values())
 
@@ -655,7 +632,7 @@ def _similarity_counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
     if ambient is not Ambient.Z_ISQRT2_AS_Z4:
         return _counts(ambient, indices)
     counts = dict.fromkeys(indices, 0)
-    for sub in _hermite_ideals(ambient, indices):
+    for sub in _ideals(ambient, indices):
         counts[sub.index] += is_principal(sub)
     return list(counts.values())
 

@@ -207,7 +207,7 @@ def test_f_cubic_printed_terms():
 def f_cubic_by_scaling(limit):
     # the full-length expansion with every coefficient moved to r^3
     return scale_argument(
-        expand_euler(lambda p: _tau_factor(p) * _phi_c_factor(p), limit), 3)
+        expand_euler(_tau_factor * _phi_c_factor, limit), 3)
 
 
 @pytest.mark.parametrize("limit", [1, 7, 8, 9, 26, 27, 28, 63, 64, 65, 24389])
@@ -286,20 +286,19 @@ def test_catalog_entry_by_cli_name():
 
 
 def test_expand_euler_equals_per_prime_convolution_for_zeta_q_tau():
-    from simsub.dirichlet import EulerFactor, convolve, epsilon, expand_euler
+    from simsub.dirichlet import ClassFactor, EulerRule, epsilon
 
     n = 100
     z = zeta_q_tau(n)
     acc = epsilon(n)
     for p in primes_up_to(n):
-        def only_p(q, p=p):
-            if q != p:
-                return EulerFactor((1,), (1,))
-            if p == 5:
-                return EulerFactor((1,), (1, -1))
-            if p % 5 in (1, 4):
-                return EulerFactor((1,), (1, -2, 1))
-            return EulerFactor((1,), (1, 0, -1))
+        if p == 5:
+            at_p = ClassFactor((1,), (1, -1))
+        elif p % 5 in (1, 4):
+            at_p = ClassFactor((1,), (1, -2, 1))
+        else:
+            at_p = ClassFactor((1,), (1, 0, -1))
+        only_p = EulerRule(1, (ClassFactor((1,)),), {p: at_p})
         acc = convolve(acc, expand_euler(only_p, n))
     assert acc.coeffs == z.coeffs
 

@@ -9,7 +9,7 @@ import sys
 import time
 from pathlib import Path
 
-from simsub import catalog, cli, cubic, lattice
+from simsub import catalog, cli, cubic, lattice, quadratic, quartic
 from simsub.dirichlet import dirichlet_inverse, summatory
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -328,6 +328,33 @@ def test_units_command(capsys):
     payload = json.loads(out)
     assert payload["all_decomposed"] is True
     assert payload["units_found"] > 0
+
+
+def test_units_decomposes_every_unit_of_both_ring_kinds(capsys, monkeypatch):
+    # a normal form one power of mu off reports false (exit 1) after every
+    # unit is tried; one that raises is an internal error (exit 3)
+    for module, name, ring in ((quadratic, "unit_normal_form", "sqrt2"),
+                               (quartic, "quartic_unit_normal_form", "isqrt2")):
+        tried, normal_form = [], getattr(module, name)
+
+        def off_by_one(u, normal_form=normal_form, tried=tried):
+            tried.append(u)
+            first, exponent = normal_form(u)
+            return first, exponent + 1
+
+        monkeypatch.setattr(module, name, off_by_one)
+        code, out, _ = run_cli(capsys, "units", "--ring", ring, "--height", "3")
+        payload = json.loads(out)
+        assert code == 1 and payload["all_decomposed"] is False, ring
+        assert len(tried) == payload["units_found"] > 1, ring
+
+        def failing(u):
+            raise quartic.UnitDecompositionError(f"unit {u!r} is not i^k * mu^l")
+
+        monkeypatch.setattr(module, name, failing)
+        code, out, err = run_cli(capsys, "units", "--ring", ring, "--height", "3")
+        assert code == 3 and out == "" and "UnitDecompositionError" in err, ring
+        monkeypatch.undo()
 
 
 def test_units_height_over_the_scan_ceiling_is_usage_error(capsys):

@@ -24,7 +24,7 @@ from simsub.dirichlet import (
 
 
 def riemann(limit):
-    return expand_euler(lambda p: EulerFactor((1,), (1, -1)), limit)
+    return expand_euler(EulerRule(1, (ClassFactor((1,), (1, -1)),)), limit)
 
 
 def random_series(limit, rng):
@@ -39,8 +39,22 @@ def test_expand_euler_riemann():
 
 
 def test_expand_euler_empty_factors_gives_epsilon():
-    s = expand_euler(lambda p: EulerFactor((1,), (1,)), 12)
+    s = expand_euler(EulerRule(1, (ClassFactor((1,)),)), 12)
     assert s.coeffs == epsilon(12).coeffs
+
+
+def test_expand_euler_refuses_anything_but_a_rule():
+    # a function of p, or a single class, is refused before any factor is asked for
+    asked = []
+
+    def factor(p):
+        asked.append(p)
+        return EulerFactor((1,), (1, -1))
+
+    for local_factor in (factor, ClassFactor((1,), (1, -1)), None):
+        with pytest.raises(TypeError):
+            expand_euler(local_factor, 100)
+    assert asked == []
 
 
 def test_non_expandable_factor_rejected():
@@ -58,26 +72,6 @@ _factors = st.builds(
 )
 
 
-@given(_factors)
-@example(EulerFactor((3,)))
-@example(EulerFactor((-2,), (1, 4)))
-@example(EulerFactor((2, 5)))
-@example(EulerFactor(()))
-@example(EulerFactor((), (1, 4)))
-@example(EulerFactor((5,), (1,)))
-def test_linear_coefficient_is_second_expansion_term(f):
-    assert f.linear_coefficient() == f.expand(2)[1]
-
-
-@given(_factors, _factors)
-@example(EulerFactor(()), EulerFactor((3,)))
-@example(EulerFactor((2,)), EulerFactor((), (1, -1)))
-@example(EulerFactor((1, 1)), EulerFactor((1,), (1, -7, 2)))
-def test_stored_linear_coefficient_of_product(a, b):
-    product = a * b
-    assert product.linear_coefficient() == product.expand(2)[1]
-
-
 @given(_factors, _factors, st.integers(1, 12))
 def test_euler_factor_product_is_cauchy_product(a, b, n):
     ea, eb = a.expand(n), b.expand(n)
@@ -88,7 +82,7 @@ def test_euler_factor_product_is_cauchy_product(a, b, n):
 def test_expand_euler_matches_single_prime_convolution():
     # divisor function two ways: local factors 1/(1-t)^2 versus zeta * zeta
     n = 100
-    d1 = expand_euler(lambda p: EulerFactor((1,), (1, -2, 1)), n)
+    d1 = expand_euler(EulerRule(1, (ClassFactor((1,), (1, -2, 1)),)), n)
     d2 = convolve(riemann(n), riemann(n))
     assert d1.coeffs == d2.coeffs
 
@@ -296,8 +290,8 @@ def test_catalog_support_is_dense_scan(name, n):
 # EulerRule, one ClassFactor per residue class of p, like the catalog's rules
 # by p mod 5 or 8, with coefficients that may be polynomials in p, and
 # exceptional primes of their own, some of them above sqrt(N) (9 is not
-# prime, so its factor is never read).  A lambda over a rule goes through
-# expand_euler as a plain callable, prime by prime.  expand_euler sets
+# prime, so its factor is never read).  A lambda over a rule is a reference
+# built prime by prime, through _dense_reference.  expand_euler sets
 # a(1) = 1, so a local factor stands for its series only when num[0] = 1,
 # as in every catalog factor.
 
@@ -326,14 +320,14 @@ def _local_rules(draw, factors=_monic_factors):
 
 @given(_local_rules(), _local_rules(), _limits)
 def test_expand_euler_of_product_is_convolution(f, g, n):
-    product = expand_euler(lambda p: f(p) * g(p), n)
+    product = _dense_reference(lambda p: f(p) * g(p), n)
     assert product.coeffs == convolve(expand_euler(f, n), expand_euler(g, n)).coeffs
     assert expand_euler(f * g, n) == product
 
 
 @given(_local_rules(), _limits)
 def test_swapped_local_factor_expands_to_inverse(f, n):
-    swapped = expand_euler(lambda p: EulerFactor(f(p).den, f(p).num), n)
+    swapped = _dense_reference(lambda p: EulerFactor(f(p).den, f(p).num), n)
     assert swapped.coeffs == dirichlet_inverse(expand_euler(f, n)).coeffs
 
 
@@ -341,7 +335,7 @@ def test_swapped_local_factor_expands_to_inverse(f, n):
                                                  unique=True).map(sorted))
 def test_class_factor_reads_linear_coefficient_at_each_prime(f, g, primes):
     for factor in (f, g, f * g):
-        expected = [(p, factor(p).linear_coefficient()) for p in primes]
+        expected = [(p, factor(p).expand(2)[1]) for p in primes]
         got_primes, got_c1s = factor.linear_terms(iter(primes))
         assert list(zip(got_primes, got_c1s)) == [(p, c) for p, c in expected if c]
     assert [(f * g)(p) for p in primes] == [f(p) * g(p) for p in primes]
@@ -372,8 +366,8 @@ def _spread(poly, k):
 
 @given(_local_rules(_class_factors), st.integers(1, 4), _limits)
 def test_scale_argument_of_expansion_is_expansion_at_t_power(f, k, n):
-    at_power = expand_euler(lambda p: EulerFactor(_spread(f(p).num, k),
-                                                  _spread(f(p).den, k)), n)
+    at_power = _dense_reference(lambda p: EulerFactor(_spread(f(p).num, k),
+                                                      _spread(f(p).den, k)), n)
     assert scale_argument(expand_euler(f, n), k).coeffs == at_power.coeffs
 
 
@@ -417,21 +411,27 @@ def test_expand_euler_matches_dense_reference(f, n):
 
 # Around N = p^2 the prime p moves from the t^1-only phase into the full
 # expansion, so a(p^2) = c2 is the entry that shows where the cut lies.
+# Each factor is written twice: as a function of p, the reference, and as
+# the rule that expand_euler takes.
+_SPLIT_SQ, _SKEW = ClassFactor((1,), (1, -2, 1)), ClassFactor((1, -1, 2), (1, -1))
 _BOUNDARY_RULES = {
-    "1/(1-t^2)": lambda p: EulerFactor((1,), (1, 0, -1)),
-    "(1+t)^2/(1-pt)^2": lambda p: EulerFactor((1, 2, 1), (1, -2 * p, p * p)),
+    "1/(1-t^2)": (lambda p: EulerFactor((1,), (1, 0, -1)),
+                  EulerRule(1, (ClassFactor((1,), (1, 0, -1)),))),
+    "(1+t)^2/(1-pt)^2": (lambda p: EulerFactor((1, 2, 1), (1, -2 * p, p * p)),
+                         EulerRule(1, (ClassFactor((1, 2, 1), (1, (0, -2), (0, 0, 1))),))),
     "1/(1-t)^2 or (1-t+2t^2)/(1-t) by p mod 4":
-        lambda p: (EulerFactor((1,), (1, -2, 1)) if p % 4 == 1
-                   else EulerFactor((1, -1, 2), (1, -1))),
+        (lambda p: (EulerFactor((1,), (1, -2, 1)) if p % 4 == 1
+                    else EulerFactor((1, -1, 2), (1, -1))),
+         EulerRule(4, (_SKEW, _SPLIT_SQ, _SKEW, _SKEW))),
 }
 
 
 @pytest.mark.parametrize("rule", sorted(_BOUNDARY_RULES))
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 23))
 def test_expand_euler_at_prime_square_boundary(rule, p):
-    f = _BOUNDARY_RULES[rule]
+    f, as_rule = _BOUNDARY_RULES[rule]
     for n in (p * p - 1, p * p, p * p + 1):
-        sparse = expand_euler(f, n)
+        sparse = expand_euler(as_rule, n)
         assert sparse == _dense_reference(f, n), n
         assert_support_is_dense_scan(sparse)
 
@@ -458,9 +458,9 @@ def test_catalog_tables_match_dense_reference_at_every_small_limit(name, monkeyp
 def test_catalog_builds_ask_for_no_factor_above_sqrt(monkeypatch):
     """Phase 2 reads each class's c1 once: no factor is asked for, built or
     read at any prime above sqrt of the expanded limit."""
-    asked, limits, counts = [], [], {"built": 0, "c1_read": 0}
+    asked, limits, counts = [], [], {"built": 0}
     class_call, post_init = ClassFactor.__call__, EulerFactor.__post_init__
-    linear, expand = EulerFactor.linear_coefficient, catalog.expand_euler
+    expand = catalog.expand_euler
 
     def counting_call(self, p):
         asked.append(p)
@@ -470,26 +470,21 @@ def test_catalog_builds_ask_for_no_factor_above_sqrt(monkeypatch):
         counts["built"] += 1
         post_init(self)
 
-    def counting_linear(self):
-        counts["c1_read"] += 1
-        return linear(self)
-
     def recording_expand(rule, limit):
         limits.append(limit)
         return expand(rule, limit)
 
     monkeypatch.setattr(ClassFactor, "__call__", counting_call)
     monkeypatch.setattr(EulerFactor, "__post_init__", counting_post_init)
-    monkeypatch.setattr(EulerFactor, "linear_coefficient", counting_linear)
     monkeypatch.setattr(catalog, "expand_euler", recording_expand)
     for name in catalog.CLI_SERIES + ("riemann-zeta",):
         asked.clear()
         limits.clear()
-        counts.update(built=0, c1_read=0)
+        counts.update(built=0)
         catalog.catalog_entry(name, 300000)
         (limit,) = limits
         assert asked == primes_up_to(math.isqrt(limit)), name
-        assert counts == {"built": len(asked), "c1_read": 0}, name
+        assert counts == {"built": len(asked)}, name
 
 
 def test_nonzero_with_negative_and_zero_coefficients():

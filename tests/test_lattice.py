@@ -210,9 +210,10 @@ def test_hermite_ideals_are_invariant_of_their_index(ambient, m):
 
 
 def test_hermite_form_of_wrong_index_raises(monkeypatch):
-    # a form whose module has index 1 reported at index 2
-    monkeypatch.setattr(lattice, "_hermite_forms",
-                        lambda ambient, indices: iter([(2, (1, 0), (1, 0), (0, 0))]))
+    # columns that span all of Z^4, index 1, reported at index 2
+    unit_columns = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monkeypatch.setattr(lattice, "_forms",
+                        lambda ambient, indices: iter([(2, unit_columns)]))
     with pytest.raises(InvariantViolation):
         list_ideals(Ambient.Z_ITAU_AS_Z4, 2)
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from simsub import quartic
-from simsub.errors import InvariantViolation
 from simsub.quartic import (
     ISQRT2,
     ITAU,
@@ -173,13 +172,3 @@ def test_unit_decomposition_error_type_exists():
     # counterexample would mean
     assert issubclass(UnitDecompositionError, ArithmeticError)
 
-
-@pytest.mark.parametrize("bad_mul, message", [
-    (lambda x, y: x, "not commutative"),
-    (lambda x, y: -(x + y), "not associative"),
-])
-def test_structure_constant_check_raises_invariant_violation(monkeypatch, bad_mul, message):
-    monkeypatch.setattr(QuarticInt, "__mul__", bad_mul)
-    for ring in (ITAU, ISQRT2):
-        with pytest.raises(InvariantViolation, match=message):
-            ring._check_structure_constants()
