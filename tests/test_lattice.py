@@ -209,6 +209,50 @@ def test_hermite_ideals_are_invariant_of_their_index(ambient, m):
         assert sub.index == m and is_invariant(sub, ambient_actions(ambient))
 
 
+def _canonical_upto(quad, limit):
+    return [x for xs in norm_table(quad, limit) for x in xs]
+
+
+_RANK4_RINGS = {Ambient.Z_ITAU_AS_Z4: ITAU, Ambient.Z_ISQRT2_AS_Z4: ISQRT2}
+
+
+@given(st.sampled_from(list(_RANK4_RINGS)),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+@example(Ambient.Z_ITAU_AS_Z4, 0, 0, 0, 0)     # d2 = e = 1: all of Z[i,tau]
+@example(Ambient.Z_ITAU_AS_Z4, 1, 2, 2, 0)     # d2 = 2, e = 2 + tau | 2^2 + 1
+@example(Ambient.Z_ITAU_AS_Z4, 1, 2, 1, 0)     # e = 2 + tau does not divide 1^2 + 1
+@example(Ambient.Z_ISQRT2_AS_Z4, 1, 1, 0, 0)   # e = 2 + sqrt2 does not divide 0^2 + 1
+@example(Ambient.Z_ISQRT2_AS_Z4, 1, 1, 1, 0)   # e = 2 + sqrt2 | 1^2 + 1
+def test_hermite_form_is_an_ideal_iff_y_is_a_root(ambient, i2, ie, a, b):
+    # both directions: the Z-span of (d2 e, 0), w (d2 e, 0), (d2 y, d2) and
+    # w (d2 y, d2) is i-stable, by the scalar test of each basis vector,
+    # iff e | y^2 + 1, by QuadInt division; the walk yields only the roots
+    quad = _RANK4_RINGS[ambient].quad
+    small, large = _canonical_upto(quad, 9), _canonical_upto(quad, 100)
+    d2, e = small[i2 % len(small)], large[ie % len(large)]
+    w = quad.omega()
+    (h, _), (_, l) = hnf_canonical([(e.a, e.b), ((e * w).a, (e * w).b)])
+    y = QuadInt(a % h, b % l, quad)
+    d1, x = d2 * e, d2 * y
+    columns = [(p.a, q.a, p.b, q.b)
+               for p, q in ((d1, quad.zero()), (d1 * w, quad.zero()), (x, d2), (x * w, d2 * w))]
+    sub = Submodule(ambient, hnf_canonical(columns))
+    assert sub.index == d1.norm() * d2.norm()
+    assert is_invariant(sub, ambient_actions(ambient)) == (not (y * y + 1) % e)
+
+
+def test_zisqrt2_ideal_counts_match_xi8_at_odd_indices_and_are_multiplicative():
+    # Z[i,sqrt2] has index 2 in Z[xi_8], so the conductor divides 2; an ideal
+    # of odd index is prime to it, and such ideals of the two rings
+    # correspond one to one with the same index
+    counts = [None] + lattice._counts(Ambient.Z_ISQRT2_AS_Z4, range(1, 1001))
+    xi8 = catalog.zeta_q_xi8(1000)
+    assert [m for m in range(1, 1001, 2) if counts[m] != xi8.a(m)] == []
+    assert [(m, n) for m in range(2, 501) for n in range(m + 1, 1000 // m + 1)
+            if math.gcd(m, n) == 1 and counts[m * n] != counts[m] * counts[n]] == []
+
+
 def test_hermite_form_of_wrong_index_raises(monkeypatch):
     # columns that span all of Z^4, index 1, reported at index 2
     unit_columns = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
