@@ -10,14 +10,19 @@ Every R in SO(3, Q(tau)) is M(q)/s for a primitive quaternion q over
 Z[tau], where M(q) is the Euler-Rodrigues matrix and s = |q|^2.  q is
 unique up to a unit factor e, which multiplies s by the totally positive
 unit e^2, so exactly one choice (up to the sign of q) makes s a
-canonical associate.  den(R) = s / g with g = gcd(s, entries of M(q)),
-and g divides 4: the combinations s + M11 + M22 + M33, s + M11 - M22 -
-M33, s - M11 + M22 - M33 and s - M11 - M22 + M33 are 4a^2, 4b^2, 4c^2
-and 4d^2 for q = (a, b, c, d), and gcd(a^2, b^2, c^2, d^2) = 1 for
-primitive q.  As 2 is inert in Z[tau], g is 1, 2 or 4, so the rotations
-with canonical denominator d are exactly those from primitive q with
-|q|^2 in {d, 2d, 4d} and content g = |q|^2 / d; that is the enumeration
-below, and |N(s)| <= 16 |N(den R)| always.
+canonical associate.  den(R) = s / g for g = gcd(s, entries of M(q)),
+the content of q.  s +- M11 +- M22 +- M33 with an even number of minus
+signs are 4a^2, 4b^2, 4c^2, 4d^2 for q = (a, b, c, d), and q is
+primitive, so g | 4; as 2 is inert, g is 1, 2 or 4.  The entries of M(q)
+are even off the diagonal and congruent to s mod 2 on it, so 2 | g iff
+2 | s.  g = 4 iff a, b, c, d share one class lam mod 2, nonzero as q is
+primitive: each is then lam + 2x, squaring to lam^2 mod 4, so 4 divides
+s, the diagonal and (bc, ad, ... are lam^2 mod 2) the rest; conversely
+4 | s + M11 = 2(a^2 + b^2) makes a^2, ..., d^2 congruent mod 2, and
+squaring is one-to-one on the field Z[tau]/2.  So the rotations of
+canonical denominator d come from exactly the primitive q with |q|^2 =
+g d and content g in {1, 2, 4}, searched at 4d in the classes lam only,
+and |N(s)| <= 16 |N(den R)| always.
 
 A Rotation3 is stored as one integral matrix over its denominator, R =
 mat / den, and its invariants are checked once, on integers:
@@ -48,13 +53,8 @@ alpha den(RP) RP Z[tau]^3 = alpha mat P Z[tau]^3 = alpha mat Z[tau]^3 for
 every alpha, and count_submodules_3d reduces one Hermite basis per coset
 R {P}.  The columns of mat are nonzero and pairwise orthogonal, so no
 column is +- another and the 24 products mat P are distinct: each coset
-has exactly 24 members.  The coset key is den with the columns of mat,
-each replaced by the larger of itself and its negative and the three
-sorted; it is the same for R and RP and needs no ring arithmetic.  Two
-rotations with one key have the same den and mat' = mat P for a signed
-permutation P, and det P = det mat' / det mat = 1 as both are rotations
-(the other 24 signed permutations would give determinant -1), so among
-rotations the key classes are exactly the cosets.
+has exactly 24 members, and one checked Rotation3 per coset checks them
+all, the key of R P being read off that of R on integers.
 """
 
 from __future__ import annotations
@@ -206,20 +206,21 @@ def _pdet(m, c1: int, c0: int) -> tuple[int, int]:
     return out
 
 
+# (perm, signs, det P) for the 48 signed permutation matrices P, with
+# P[i][perm[i]] = signs[i] and zeros elsewhere
+_SIGNED_PERMUTATIONS = tuple(
+    (perm, signs, (-1) ** sum(perm[x] > perm[y] for x, y in itertools.combinations(range(3), 2))
+     * math.prod(signs))
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1, -1), repeat=3))
+
+
 def signed_permutations(ring=TAU, det_sign: int | None = None):
     """The 48 signed permutation matrices (24 per determinant sign)."""
-    for perm in itertools.permutations(range(3)):
-        inversions = sum(1 for x in range(3) for y in range(x + 1, 3)
-                         if perm[x] > perm[y])
-        parity = -1 if inversions % 2 else 1
-        for signs in itertools.product((1, -1), repeat=3):
-            det = parity * signs[0] * signs[1] * signs[2]
-            if det_sign is not None and det != det_sign:
-                continue
-            rows = [[0, 0, 0] for _ in range(3)]
-            for i in range(3):
-                rows[i][perm[i]] = signs[i]
-            yield Rotation3.from_int_rows(rows, ring)
+    for perm, signs, det in _SIGNED_PERMUTATIONS:
+        if det_sign is None or det == det_sign:
+            yield Rotation3.from_int_rows(
+                [[signs[i] if j == perm[i] else 0 for j in range(3)] for i in range(3)], ring)
 
 
 @dataclass(frozen=True)
@@ -257,24 +258,33 @@ def _euler_rodrigues(q) -> list[tuple[int, int]]:
     return list(zip(*coords))
 
 
-def _er_rotation(m, s: QuadInt, g: int) -> Rotation3:
-    """M / s for the Euler-Rodrigues matrix M of q, s = |q|^2, g = gcd(s, M).
+def _content(q, s: QuadInt) -> int:
+    """gcd(s, entries of M(q)) for a primitive q with |q|^2 = s, read off q mod 2.
 
-    M / s = (M / g) / (s / g), and s / g is made canonical by
-    _canonical_rotation.
+    4 if the four components share one class mod 2 (nonzero, as q is
+    primitive), else 2 if 2 | s, else 1 (module docstring).
     """
-    rot = _canonical_rotation([QuadInt(a // g, b // g, TAU) for a, b in m],
-                              QuadInt(s.a // g, s.b // g, TAU))
+    if len({(c.a % 2, c.b % 2) for c in q}) == 1:
+        return 4
+    return 2 if s.a % 2 == 0 and s.b % 2 == 0 else 1
+
+
+def _er_rotation(m, d: QuadInt) -> Rotation3:
+    """The rotation m / d for nine (a, b) pairs m, row by row, with d made
+    canonical by _canonical_rotation; InvariantViolation unless det = 1."""
+    rot = _canonical_rotation([QuadInt(a, b, TAU) for a, b in m], d)
     if rot.det_sign != 1:
         raise InvariantViolation("Euler-Rodrigues matrix must have determinant 1")
     return rot
 
 
 def quat_to_rotation(q: QuatTau) -> Rotation3:
-    """Exact Euler-Rodrigues rotation of a primitive quaternion."""
-    m = _euler_rodrigues(q.components)
+    """Exact Euler-Rodrigues rotation of a primitive quaternion:
+    M(q) / s = (M(q) / g) / (s / g) for s = |q|^2 and its content g."""
     s = q.norm_sq()
-    return _er_rotation(m, s, _form_content(s, m))
+    g = _content(q.components, s)
+    return _er_rotation([(a // g, b // g) for a, b in _euler_rodrigues(q.components)],
+                        QuadInt(s.a // g, s.b // g, TAU))
 
 
 def den(rotation: Rotation3) -> QuadInt:
@@ -359,31 +369,11 @@ def _components(s: QuadInt):
     return out
 
 
-def _primitive_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, QuadInt]]:
-    """Every primitive q in Z[tau]^4 with |q|^2 = s exactly, one of each pair +-q."""
-    return _quaternion_search(s, _components(s))
-
-
-def _content4_quaternions(s: QuadInt) -> list[tuple[QuadInt, QuadInt, QuadInt, QuadInt]]:
-    """The primitive q of _primitive_quaternions(s) with every component
-    congruent to one lam in {1, tau, tau^2} mod 2.
-
-    Every q of Euler-Rodrigues content 4 is among them.  4 divides s + M11
-    = 2(a^2 + b^2), and likewise 2(a^2 + c^2) and 2(a^2 + d^2), so a^2, b^2,
-    c^2 and d^2 agree mod 2.  2 is inert, Z[tau]/2 is the field F4, and
-    squaring is one-to-one on it, so a, b, c and d agree mod 2, and not in
-    0 as q is primitive.
-    """
-    comps = _components(s)
-    out = []
-    for lam in ((1, 0), (0, 1), (1, 1)):
-        out += _quaternion_search(s, [c for c in comps if (c[0].a % 2, c[0].b % 2) == lam])
-    return out
-
-
-def _quaternion_search(s: QuadInt, comps) -> list[tuple[QuadInt, QuadInt, QuadInt, QuadInt]]:
-    """The primitive q with |q|^2 = s and all four components among comps,
-    a list of _components(s) closed under negation, one of each pair +-q.
+def _primitive_quaternions(s: QuadInt, lam: tuple[int, int] | None = None
+                           ) -> list[tuple[QuadInt, QuadInt, QuadInt, QuadInt]]:
+    """Every primitive q in Z[tau]^4 with |q|^2 = s exactly, one of each pair +-q;
+    with lam, only those with every component congruent to a + b tau mod 2
+    for lam = (a, b).
 
     Three nested loops run over components whose squares fit under s in
     both embeddings (floats only prune partial sums, with padding); the
@@ -391,6 +381,9 @@ def _quaternion_search(s: QuadInt, comps) -> list[tuple[QuadInt, QuadInt, QuadIn
     in a dict of squares.  The first nonzero component of each listed q
     has positive real embedding.
     """
+    comps = _components(s)
+    if lam is not None:
+        comps = [c for c in comps if (c[0].a % 2, c[0].b % 2) == lam]
     lead = [c for c in comps if not c[0] or sign_embedding(c[0]) > 0]
     roots = {(c[1], c[2]): c[0] for c in lead}
     cap1 = s.embedding_float() * (1 + 1e-9) + 1e-9
@@ -415,45 +408,61 @@ def _quaternion_search(s: QuadInt, comps) -> list[tuple[QuadInt, QuadInt, QuadIn
     return [q for q in out if qgcd(*q) == TAU.one()]
 
 
-def _form_content(s: QuadInt, m) -> int:
-    """gcd(s, entries of m) for the Euler-Rodrigues matrix m of a primitive q.
-
-    m holds (a, b) pairs.  The gcd divides 4 (module docstring), so it is
-    the largest of 4, 2, 1 dividing s and all nine entries.
-    """
-    entries = [(s.a, s.b)] + m
-    for k in (4, 2):
-        if all(a % k == 0 and b % k == 0 for a, b in entries):
-            return k
-    return 1
+def _coset_keys(key) -> set[tuple]:
+    """The keys of R P for the 24 signed permutations P of determinant 1,
+    from the key of R: mat P has signs[k] mat[r][k] at (r, perm[k])."""
+    den_pair, *m = key
+    out = set()
+    for perm, signs, det in _SIGNED_PERMUTATIONS:
+        if det == 1:
+            image = [None] * 9
+            for k in range(3):
+                sk = signs[k]
+                for r in range(3):
+                    a, b = m[3 * r + k]
+                    image[3 * r + perm[k]] = (sk * a, sk * b)
+            out.add((den_pair, *image))
+    return out
 
 
 def _rotations_of_norm(n: int) -> tuple[Rotation3, ...]:
-    """Every R with |N(den R)| = n, each exactly once, sorted by R.key().
+    """One R per coset R {P} of the rotations with |N(den R)| = n, the
+    least by R.key(), sorted by key.
 
     R.key() is the canonical form (den, mat) on integers.
 
     For each canonical d of norm n and g in (1, 2, 4), the primitive q with
-    |q|^2 = g * d and Euler-Rodrigues content g give den = d; by the
+    |q|^2 = g * d and content g give den = d and mat = M(q) / g; by the
     argument in the module docstring no other q does.  For g = 4 only the
-    residue classes of _content4_quaternions are searched.
+    three nonzero residue classes mod 2 are searched.  The least key left
+    is built as a checked Rotation3, and the 24 keys of its coset must all
+    have been found; InvariantViolation for a key found twice or a coset
+    with a member missing.
     """
-    found: dict[tuple, Rotation3] = {}
+    found: set[tuple] = set()
     for d in norm_equation(TAU, n):
         for g in (1, 2, 4):
             s = d * g
-            for q in (_content4_quaternions if g == 4 else _primitive_quaternions)(s):
-                m = _euler_rodrigues(q)
-                if _form_content(s, m) != g:
-                    continue
-                rot = _er_rotation(m, s, g)
-                if rot.den != d:
-                    raise InvariantViolation(f"den of {q!r} is not {d!r}")
-                key = rot.key()
-                if key in found:
-                    raise InvariantViolation(f"rotation of {q!r} listed twice")
-                found[key] = rot
-    return tuple(found[k] for k in sorted(found))
+            for lam in (((1, 0), (0, 1), (1, 1)) if g == 4 else (None,)):
+                for q in _primitive_quaternions(s, lam):
+                    if _content(q, s) != g:
+                        continue
+                    key = ((d.a, d.b), *((a // g, b // g) for a, b in _euler_rodrigues(q)))
+                    if key in found:
+                        raise InvariantViolation(f"rotation of {q!r} listed twice")
+                    found.add(key)
+    reps = []
+    for key in sorted(found):
+        if key not in found:
+            continue  # a member of an earlier coset
+        rot = _er_rotation(key[1:], QuadInt(*key[0], TAU))
+        coset = _coset_keys(key)
+        if len(coset) != 24 or not coset <= found:
+            raise InvariantViolation(
+                f"rotation coset of {rot!r} has {len(coset & found)} members, not 24")
+        found -= coset
+        reps.append(rot)
+    return tuple(reps)
 
 
 def _predicted_triples(bound: int) -> int:
@@ -482,13 +491,13 @@ def check_rotation_budget(bound: int) -> None:
             f"over the ceiling {MAX_COMPONENT_TRIPLES}")
 
 
-# norm -> tuple of rotations; filled on demand, shared by every bound
+# norm -> coset representatives; filled on demand, shared by every bound
 _norm_cache: dict[int, tuple[Rotation3, ...]] = {}
 _norm_cache_lock = threading.Lock()
 
 
 def _rotations_by_norm(bound: int) -> dict[int, tuple[Rotation3, ...]]:
-    """{n: every R with |N(den R)| = n} for n = 1..bound."""
+    """{n: _rotations_of_norm(n)}, one R per coset R {P}, for n = 1..bound."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     check_rotation_budget(bound)
@@ -500,13 +509,20 @@ def _rotations_by_norm(bound: int) -> dict[int, tuple[Rotation3, ...]]:
 
 
 def enumerate_rotations(bound: int) -> tuple[Rotation3, ...]:
-    """All R in SO(3, Q(tau)) with |N(den R)| <= bound, each exactly once."""
-    return tuple(rot for rots in _rotations_by_norm(bound).values() for rot in rots)
+    """All R in SO(3, Q(tau)) with |N(den R)| <= bound, each exactly once,
+    by |N(den R)| and then by R.key().
+
+    Each is built as a checked Rotation3 from the key of R P, for R a coset
+    representative and P a signed permutation of determinant 1.
+    """
+    return tuple(_er_rotation(key[1:], QuadInt(*key[0], TAU))
+                 for reps in _rotations_by_norm(bound).values()
+                 for key in sorted(k for rep in reps for k in _coset_keys(rep.key())))
 
 
 def rotation_counts(bound: int) -> dict[int, int]:
-    """Rotation count per denominator norm, for norms up to the bound."""
-    return {n: len(rots) for n, rots in _rotations_by_norm(bound).items()}
+    """Rotation count per denominator norm, for norms up to the bound: 24 per coset."""
+    return {n: 24 * len(reps) for n, reps in _rotations_by_norm(bound).items()}
 
 
 def verify_rotation_counts(bound: int, expected: Mapping[int, int]) -> OracleReport:
@@ -538,48 +554,16 @@ def verify_cubic(bound: int) -> tuple[OracleReport, OracleReport]:
                                    "index {}: oracle {} != expected {}")
 
 
-def _coset_key(rot: Rotation3):
-    """The same key for R and R P, P any signed permutation (module docstring).
-
-    (den, columns of mat): each column, as three (a, b) pairs, replaced by
-    the larger of itself and its negative, and the three sorted.
-    """
-    den_pair, *m = rot.key()
-    cols = []
-    for j in range(3):
-        col = (m[j], m[3 + j], m[6 + j])
-        neg = tuple((-a, -b) for a, b in col)
-        cols.append(max(col, neg))
-    cols.sort()
-    return den_pair, tuple(cols)
-
-
-def _coset_representatives(rotations: Sequence[Rotation3]) -> list[Rotation3]:
-    """The first R of each coset R {P : P signed permutation, det P = 1}.
-
-    InvariantViolation if a coset does not have all 24 of its members.
-    """
-    cosets: dict[tuple, list[Rotation3]] = {}
-    for rot in rotations:
-        cosets.setdefault(_coset_key(rot), []).append(rot)
-    for members in cosets.values():
-        if len(members) != 24:
-            raise InvariantViolation(
-                f"rotation coset of {members[0]!r} has {len(members)} members, not 24")
-    return [members[0] for members in cosets.values()]
-
-
 def count_submodules_3d(m: int) -> int:
     """Distinct submodules alpha * den(R) * R * Z[tau]^3 of index m.
 
     m must be a cube n^3 >= 1; scales alpha run over canonical associates
     with |N(alpha)| * |N(den R)| = n.  R and R P give the same module for
     each of the 24 signed permutations P of determinant 1 (module
-    docstring), so the rotations of each denominator norm are grouped into
-    these cosets, every coset must have 24 members, and one Hermite basis
-    over Z[tau] is reduced per (alpha, coset).  Distinct pairs are not
-    assumed to give distinct modules: the count is that of distinct
-    canonical bases, and each one's index is checked against m.
+    docstring), so one Hermite basis over Z[tau] is reduced per alpha and
+    coset representative R.  Distinct pairs are not assumed to give
+    distinct modules: the count is that of distinct canonical bases, and
+    each one's index is checked against m.
     """
     if m < 1:
         raise ValueError(f"index must be >= 1, got {m}")
@@ -592,7 +576,7 @@ def count_submodules_3d(m: int) -> int:
         alphas = norm_equation(TAU, n // dn)
         if not alphas:
             continue
-        for rot in _coset_representatives(by_norm[dn]):
+        for rot in by_norm[dn]:
             integral = rot.mat
             for alpha in alphas:
                 cols = [tuple(alpha * integral[i][j] for i in range(3))

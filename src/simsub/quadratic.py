@@ -504,13 +504,16 @@ def _canonical_by_norm(ring: QuadRing, lo: int, hi: int) -> dict[int, list[QuadI
     A canonical x of norm n has embedding ratio r in [1, fund^4) and
     emb(x) emb'(x) = n, so emb'(x) = sqrt(n / r) <= sqrt(n) and emb(x) =
     sqrt(n r) < sqrt(n) fund^2: the box sized for hi holds every norm below.
+    Only its quadrant a > 0, b >= 0 is kept: x is totally positive, so a > 0
+    (is_canonical_associate), and emb(x) - emb'(x) = b (w - w') >= 0.
     """
     f = ring._fund.embedding_float()
     root = math.sqrt(hi)
     c1, c0 = ring.c1, ring.c0
     pairs = sorted((a, b) for a, b in elements_in_embedding_box(ring, root * f * f * 1.001,
                                                                 root * 1.001)
-                   if lo <= a * a + c1 * a * b - c0 * b * b <= hi)  # pair_norm, inlined
+                   if a > 0 and b >= 0
+                   and lo <= a * a + c1 * a * b - c0 * b * b <= hi)  # pair_norm, inlined
     table: dict[int, list[QuadInt]] = {}
     for a, b in pairs:
         x = QuadInt(a, b, ring)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -434,7 +435,7 @@ def test_enumerated_rotations_exactly_orthogonal():
 
 
 def test_verify_rotation_counts_against_phi():
-    bound = 16
+    bound = 30
     phi = catalog.phi_c(bound)
     expected = {m: 24 * phi.a(m) for m in range(1, bound + 1)}
     report = verify_rotation_counts(bound, expected)
@@ -447,15 +448,16 @@ def test_verify_rotation_counts_against_phi():
 def count_submodules_by_every_rotation(m):
     """Reference: one Hermite basis per (alpha, R) over every rotation R."""
     n = icbrt(m)
-    by_norm = cubic._rotations_by_norm(n)
     seen = set()
-    for dn in divisors(n):
-        for rot in by_norm[dn]:
-            for alpha in norm_equation(TAU, n // dn):
-                sub = hnf_over_ztau([tuple(alpha * rot.mat[i][j] for i in range(3))
-                                     for j in range(3)])
-                assert sub.index == m
-                seen.add(sub.basis)
+    for rot in enumerate_rotations(n):
+        dn = abs(rot.den.norm())
+        if n % dn:
+            continue
+        for alpha in norm_equation(TAU, n // dn):
+            sub = hnf_over_ztau([tuple(alpha * rot.mat[i][j] for i in range(3))
+                                 for j in range(3)])
+            assert sub.index == m
+            seen.add(sub.basis)
     return len(seen)
 
 
@@ -465,42 +467,62 @@ def test_coset_count_matches_every_rotation_reference():
 
 
 def test_coset_key_classes_are_the_cosets():
+    # the cosets rep {P} of the stored representatives, multiplied out with
+    # @, partition the enumerated rotations, and each rep is its coset's least key
     perms = list(signed_permutations(det_sign=1))
     rotations = enumerate_rotations(5)
-    by_key = {}
-    for rot in rotations:
-        by_key.setdefault(cubic._coset_key(rot), set()).add(rot)
-    reps = cubic._coset_representatives(rotations)
-    assert len(reps) * 24 == len(rotations) == sum(map(len, by_key.values()))
-    for rep in reps:
-        assert {rep @ p for p in perms} == by_key[cubic._coset_key(rep)]
+    reps = [rep for group in cubic._rotations_by_norm(5).values() for rep in group]
+    cosets = [{rep @ p for p in perms} for rep in reps]
+    assert all(len(c) == 24 for c in cosets)
+    assert len(reps) * 24 == len(rotations) == len(set().union(*cosets))
+    assert set().union(*cosets) == set(rotations)
+    assert all(rep.key() == min(r.key() for r in c) for rep, c in zip(reps, cosets))
 
 
 def test_incomplete_rotation_coset_raises(monkeypatch):
-    plain = cubic._rotations_by_norm
+    # one q of |q|^2 = 1 goes missing, so one coset of norm 1 has 23 members
+    plain = cubic._primitive_quaternions
 
-    def one_dropped(bound):
-        by_norm = plain(bound)
-        return {**by_norm, 4: by_norm[4][1:]}
+    def one_dropped(s, lam=None):
+        qs = plain(s, lam)
+        return qs[1:] if s == TAU.one() else qs
 
-    monkeypatch.setattr(cubic, "_rotations_by_norm", one_dropped)
+    monkeypatch.setattr(cubic, "_norm_cache", {})
+    monkeypatch.setattr(cubic, "_primitive_quaternions", one_dropped)
     with pytest.raises(InvariantViolation, match="23 members"):
         count_submodules_3d(64)
 
 
+def _in_one_nonzero_class_mod_2(q):
+    classes = {(c.a % 2, c.b % 2) for c in q}
+    return len(classes) == 1 and classes != {(0, 0)}
+
+
 def test_euler_rodrigues_content_divides_4():
-    four = tau(4, 0)
-    for n in range(1, 10):
+    # the content gcd(s, M(q)) in QuadInt arithmetic divides 4 and equals
+    # the rule read off q mod 2 (N(d) <= 9); the class search at lam lists
+    # exactly the q of the unrestricted search in the class lam (N(d) <= 16)
+    contents = Counter()
+    for n in range(1, 17):
         for d in norm_equation(TAU, n):
             for g in (1, 2, 4):
                 s = d * g
-                for q in cubic._primitive_quaternions(s):
+                every = cubic._primitive_quaternions(s)
+                for q in every if n < 10 else ():
                     assert QuatTau(q).norm_sq() == s
                     content = s
                     for row in euler_rodrigues_by_quadint(*q):
                         for e in row:
                             content = gcd(content, e)
-                    assert content in (TAU.one(), tau(2, 0), four)
+                    assert content in (TAU.one(), tau(2, 0), tau(4, 0))
+                    assert cubic._content(q, s) == content.a, q
+                    contents[content.a, _in_one_nonzero_class_mod_2(q)] += 1
+                for lam in ((1, 0), (0, 1), (1, 1)):
+                    got = cubic._primitive_quaternions(s, lam)
+                    assert len(got) == len(set(got))
+                    assert set(got) == {q for q in every if _in_one_nonzero_class_mod_2(q)
+                                        and (q[0].a % 2, q[0].b % 2) == lam}, (s, lam)
+    assert set(contents) == {(1, False), (2, False), (4, True)}
 
 
 def test_primitive_quaternions_match_brute_force():
@@ -519,29 +541,6 @@ def test_primitive_quaternions_match_brute_force():
         assert len(got) == len(set(got)) and set(got) == expected, s
 
 
-def _in_one_nonzero_class_mod_2(q):
-    classes = {(c.a % 2, c.b % 2) for c in q}
-    return len(classes) == 1 and classes != {(0, 0)}
-
-
-def test_content4_quaternions_are_the_class_of_every_content_4_q():
-    # every primitive q with |q|^2 = 4d and content 4 has a = b = c = d = lam != 0 mod 2,
-    # and the class search lists exactly the primitive q of those classes
-    content4 = 0
-    for n in range(1, 17):
-        for d in norm_equation(TAU, n):
-            s = d * 4
-            every = cubic._primitive_quaternions(s)
-            for q in every:
-                if cubic._form_content(s, cubic._euler_rodrigues(q)) == 4:
-                    assert _in_one_nonzero_class_mod_2(q), q
-                    content4 += 1
-            got = cubic._content4_quaternions(s)
-            assert len(got) == len(set(got))
-            assert set(got) == {q for q in every if _in_one_nonzero_class_mod_2(q)}, s
-    assert content4 > 0
-
-
 def _unrestricted_rotations_of_norm(n):
     """Reference: every primitive q with |q|^2 in {d, 2d, 4d}, kept when den = d."""
     found = {}
@@ -556,14 +555,14 @@ def _unrestricted_rotations_of_norm(n):
 
 
 def test_rotations_of_norm_match_unrestricted_enumeration():
+    rotations = enumerate_rotations(16)
     for n in range(1, 17):
-        got = cubic._rotations_of_norm(n)
-        assert tuple(r.key() for r in got) == tuple(
-            r.key() for r in _unrestricted_rotations_of_norm(n)), n
+        got = tuple(r.key() for r in rotations if abs(r.den.norm()) == n)
+        assert got == tuple(r.key() for r in _unrestricted_rotations_of_norm(n)), n
 
 
 def _visited_triples(s, comps):
-    """Component triples that the loops of cubic._quaternion_search look up."""
+    """Component triples that the loops of cubic._primitive_quaternions look up."""
     lead = [c for c in comps if not c[0] or sign_embedding(c[0]) > 0]
     cap1 = s.embedding_float() * (1 + 1e-9) + 1e-9
     cap2 = s.conj_embedding_float() * (1 + 1e-9) + 1e-9
@@ -600,22 +599,22 @@ def test_first_refused_rotation_bound(monkeypatch):
     assert cubic._norm_cache == {}
 
 
-def test_integral_route_matches_quadrat_route():
+@pytest.mark.parametrize("g", (1, 2, 4))
+def test_integral_route_matches_quadrat_route(g):
     # every primitive q with |q|^2 = g d, content any of 1, 2, 4, N(d) <= 9
     seen = 0
     for n in range(1, 10):
         for d in norm_equation(TAU, n):
-            for g in (1, 2, 4):
-                for q in cubic._primitive_quaternions(d * g):
-                    rows = rows_by_quadrat(q)
-                    rot = quat_to_rotation(QuatTau(q))
-                    assert key_by_quadrat(quadrat_rows(rot)) == key_by_quadrat(rows)
-                    d = den_by_quadrat(rows)
-                    assert rot.den == den(rot) == d
-                    via_rows = rotation_by_quadrat(rows, d)
-                    assert via_rows == rot and via_rows.den == rot.den
-                    seen += 1
-    assert seen > 600
+            for q in cubic._primitive_quaternions(d * g):
+                rows = rows_by_quadrat(q)
+                rot = quat_to_rotation(QuatTau(q))
+                assert key_by_quadrat(quadrat_rows(rot)) == key_by_quadrat(rows)
+                d_rows = den_by_quadrat(rows)
+                assert rot.den == den(rot) == d_rows
+                via_rows = rotation_by_quadrat(rows, d_rows)
+                assert via_rows == rot and via_rows.den == rot.den
+                seen += 1
+    assert seen == {1: 80, 2: 308, 4: 2248}[g]
     # |q|^2 = tau^2 is not a canonical associate; the unit moves into mat
     r = quat_to_rotation(quat((0, 1), (0, 0), (0, 0), (0, 0)))
     assert r == Rotation3.identity() and r.den == TAU.one()
@@ -625,9 +624,25 @@ def test_integral_route_matches_quadrat_route():
     assert r.den == den_by_quadrat(rows_by_quadrat(q))
 
 
+@functools.cache
+def _rotations_to_9():
+    return enumerate_rotations(9)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=4, max_size=4))
+def test_quat_to_rotation_matches_quadrat_route_on_any_q(pairs):
+    q = tuple(tau(a, b) for a, b in pairs)
+    assume(any(q) and coprime(q))
+    rot = quat_to_rotation(QuatTau(q))
+    rows = rows_by_quadrat(q)
+    assert key_by_quadrat(quadrat_rows(rot)) == key_by_quadrat(rows)
+    assert rot.den == den_by_quadrat(rows)
+
+
 def _drawn_rotation(data):
     # an enumerated rotation, or its product with -I (determinant -1)
-    r = data.draw(st.sampled_from(enumerate_rotations(9)))
+    r = data.draw(st.sampled_from(_rotations_to_9()))
     if data.draw(st.booleans()):
         r = Rotation3(tuple(tuple(-e for e in row) for row in r.mat), r.den)
     return r
@@ -676,8 +691,8 @@ def test_rotation_counts_agree_across_bounds():
 def test_duplicate_rotation_raises(monkeypatch):
     plain = cubic._primitive_quaternions
 
-    def with_negatives(s):
-        qs = plain(s)
+    def with_negatives(s, lam=None):
+        qs = plain(s, lam)
         return qs + [tuple(-c for c in q) for q in qs]
 
     monkeypatch.setattr(cubic, "_primitive_quaternions", with_negatives)
