@@ -500,15 +500,13 @@ def _in_one_nonzero_class_mod_2(q):
 
 def test_euler_rodrigues_content_divides_4():
     # the content gcd(s, M(q)) in QuadInt arithmetic divides 4 and equals
-    # the rule read off q mod 2 (N(d) <= 9); the class search at lam lists
-    # exactly the q of the unrestricted search in the class lam (N(d) <= 16)
+    # the rule read off q mod 2 (N(d) <= 9)
     contents = Counter()
-    for n in range(1, 17):
+    for n in range(1, 10):
         for d in norm_equation(TAU, n):
             for g in (1, 2, 4):
                 s = d * g
-                every = cubic._primitive_quaternions(s)
-                for q in every if n < 10 else ():
+                for q in cubic._primitive_quaternions(s):
                     assert QuatTau(q).norm_sq() == s
                     content = s
                     for row in euler_rodrigues_by_quadint(*q):
@@ -517,12 +515,33 @@ def test_euler_rodrigues_content_divides_4():
                     assert content in (TAU.one(), tau(2, 0), tau(4, 0))
                     assert cubic._content(q, s) == content.a, q
                     contents[content.a, _in_one_nonzero_class_mod_2(q)] += 1
+    assert set(contents) == {(1, False), (2, False), (4, True)}
+
+
+def test_content4_quaternions_are_the_class_of_every_content_4_q():
+    # every primitive q with |q|^2 = 4d and content 4 has a = b = c = d = lam != 0 mod 2,
+    # and the class search at lam lists exactly the q of the unrestricted
+    # search in the class lam, for |q|^2 in {d, 2d, 4d} (N(d) <= 16)
+    content4 = 0
+    for n in range(1, 17):
+        for d in norm_equation(TAU, n):
+            for g in (1, 2, 4):
+                s = d * g
+                every = cubic._primitive_quaternions(s)
+                for q in every if g == 4 else ():
+                    content = s
+                    for row in euler_rodrigues_by_quadint(*q):
+                        for e in row:
+                            content = gcd(content, e)
+                    if content == tau(4, 0):
+                        assert _in_one_nonzero_class_mod_2(q), q
+                        content4 += 1
                 for lam in ((1, 0), (0, 1), (1, 1)):
                     got = cubic._primitive_quaternions(s, lam)
                     assert len(got) == len(set(got))
                     assert set(got) == {q for q in every if _in_one_nonzero_class_mod_2(q)
                                         and (q[0].a % 2, q[0].b % 2) == lam}, (s, lam)
-    assert set(contents) == {(1, False), (2, False), (4, True)}
+    assert content4 > 0
 
 
 def test_primitive_quaternions_match_brute_force():
