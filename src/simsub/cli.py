@@ -25,9 +25,11 @@ _AMBIENTS = {
     "zisqrt2": Ambient.Z_ISQRT2_AS_Z4,
 }
 
-# Largest --limit of coeffs and summatory.  Every table is a Python list of
-# limit + 1 entries, so a larger limit would fail in allocation (or run for
-# minutes) rather than report bad input.
+# Largest coefficient table of coeffs, summatory and verify: a --limit of
+# coeffs and summatory, and of verify on a ring, and the cube of a --limit of
+# verify on cubic3, which compares f-cubic at the cubes.  Every table is a
+# Python list of limit + 1 entries, so a larger limit would fail in
+# allocation (or run for minutes) rather than report bad input.
 MAX_TABLE_LIMIT = 10 ** 7
 
 # Most bases `enumerate --filter all` lists.  A listed basis costs about 0.5 KB
@@ -60,9 +62,9 @@ def _emit_csv(rows, header) -> None:
     writer.writerows(rows)
 
 
-def _check_table_limit(limit: int) -> None:
+def _check_table_limit(limit: int, name: str = "--limit") -> None:
     if limit > MAX_TABLE_LIMIT:
-        raise UsageError(f"--limit is over the table ceiling {MAX_TABLE_LIMIT}")
+        raise UsageError(f"{name} is over the table ceiling {MAX_TABLE_LIMIT}")
 
 
 def cmd_coeffs(args) -> int:
@@ -134,7 +136,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.module == "cubic3":
+        _check_table_limit(args.limit ** 3, "--limit cubed")
         return _verify_cubic(args)
+    _check_table_limit(args.limit)
     ambient = _AMBIENTS[args.module]
     report = lattice.verify_series(ambient, args.limit, args.max_candidates)
     print(report.summary())

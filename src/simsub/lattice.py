@@ -74,9 +74,19 @@ columns of the Hermite form at rank 2.  `_counts` counts them, and
 diagonal product is m, and sorts the ideals of an index by diagonal,
 then in flat HNF order; for Z[tau] that is by (h, l), then by k.
 
-The budget.  `max_candidates` bounds the full Z-HNF set of each index,
-the set `hnf_sublattices` lists, at both ranks: not the Hermite work,
-which is far smaller.
+The budget.  `max_candidates` bounds the work of the walk, which `_forms`
+counts exactly before it does it: the pairs the box scan of the norm
+table yields (`quadratic.norm_table_pairs`, from the row bounds of the
+scan itself), plus at rank 2 the y the root search tests, the sum of
+h l = N(e) over the distinct e of the walk, read off the integer HNFs of
+the e.  The box is checked before the scan, by an integer lower bound
+for a huge index or range.  So is a lower bound of the y: the rational
+integer n is a canonical associate (totally positive, embedding ratio
+1) of norm n^2, so at each index n^2 the walk meets e = n, with n^2 y in
+its box.  The sum is checked as the HNFs are built, after the table and
+before the first y is tested.  So no walk does more than max_candidates
+steps, and a range far over it is refused before its table is built.
+The Z-HNF count bounds only `hnf_sublattices`, which lists Z-HNF bases.
 
 Principality.  A generator re + i*im (re, im in the real quadratic
 ring) has relative norm re^2 + im^2.  The search squares each element
@@ -90,6 +100,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -98,8 +109,8 @@ from . import catalog
 from .dirichlet import divisors
 from .errors import InvariantViolation
 from .parallel import map_ordered
-from .quadratic import (TAU, elements_in_embedding_box, is_canonical_associate, norm_table,
-                        pair_mul)
+from .quadratic import (SQRT2, TAU, elements_in_embedding_box, is_canonical_associate,
+                        norm_table, norm_table_pairs, pair_mul)
 from .quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
@@ -173,14 +184,26 @@ _ACTIONS = {
     Ambient.Z_ISQRT2_AS_Z4: (_SQRT2_ACTION_4, _I_ACTION_4),
 }
 
-_QUARTIC_RING = {
-    Ambient.Z_ITAU_AS_Z4: ITAU,
-    Ambient.Z_ISQRT2_AS_Z4: ISQRT2,
+# the real quadratic ring R of each ring ambient, and its quartic ring R + R i (None for R itself)
+_RING_AMBIENTS = {
+    Ambient.Z_TAU_AS_Z2: (TAU, None),
+    Ambient.Z_ITAU_AS_Z4: (TAU, ITAU),
+    Ambient.Z_ISQRT2_AS_Z4: (SQRT2, ISQRT2),
 }
 
 
+def _ring(ambient: Ambient) -> tuple:
+    """(R, quartic ring or None) of a ring ambient; ValueError for any other ambient."""
+    if ambient not in _RING_AMBIENTS:
+        raise ValueError(f"{ambient} is not a ring ambient")
+    return _RING_AMBIENTS[ambient]
+
+
 def ambient_rank(ambient: Ambient) -> int:
-    return 2 if ambient is Ambient.Z_TAU_AS_Z2 else 4
+    """Z-rank: 2 for Z[tau], 4 for the quartic rings, 6 for Z[tau]^3."""
+    if ambient is Ambient.Z_TAU3_AS_ZTAU_MODULE:
+        return 6
+    return 2 if _ring(ambient)[1] is None else 4
 
 
 def ambient_actions(ambient: Ambient) -> tuple[MultiplierAction, ...]:
@@ -344,40 +367,23 @@ def _gaussian_binomial(q: int, e: int, rank: int) -> int:
     return value
 
 
-def _candidates_or_bound(rank: int, m: int, ceiling: int) -> int:
-    """hnf_candidate_count(rank, m), or a lower bound of it that is over ceiling.
+def hnf_candidates_over(rank: int, m: int, ceiling: int) -> bool:
+    """Whether Z^rank has more than ceiling HNF bases of index m.
 
     The diagonal (m, 1, ..., 1) alone holds m^(rank-1) bases (the rank - 1
     entries right of d_0 = m run over [0, m), all others are 0), so past
     that bound no factoring of m is needed; a 4,000-digit m would take it
     forever.
     """
-    bound = m ** (rank - 1)
-    return bound if bound > ceiling else hnf_candidate_count(rank, m)
+    return m ** (rank - 1) > ceiling or hnf_candidate_count(rank, m) > ceiling
 
 
-def hnf_candidates_over(rank: int, m: int, ceiling: int) -> bool:
-    """Whether Z^rank has more than ceiling HNF bases of index m."""
-    return _candidates_or_bound(rank, m, ceiling) > ceiling
-
-
-def _check_budget(rank: int, indices, max_candidates: int) -> None:
-    """Refuse indices that hold more than max_candidates HNF bases of Z^rank in all.
-
-    Counts each index once, and none past its cheap bound.  The count is
-    the full Z-HNF set at both ranks, not the Hermite work over Z[w]; see
-    "The budget" in the module docstring.
-    """
-    left = max_candidates
-    for m in indices:
-        if m < 1:
-            raise ValueError("index must be >= 1")
-        left -= _candidates_or_bound(rank, m, left)
-        if left < 0:
-            # names no candidate count: m^3 of a 4,000-digit m is past the int-to-str limit
-            raise EnumerationBudgetExceeded(
-                f"predicted HNF candidates exceed ceiling {max_candidates}; "
-                f"raise max_candidates to proceed")
+def _refuse_if(over: bool, max_candidates: int) -> None:
+    """Raise EnumerationBudgetExceeded if the predicted work is over max_candidates."""
+    if over:
+        # names no count: a bound for a 4,000-digit index is past the int-to-str limit
+        raise EnumerationBudgetExceeded(f"predicted candidates exceed ceiling {max_candidates}; "
+                                        f"raise max_candidates to proceed")
 
 
 @functools.lru_cache(maxsize=8)
@@ -391,7 +397,9 @@ def hnf_sublattices(rank: int, m: int, ambient: Ambient | None = None,
     """All index-m sublattices of Z^rank, each exactly once, in HNF."""
     if rank not in (1, 2, 4, 6):
         raise ValueError("rank must be one of 1, 2, 4, 6")
-    _check_budget(rank, (m,), max_candidates)
+    if m < 1:
+        raise ValueError("index must be >= 1")
+    _refuse_if(hnf_candidates_over(rank, m, max_candidates), max_candidates)
     positions = _positions(rank)
     out = []
     for diag in ordered_diagonals(m, rank):
@@ -438,7 +446,13 @@ def _is_multiple(z, hnf) -> bool:
     return not (b % l or (a - b // l * k) % h)
 
 
-def _forms(ambient: Ambient, indices: Sequence[int]):
+def _square_parts(indices: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(m, n, m / n^2) for each m of the indices and each n >= 1 with n^2 | m."""
+    return ((m, n, m // (n * n)) for m in indices for n in range(1, math.isqrt(m) + 1)
+            if m % (n * n) == 0)
+
+
+def _forms(ambient: Ambient, indices: Sequence[int], max_candidates: int):
     """(m, columns) of each ideal of the increasing indices, index by index.
 
     The columns are integer vectors, in the basis of the ambient, whose
@@ -448,49 +462,58 @@ def _forms(ambient: Ambient, indices: Sequence[int]):
     w (x, d2) for each Hermite form [[d1, x], [0, d2]] over Z[w]; see
     "Hermite forms over Z[w], rank 2".  There d1 = d2 e and x = d2 y, and
     each y of the box of e is tested for e | y^2 + 1 once per call.  Within
-    an index the forms come in no fixed order.
+    an index the forms come in no fixed order.  Before the first form it
+    raises EnumerationBudgetExceeded as "The budget" in the module
+    docstring states, and ValueError for an index below 1 or an ambient
+    that is not a ring.
     """
-    ring = _QUARTIC_RING.get(ambient)
-    quad = TAU if ring is None else ring.quad
+    quad, ring = _ring(ambient)
+    if indices and indices[0] < 1:
+        raise ValueError("index must be >= 1")
+    limit = indices[-1] if indices else 0
+    work = norm_table_pairs(quad, limit, max_candidates)
+    _refuse_if(work > max_candidates, max_candidates)
+    if ring is not None:  # a lower bound of the y: at each index n^2 the walk meets e = n
+        _refuse_if(work + sum(n * n for n in range(1, math.isqrt(limit) + 1)
+                              if n * n in indices) > max_candidates, max_candidates)
     c1, c0 = quad.c1, quad.c0
-    table = [[(x.a, x.b) for x in xs] for xs in norm_table(quad, max(indices, default=0))]
+    table = [[(x.a, x.b) for x in xs] for xs in norm_table(quad, limit)]
     if ring is None:
-        for m in indices:
-            for d in table[m]:
-                yield m, (d, pair_mul(d, (0, 1), c1, c0))
+        yield from ((m, (d, pair_mul(d, (0, 1), c1, c0))) for m in indices for d in table[m])
         return
-    roots = {}  # e -> the y of its box with e | y^2 + 1
-    for m in indices:
-        for n2 in range(1, math.isqrt(m) + 1):
-            if m % (n2 * n2):
-                continue
-            for e in table[m // (n2 * n2)]:
-                if e not in roots:
-                    h, _, l = hnf = _multiples_hnf(e, c1, c0)
-                    # e | y^2 + 1 for y = a + b w, y^2 = (a^2 + c0 b^2) + (2 a + c1 b) b w
-                    roots[e] = [(a, b) for a in range(h) for b in range(l) if _is_multiple(
-                        (a * a + c0 * b * b + 1, (2 * a + c1 * b) * b), hnf)]
-                for d2 in table[n2]:
-                    d1 = pair_mul(d2, e, c1, c0)
-                    d1w, d2w = (pair_mul(p, (0, 1), c1, c0) for p in (d1, d2))
-                    for y in roots[e]:
-                        x = pair_mul(d2, y, c1, c0)
-                        xw = pair_mul(x, (0, 1), c1, c0)
-                        yield m, ((d1[0], 0, d1[1], 0), (d1w[0], 0, d1w[1], 0),
-                                  (x[0], d2[0], x[1], d2[1]), (xw[0], d2w[0], xw[1], d2w[1]))
+    hnfs = {}  # e -> the integer HNF (h, k, l) of e R; the root search tests h l y
+    for _, _, k in _square_parts(indices):
+        for e in table[k]:
+            if e not in hnfs:
+                h, _, l = hnfs[e] = _multiples_hnf(e, c1, c0)
+                work += h * l
+                _refuse_if(work > max_candidates, max_candidates)
+    # e | y^2 + 1 for y = a + b w, y^2 = (a^2 + c0 b^2) + (2 a + c1 b) b w
+    roots = {e: [(a, b) for a in range(hnf[0]) for b in range(hnf[2]) if _is_multiple(
+        (a * a + c0 * b * b + 1, (2 * a + c1 * b) * b), hnf)] for e, hnf in hnfs.items()}
+    for m, n2, k in _square_parts(indices):
+        for e in table[k]:
+            for d2 in table[n2]:
+                d1 = pair_mul(d2, e, c1, c0)
+                d1w, d2w = (pair_mul(p, (0, 1), c1, c0) for p in (d1, d2))
+                for y in roots[e]:
+                    x = pair_mul(d2, y, c1, c0)
+                    xw = pair_mul(x, (0, 1), c1, c0)
+                    yield m, ((d1[0], 0, d1[1], 0), (d1w[0], 0, d1w[1], 0),
+                              (x[0], d2[0], x[1], d2[1]), (xw[0], d2w[0], xw[1], d2w[1]))
 
 
-def _ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
-    """Ideals of the increasing indices, index by index, each index sorted by
-    diagonal, then in flat HNF order.
+def _ideals(ambient: Ambient, forms) -> Iterator[Submodule]:
+    """The ideals of the forms of `_forms`, index by index, each index sorted
+    by diagonal, then in flat HNF order.
 
-    Each form of `_forms` becomes the Z-HNF of its columns, whose index is
-    checked against m.
+    Each form becomes the Z-HNF of its columns, whose index is checked
+    against m.
     """
     positions = _positions(ambient_rank(ambient))
-    for m, forms in itertools.groupby(_forms(ambient, indices), key=lambda f: f[0]):
+    for m, group in itertools.groupby(forms, key=lambda f: f[0]):
         bases = []
-        for _, columns in forms:
+        for _, columns in group:
             basis = hnf_canonical(columns)
             if math.prod(row[i] for i, row in enumerate(basis)) != m:
                 raise InvariantViolation(f"ideal spanned by {columns} has index other than {m}")
@@ -501,26 +524,23 @@ def _ideals(ambient: Ambient, indices: Sequence[int]) -> Iterator[Submodule]:
             yield Submodule(ambient, basis)
 
 
-def _counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
-    """Ideals of each of the increasing indices: the forms `_forms` yields."""
-    counts = dict.fromkeys(indices, 0)
-    for m, _ in _forms(ambient, indices):
-        counts[m] += 1
-    return list(counts.values())
+def _counts(forms, indices: Sequence[int]) -> list[int]:
+    """The number of forms (m, ...) of each of the indices, all forms taken
+    before the list of the indices is made."""
+    counts = Counter(m for m, _ in forms)
+    return [counts[m] for m in indices]
 
 
 def count_ideals(ambient: Ambient, m: int,
                  max_candidates: int = DEFAULT_MAX_CANDIDATES) -> int:
     """Number of index-m sublattices invariant under all ring generators."""
-    _check_budget(ambient_rank(ambient), (m,), max_candidates)
-    return _counts(ambient, (m,))[0]
+    return _counts(_forms(ambient, (m,), max_candidates), (m,))[0]
 
 
 def list_ideals(ambient: Ambient, m: int,
                 max_candidates: int = DEFAULT_MAX_CANDIDATES) -> list[Submodule]:
     """Ideals of index m, sorted by diagonal, then in flat HNF order."""
-    _check_budget(ambient_rank(ambient), (m,), max_candidates)
-    return list(_ideals(ambient, (m,)))
+    return list(_ideals(ambient, _forms(ambient, (m,), max_candidates)))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +586,7 @@ def is_principal(sub: Submodule) -> bool:
     squared box elements, for each re and target, tries exactly the pairs
     of the full pair scan with N(w) = n.
     """
-    ring = _QUARTIC_RING.get(sub.ambient)
+    ring = _ring(sub.ambient)[1]
     if ring is None:
         raise ValueError("principality is defined for the rank-4 ring ambients")
     if not is_invariant(sub, ambient_actions(sub.ambient)):
@@ -609,24 +629,20 @@ def count_similarity_submodules(ambient: Ambient, m: int,
     Z[tau] and Z[i,tau] have class number 1, so every ideal qualifies;
     for Z[i,sqrt2] only the principal ideals do.
     """
-    if ambient not in _EXPECTED_SERIES:
-        raise ValueError(f"no similarity-submodule count for ambient {ambient}")
-    _check_budget(ambient_rank(ambient), (m,), max_candidates)
-    return _similarity_counts(ambient, (m,))[0]
+    return _similarity_counts(ambient, (m,), max_candidates)[0]
 
 
-def _similarity_counts(ambient: Ambient, indices: Sequence[int]) -> list[int]:
+def _similarity_counts(ambient: Ambient, indices: Sequence[int],
+                       max_candidates: int) -> list[int]:
     """count_similarity_submodules of each of the increasing indices, in one walk.
 
     Each ideal of Z[i,sqrt2] is tested for principality as the walk finds
     it, so the ideals of the range are never held in one list.
     """
-    if ambient is not Ambient.Z_ISQRT2_AS_Z4:
-        return _counts(ambient, indices)
-    counts = dict.fromkeys(indices, 0)
-    for sub in _ideals(ambient, indices):
-        counts[sub.index] += is_principal(sub)
-    return list(counts.values())
+    forms = _forms(ambient, indices, max_candidates)
+    if ambient is Ambient.Z_ISQRT2_AS_Z4:
+        forms = ((sub.index, sub) for sub in _ideals(ambient, forms) if is_principal(sub))
+    return _counts(forms, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +692,10 @@ def verify_series(ambient: Ambient, limit: int,
 
     The counts come from one walk over 1..limit, by Hermite forms over
     Z[tau] (rank 1) for Z[tau] and over Z[w] (rank 2) for the rank-4 rings.
+    The walk, and so its budget check, comes before the catalog table.
     """
-    _check_budget(ambient_rank(ambient), range(1, limit + 1), max_candidates)
-    series = _EXPECTED_SERIES[ambient](limit)
-    counts, = map_ordered(lambda indices: _similarity_counts(ambient, indices),
+    counts, = map_ordered(lambda indices: _similarity_counts(ambient, indices, max_candidates),
                           (range(1, limit + 1),), 1)
+    series = _EXPECTED_SERIES[ambient](limit)
     rows = tuple((m, count, series.a(m)) for m, count in enumerate(counts, 1))
     return OracleReport(ambient.value, limit, rows)

@@ -476,6 +476,18 @@ def splitting_class(p: int, ring: QuadRing) -> SplittingClass:
     return SplittingClass.SPLIT if p % 8 in (1, 7) else SplittingClass.INERT
 
 
+def _box_rows(ring: QuadRing, bound1: float, bound2: float):
+    """(b, lo, hi) of each row of the box of elements_in_embedding_box, b
+    increasing: the row holds the pairs (a, b) with lo <= a < hi."""
+    w1, w2 = ring.omega_float, ring.omega_conj_float
+    bmax = int((bound1 + bound2) / (w1 - w2)) + 1
+    for b in range(-bmax, bmax + 1):
+        lo = max(-bound1 - b * w1, -bound2 - b * w2)
+        hi = min(bound1 - b * w1, bound2 - b * w2)
+        if hi >= lo - 1:
+            yield b, math.floor(lo) - 1, math.ceil(hi) + 2
+
+
 def elements_in_embedding_box(ring: QuadRing, bound1: float, bound2: float):
     """The (a, b) pair of each x = a + b*w with |emb(x)| <= bound1 and
     |emb'(x)| <= bound2, a bit padded, b then a increasing.
@@ -485,16 +497,14 @@ def elements_in_embedding_box(ring: QuadRing, bound1: float, bound2: float):
     callers apply their own exact filters, and build a QuadInt only for
     the pairs they keep.
     """
-    w1 = ring.omega_float
-    w2 = ring.omega_conj_float
-    bmax = int((bound1 + bound2) / (w1 - w2)) + 1
-    for b in range(-bmax, bmax + 1):
-        lo = max(-bound1 - b * w1, -bound2 - b * w2)
-        hi = min(bound1 - b * w1, bound2 - b * w2)
-        if hi < lo - 1:
-            continue
-        for a in range(math.floor(lo) - 1, math.ceil(hi) + 2):
-            yield a, b
+    return ((a, b) for b, lo, hi in _box_rows(ring, bound1, bound2) for a in range(lo, hi))
+
+
+def _norm_box(ring: QuadRing, hi: int) -> tuple[float, float]:
+    """The bounds (emb, emb') of the box that holds every canonical associate
+    of norm at most hi; see _canonical_by_norm."""
+    root, f = math.sqrt(hi), ring._fund.embedding_float()
+    return root * f * f * 1.001, root * 1.001
 
 
 def _canonical_by_norm(ring: QuadRing, lo: int, hi: int) -> dict[int, list[QuadInt]]:
@@ -507,11 +517,8 @@ def _canonical_by_norm(ring: QuadRing, lo: int, hi: int) -> dict[int, list[QuadI
     Only its quadrant a > 0, b >= 0 is kept: x is totally positive, so a > 0
     (is_canonical_associate), and emb(x) - emb'(x) = b (w - w') >= 0.
     """
-    f = ring._fund.embedding_float()
-    root = math.sqrt(hi)
     c1, c0 = ring.c1, ring.c0
-    pairs = sorted((a, b) for a, b in elements_in_embedding_box(ring, root * f * f * 1.001,
-                                                                root * 1.001)
+    pairs = sorted((a, b) for a, b in elements_in_embedding_box(ring, *_norm_box(ring, hi))
                    if a > 0 and b >= 0
                    and lo <= a * a + c1 * a * b - c0 * b * b <= hi)  # pair_norm, inlined
     table: dict[int, list[QuadInt]] = {}
@@ -537,8 +544,24 @@ def norm_equation(ring: QuadRing, n: int) -> tuple[QuadInt, ...]:
 def norm_table(ring: QuadRing, limit: int) -> tuple[tuple[QuadInt, ...], ...]:
     """norm_equation(ring, n) at position n for every n <= limit (position 0
     is empty), from one box scan sized for the limit."""
-    table = _canonical_by_norm(ring, 1, limit) if limit >= 1 else {}
+    table = _canonical_by_norm(ring, 1, limit) if limit >= 0 else {}
     return tuple(tuple(table.get(n, ())) for n in range(limit + 1))
+
+
+def norm_table_pairs(ring: QuadRing, limit: int, ceiling: int) -> int:
+    """The pairs the box scan of norm_table(ring, limit) yields, or a lower
+    bound of them that is over ceiling.
+
+    The bound needs no float of the limit.  Let s = isqrt(limit) // 4.  Both
+    embeddings of w have size below 2 in both rings, so a pair with |a|,
+    |b| <= s has |a + b w| <= 3 s <= isqrt(limit), within both bounds of
+    _norm_box(ring, limit); the scan yields every pair of the exact box, so
+    it yields these (2 s + 1)^2 pairs.  Past that bound no row is walked; a
+    4,000-digit limit would overflow the float bounds.
+    """
+    bound = (2 * (math.isqrt(limit) // 4) + 1) ** 2
+    return bound if bound > ceiling else sum(
+        hi - lo for _, lo, hi in _box_rows(ring, *_norm_box(ring, limit)))
 
 
 def units_up_to_height(ring: QuadRing, height: int) -> list[QuadInt]:

@@ -243,6 +243,27 @@ def test_table_ceiling_is_usage_error_before_any_table(capsys, monkeypatch):
     cli._check_table_limit(cli.MAX_TABLE_LIMIT)
 
 
+def test_verify_table_ceiling_is_usage_error_before_any_work(capsys, monkeypatch):
+    # verify builds a catalog table of --limit entries on a ring, and f-cubic
+    # to the cube of --limit on cubic3; a raised --max-candidates lifts neither
+    def no_work(*args):
+        raise AssertionError("verify started past the table ceiling")
+
+    monkeypatch.setattr(lattice, "verify_series", no_work)
+    monkeypatch.setattr(cubic, "verify_cubic", no_work)
+    for module, limit in (("ztau", cli.MAX_TABLE_LIMIT + 1), ("zitau", 10 ** 400),
+                          ("zisqrt2", cli.MAX_TABLE_LIMIT + 1), ("cubic3", 216),
+                          ("cubic3", 395), ("cubic3", 10 ** 400)):
+        code, out, err = run_cli(capsys, "verify", "--module", module, "--limit", str(limit),
+                                 "--max-candidates", str(10 ** 20))
+        assert code == 2, (module, limit)
+        assert out == ""
+        assert err.startswith("error:") and "table ceiling" in err, (module, limit)
+    # 215^3 = 9,938,375 is under the ceiling: the check lets the run start
+    code, _, err = run_cli(capsys, "verify", "--module", "cubic3", "--limit", "215")
+    assert code == 3 and "verify started" in err
+
+
 def test_summatory_point_outside_limit_is_usage_error_before_any_table(capsys, monkeypatch):
     def no_table(*args):
         raise AssertionError("coefficient table built before the point check")

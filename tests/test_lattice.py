@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from simsub import catalog, lattice
+from simsub import catalog, lattice, quadratic
 from simsub.lattice import (
     Ambient,
     EnumerationBudgetExceeded,
@@ -25,6 +25,13 @@ from simsub.errors import InvariantViolation
 from simsub.quadratic import (SQRT2, TAU, QuadInt, elements_in_embedding_box, norm_equation,
                               norm_table, pair_mul, pair_norm, sign_embedding)
 from simsub.quartic import ISQRT2, ITAU, QuarticInt, regular_rep
+
+CEILING = lattice.DEFAULT_MAX_CANDIDATES
+
+
+def _counts(ambient, indices, max_candidates):
+    # the ideals of each index, from one walk over the indices
+    return lattice._counts(lattice._forms(ambient, indices, max_candidates), indices)
 
 
 def test_hnf_sublattice_counts():
@@ -179,8 +186,9 @@ def test_range_walk_matches_single_indices(walks, size):
     for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
         for part in parts:
             cuts = [part[i:i + size] for i in range(0, len(part), size)]
-            counts = [c for cut in cuts for c in lattice._counts(ambient, cut)]
-            bases = [s.basis for cut in cuts for s in lattice._ideals(ambient, cut)]
+            counts = [c for cut in cuts for c in _counts(ambient, cut, CEILING)]
+            bases = [s.basis for cut in cuts
+                     for s in lattice._ideals(ambient, lattice._forms(ambient, cut, CEILING))]
             assert counts == [count_ideals(ambient, m) for m in part], ambient
             assert bases == [s.basis for m in part for s in list_ideals(ambient, m)], ambient
             assert sum(counts) == len(bases), ambient
@@ -246,7 +254,7 @@ def test_zisqrt2_ideal_counts_match_xi8_at_odd_indices_and_are_multiplicative():
     # Z[i,sqrt2] has index 2 in Z[xi_8], so the conductor divides 2; an ideal
     # of odd index is prime to it, and such ideals of the two rings
     # correspond one to one with the same index
-    counts = [None] + lattice._counts(Ambient.Z_ISQRT2_AS_Z4, range(1, 1001))
+    counts = [None] + _counts(Ambient.Z_ISQRT2_AS_Z4, range(1, 1001), CEILING)
     xi8 = catalog.zeta_q_xi8(1000)
     assert [m for m in range(1, 1001, 2) if counts[m] != xi8.a(m)] == []
     assert [(m, n) for m in range(2, 501) for n in range(m + 1, 1000 // m + 1)
@@ -257,7 +265,7 @@ def test_hermite_form_of_wrong_index_raises(monkeypatch):
     # columns that span all of Z^4, index 1, reported at index 2
     unit_columns = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     monkeypatch.setattr(lattice, "_forms",
-                        lambda ambient, indices: iter([(2, unit_columns)]))
+                        lambda ambient, indices, max_candidates: iter([(2, unit_columns)]))
     with pytest.raises(InvariantViolation):
         list_ideals(Ambient.Z_ITAU_AS_Z4, 2)
 
@@ -485,9 +493,9 @@ def test_verify_series_makes_one_walk(monkeypatch):
     calls = []
     walk = lattice._similarity_counts
 
-    def recorded(ambient, indices):
+    def recorded(ambient, indices, max_candidates):
         calls.append((ambient, indices))
-        return walk(ambient, indices)
+        return walk(ambient, indices, max_candidates)
 
     monkeypatch.setattr(lattice, "_similarity_counts", recorded)
     for ambient, limit in ((Ambient.Z_TAU_AS_Z2, 60), (Ambient.Z_ITAU_AS_Z4, 30),
@@ -500,9 +508,9 @@ def test_verify_series_makes_one_walk(monkeypatch):
 
 
 def test_verify_series_zitau_1000():
-    # the budget still counts the full HNF set: 536,361,101,601 for m <= 1000
-    assert sum(hnf_candidate_count(4, m) for m in range(1, 1001)) == 536_361_101_601
-    report = verify_series(Ambient.Z_ITAU_AS_Z4, 1000, max_candidates=10 ** 12)
+    # the budget counts the walk: 5,107 box pairs and 215,775 y to 1000, well
+    # under the default ceiling (the full Z-HNF set is 536,361,101,601 bases)
+    report = verify_series(Ambient.Z_ITAU_AS_Z4, 1000)
     assert report.summary() == "1000/1000 match"
 
 
@@ -512,24 +520,83 @@ def test_verify_series_zisqrt2_300():
 
 
 def test_resource_guard(monkeypatch):
+    # 101 splits in Z[tau]: the walk scans 607 box pairs and tests 202 y
     with pytest.raises(EnumerationBudgetExceeded):
-        count_ideals(Ambient.Z_ITAU_AS_Z4, 97, max_candidates=1000)
+        count_ideals(Ambient.Z_ITAU_AS_Z4, 101, max_candidates=800)
     with pytest.raises(EnumerationBudgetExceeded):
         hnf_sublattices(4, 101, max_candidates=10)
+    # 2,253 y to 100, past the ceiling once the box of 603 pairs is admitted
     with pytest.raises(EnumerationBudgetExceeded):
-        verify_series(Ambient.Z_ITAU_AS_Z4, 100, max_candidates=10 ** 5)
-    # the budget is computed once per m: verify_series checks the whole
-    # range up front, and its walk checks no index again
-    seen = []
-    count = lattice.hnf_candidate_count
+        verify_series(Ambient.Z_ITAU_AS_Z4, 100, max_candidates=2000)
 
-    def recorded(rank, m):
-        seen.append((rank, m))
-        return count(rank, m)
+    # no ideal path counts Z-HNF bases
+    def no_count(*args):
+        raise AssertionError("Z-HNF bases counted on an ideal path")
 
-    monkeypatch.setattr(lattice, "hnf_candidate_count", recorded)
-    assert verify_series(Ambient.Z_ITAU_AS_Z4, 40).ok
-    assert seen == [(4, m) for m in range(1, 41)]
+    monkeypatch.setattr(lattice, "hnf_candidate_count", no_count)
+    for ambient in (Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4):
+        assert verify_series(ambient, 40).ok, ambient
+        assert count_ideals(ambient, 25) == len(list_ideals(ambient, 25)), ambient
+        assert count_similarity_submodules(ambient, 25) >= 1, ambient
+
+
+def _walk_work(monkeypatch, ambient, indices):
+    """Box pairs the norm-table scan yields plus the y the root search tests,
+    counted while _counts walks the indices."""
+    work = [0]
+    box, test = quadratic.elements_in_embedding_box, lattice._is_multiple
+
+    def counted_box(*args):
+        for pair in box(*args):
+            work[0] += 1
+            yield pair
+
+    def counted_test(*args):
+        work[0] += 1
+        return test(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadratic, "elements_in_embedding_box", counted_box)
+        patch.setattr(lattice, "_is_multiple", counted_test)
+        _counts(ambient, indices, 10 ** 12)
+    return work[0]
+
+
+@pytest.mark.parametrize("ambient", [Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4,
+                                     Ambient.Z_ISQRT2_AS_Z4])
+def test_budget_predicts_the_walk_exactly(monkeypatch, ambient):
+    # the walk is admitted at a ceiling of its own work and refused one below
+    for indices in (range(1, 49), range(1, 301), (97,), (101,), (211,), ()):
+        work = _walk_work(monkeypatch, ambient, indices)
+        counts = _counts(ambient, indices, work)
+        assert counts == [count_ideals(ambient, m) for m in indices], (ambient, indices)
+        with pytest.raises(EnumerationBudgetExceeded):
+            _counts(ambient, indices, work - 1)
+
+
+def test_large_range_is_refused_before_its_table(monkeypatch):
+    # the box to 10^6 is under the default ceiling (4,705,613 pairs over
+    # Z[tau], 8,278,465 over Z[sqrt2]), but each square n^2 <= 10^6 puts the
+    # n^2 y of e = n in the walk: 333,833,500 y, refused before any table
+    def no_table(*args):
+        raise AssertionError("norm table built for a refused range")
+
+    monkeypatch.setattr(lattice, "norm_table", no_table)
+    for ambient, ring in ((Ambient.Z_ITAU_AS_Z4, TAU), (Ambient.Z_ISQRT2_AS_Z4, SQRT2)):
+        assert quadratic.norm_table_pairs(ring, 10 ** 6, CEILING) < CEILING
+        with pytest.raises(EnumerationBudgetExceeded):
+            verify_series(ambient, 10 ** 6)
+
+
+def test_ring_entry_points_refuse_the_rank3_module():
+    # Z[tau]^3 is a module over Z[tau], not a ring: no ideal walk takes it
+    module = Ambient.Z_TAU3_AS_ZTAU_MODULE
+    assert lattice.ambient_rank(module) == 6
+    for call in (lambda: count_ideals(module, 5), lambda: list_ideals(module, 4),
+                 lambda: verify_series(module, 5),
+                 lambda: count_similarity_submodules(module, 5)):
+        with pytest.raises(ValueError, match="not a ring"):
+            call()
 
 
 def test_contains_matches_enumeration():
