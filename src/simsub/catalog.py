@@ -101,7 +101,7 @@ class CatalogEntry:
     series: CoeffSeries
 
     def __post_init__(self):
-        if self.series.coeffs[0] != 1:
+        if next(self.series.nonzero(), None) != (1, 1):
             raise ValueError("catalog series must start with a(1) = 1")
 
 
@@ -154,10 +154,7 @@ def f_cubic(limit: int) -> CoeffSeries:
         raise ValueError("limit must be >= 1")
     r_max = icbrt(limit)
     base = expand_euler(_f_cubic_factor, r_max)
-    out = [0] * limit
-    for r, c in base.nonzero():
-        out[r ** 3 - 1] = c
-    return CoeffSeries(limit, tuple(out), tuple(r ** 3 for r in base.support))
+    return CoeffSeries(limit, tuple(r ** 3 for r in base.support), base.values)
 
 
 def sigma1(m: int) -> int:

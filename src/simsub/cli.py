@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import traceback
+from bisect import bisect_right
 
 from . import catalog, cubic, lattice, quadratic, quartic
 from .lattice import Ambient, EnumerationBudgetExceeded
@@ -27,9 +28,11 @@ _AMBIENTS = {
 
 # Largest coefficient table of coeffs, summatory and verify: a --limit of
 # coeffs and summatory, and of verify on a ring, and the cube of a --limit of
-# verify on cubic3, which compares f-cubic at the cubes.  Every table is a
-# Python list of limit + 1 entries, so a larger limit would fail in
-# allocation (or run for minutes) rather than report bad input.
+# verify on cubic3, which compares f-cubic at the cubes.  A series is kept
+# as its nonzero terms, but expand_euler writes them into a scratch list of
+# limit + 1 entries beside a sieve of as many bytes (and verify reads the
+# dense table), so a larger limit would fail in allocation (or run for
+# minutes) rather than report bad input.
 MAX_TABLE_LIMIT = 10 ** 7
 
 # Most bases `enumerate --filter all` lists.  A listed basis costs about 0.5 KB
@@ -87,20 +90,21 @@ def cmd_summatory(args) -> int:
     for x in points:
         if not 1 <= x <= args.limit:
             raise UsageError(f"summatory point {x} outside 1..{args.limit}")
-    coeffs = catalog.catalog_entry(args.series, args.limit).series.coeffs
-    values, total, start = [], 0, 0
-    for x in points:  # one running sum over the sorted points
-        total += sum(coeffs[start:x])
-        start = x
-        values.append((x, total))
+    series = catalog.catalog_entry(args.series, args.limit).series
+    sums, total, start = [], 0, 0
+    for x in points:  # one running sum over the terms, up to each sorted point
+        end = bisect_right(series.support, x)
+        total += sum(series.values[start:end])
+        start = end
+        sums.append((x, total))
     if args.format == "json":
         _emit_json({
             "series": args.series,
             "limit": args.limit,
-            "values": [{"x": x, "sum": s} for x, s in values],
+            "values": [{"x": x, "sum": s} for x, s in sums],
         })
     else:
-        _emit_csv(values, ("x", "sum"))
+        _emit_csv(sums, ("x", "sum"))
     return 0
 
 

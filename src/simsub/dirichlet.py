@@ -4,11 +4,12 @@ A CoeffSeries holds a(1..N) for a fixed limit N.  All binary operations
 insist on equal limits so that truncation mismatches cannot pass
 silently, and no floating point is used anywhere.
 
-Each CoeffSeries also holds its support, the increasing indices m with
-a(m) != 0, and nonzero() reads the table only there.  A builder that
-knows the support passes it in and the constructor checks it exactly
-(one C-level count of the zeros); otherwise the constructor finds it
-with one scan.
+A CoeffSeries is kept as its terms: the support, the increasing indices
+m with a(m) != 0, and the values a(m) there; the constructor checks them
+exactly.  nonzero(), summatory and the catalog read only the terms.  The
+dense table is built on its first read (a(m), convolution, inversion,
+the multiplicativity check) and kept; from_coeffs builds a series from a
+dense table by one scan.
 
 expand_euler builds a multiplicative series from its local factors,
 given as an EulerRule: a modulus M, one ClassFactor per residue class mod
@@ -25,7 +26,8 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, islice, zip_longest
+from functools import cached_property
+from itertools import compress, islice, takewhile, zip_longest
 from operator import lt
 from typing import Iterable, Iterator, Mapping
 
@@ -78,29 +80,52 @@ def icbrt(n: int) -> int:
 
 @dataclass(frozen=True)
 class CoeffSeries:
-    """Exact coefficients a(1..limit) of a Dirichlet series.
+    """Exact coefficients a(1..limit) of a Dirichlet series, kept as its terms.
 
-    support is the increasing tuple of the indices m with a(m) != 0.  When
-    it is given, it is checked exactly and a mismatch raises ValueError;
-    when it is omitted, it is found by one scan of coeffs.  It is derived
-    from coeffs, so it takes no part in equality.
+    support is the increasing tuple of the indices m with a(m) != 0, and
+    values holds a(m) at each of them, in the same order.  The constructor
+    checks the terms exactly and raises ValueError on a mismatch.  The
+    dense table coeffs is built from the terms the first time it is read,
+    and kept; threads that race on that first read all get equal tables.
+    from_coeffs builds a series from a dense table instead.
     """
 
     limit: int
-    coeffs: tuple[int, ...]
-    support: tuple[int, ...] | None = field(default=None, compare=False)
+    support: tuple[int, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self):
+        support, values = tuple(self.support), tuple(self.values)
         if self.limit < 1:
             raise ValueError("limit must be >= 1")
-        if len(self.coeffs) != self.limit:
-            raise ValueError("coefficient table length must equal the limit")
-        if self.support is None:
-            support = tuple(compress(range(1, self.limit + 1), self.coeffs))
-        else:
-            support = tuple(self.support)
-            _check_support(self.limit, self.coeffs, support)
+        if len(support) != len(values):
+            raise ValueError("support and values differ in length")
+        if not all(map(lt, support, islice(support, 1, None))):
+            raise ValueError("support is not strictly increasing")
+        if support and not (support[0] >= 1 and support[-1] <= self.limit):
+            raise ValueError(f"support index outside 1..{self.limit}")
+        if not all(values):
+            raise ValueError("values hold a zero coefficient")
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_coeffs(cls, limit: int, coeffs: Iterable[int]) -> CoeffSeries:
+        """The series with the dense table coeffs; its terms come from one scan."""
+        coeffs = tuple(coeffs)
+        if len(coeffs) != limit:
+            raise ValueError("coefficient table length must equal the limit")
+        series = cls(limit, tuple(compress(range(1, limit + 1), coeffs)),
+                     tuple(filter(None, coeffs)))
+        series.__dict__["coeffs"] = coeffs
+        return series
+
+    @cached_property
+    def coeffs(self) -> tuple[int, ...]:
+        table = [0] * self.limit
+        for m, c in zip(self.support, self.values):
+            table[m - 1] = c
+        return tuple(table)
 
     def a(self, m: int) -> int:
         if not 1 <= m <= self.limit:
@@ -111,35 +136,18 @@ class CoeffSeries:
 
     def nonzero(self) -> Iterator[tuple[int, int]]:
         """(m, a(m)) for every a(m) != 0, in increasing m."""
-        coeffs = self.coeffs
-        return ((m, coeffs[m - 1]) for m in self.support)
+        return zip(self.support, self.values)
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
+        first = dict(zip(self.support[:8], self.values))  # no dense table
+        head = ", ".join(str(first.get(m, 0)) for m in range(1, min(self.limit, 8) + 1))
         tail = ", ..." if self.limit > 8 else ""
         return f"CoeffSeries(N={self.limit}: {head}{tail})"
 
 
-def _check_support(limit: int, coeffs: tuple[int, ...], support: tuple[int, ...]) -> None:
-    """Raise ValueError unless support is exactly the increasing m with a(m) != 0.
-
-    Strictly increasing, inside 1..limit and nonzero at every listed index,
-    the support is a subset of the nonzero indices; the count of zeros then
-    shows that it misses none.
-    """
-    if not all(map(lt, support, islice(support, 1, None))):
-        raise ValueError("support is not strictly increasing")
-    if support and not (support[0] >= 1 and support[-1] <= limit):
-        raise ValueError(f"support index outside 1..{limit}")
-    if not all(coeffs[m - 1] for m in support):
-        raise ValueError("support lists a zero coefficient")
-    if limit - coeffs.count(0) != len(support):
-        raise ValueError("support misses a nonzero coefficient")
-
-
 def epsilon(limit: int) -> CoeffSeries:
     """The identity under Dirichlet convolution: indicator of m = 1."""
-    return CoeffSeries(limit, (1,) + (0,) * (limit - 1), (1,))
+    return CoeffSeries(limit, (1,), (1,))
 
 
 @dataclass(frozen=True)
@@ -332,16 +340,16 @@ def expand_euler(rule: EulerRule, limit: int) -> CoeffSeries:
     its largest prime factor, and p its group.
 
     Every index written in either phase is recorded once; sorted, those
-    indices and 1 are the support of the returned series.  The table is
-    copied once, into the tuple of the result.
+    indices and 1 are the support of the returned series, and the
+    scratch table is read only there, for its values.
 
-    Beside the prime sieve, the allocation of the table and that copy,
-    the cost is one local factor per prime up to isqrt(limit), one
+    Beside the prime sieve and the allocation of the scratch table, the
+    cost is one local factor per prime up to isqrt(limit), one
     expansion per distinct phase-1 factor, one c1 polynomial per class
     (evaluated without a call per prime), and one write per nonzero
     coefficient (with a sort of the support prefix per phase-1 prime, and
     one sort of the recorded indices); nothing scans the table, and the
-    constructor's check of the support is one C-level count of the zeros.
+    constructor checks the terms alone.
     No local factor is asked for at a prime above isqrt(limit).
     """
     if not isinstance(rule, EulerRule):
@@ -407,8 +415,7 @@ def expand_euler(rule: EulerRule, limit: int) -> CoeffSeries:
                 coeffs[n] = a * c1
                 written.append(n)
     written.sort()
-    del coeffs[0]
-    return CoeffSeries(limit, tuple(coeffs), tuple(written))
+    return CoeffSeries(limit, tuple(written), tuple(map(coeffs.__getitem__, written)))
 
 
 def _require_same_limit(a: CoeffSeries, b: CoeffSeries) -> int:
@@ -430,7 +437,7 @@ def convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
             bq = cb[q - 1]
             if bq:
                 out[d * q] += ad * bq
-    return CoeffSeries(n, tuple(out[1:]))
+    return CoeffSeries.from_coeffs(n, out[1:])
 
 
 def dirichlet_inverse(a: CoeffSeries) -> CoeffSeries:
@@ -450,7 +457,7 @@ def dirichlet_inverse(a: CoeffSeries) -> CoeffSeries:
         for d in divs[m]:
             s += ca[d - 1] * inv[m // d]
         inv[m] = -s
-    return CoeffSeries(n, tuple(inv[1:]))
+    return CoeffSeries.from_coeffs(n, inv[1:])
 
 
 def scale_argument(a: CoeffSeries, k: int) -> CoeffSeries:
@@ -459,16 +466,8 @@ def scale_argument(a: CoeffSeries, k: int) -> CoeffSeries:
         raise ValueError("k must be >= 1")
     if k == 1:
         return a
-    n = a.limit
-    out = [0] * n
-    support = []
-    for r, c in a.nonzero():
-        m = r ** k
-        if m > n:
-            break
-        out[m - 1] = c
-        support.append(m)
-    return CoeffSeries(n, tuple(out), tuple(support))
+    support = tuple(takewhile(a.limit.__ge__, (r ** k for r in a.support)))
+    return CoeffSeries(a.limit, support, a.values[:len(support)])
 
 
 def shift(a: CoeffSeries, k: int) -> CoeffSeries:
@@ -477,10 +476,7 @@ def shift(a: CoeffSeries, k: int) -> CoeffSeries:
         raise ValueError("k must be >= 0")
     if k == 0:
         return a
-    out = [0] * a.limit
-    for m, c in a.nonzero():
-        out[m - 1] = m ** k * c
-    return CoeffSeries(a.limit, tuple(out), a.support)
+    return CoeffSeries(a.limit, a.support, tuple(m ** k * c for m, c in a.nonzero()))
 
 
 def dirichlet_polynomial(terms: Mapping[int, int], limit: int) -> CoeffSeries:
@@ -489,19 +485,18 @@ def dirichlet_polynomial(terms: Mapping[int, int], limit: int) -> CoeffSeries:
     Every index must lie in 1..limit.  A term with c = 0 is dropped, so the
     support is the sorted indices of the nonzero terms.
     """
-    out = [0] * limit
-    for m, c in terms.items():
+    for m in terms:
         if not 1 <= m <= limit:
             raise ValueError(f"term index {m} outside 1..{limit}")
-        out[m - 1] = c
-    return CoeffSeries(limit, tuple(out), tuple(sorted(m for m, c in terms.items() if c)))
+    support = tuple(sorted(m for m, c in terms.items() if c))
+    return CoeffSeries(limit, support, tuple(terms[m] for m in support))
 
 
 def summatory(a: CoeffSeries, x: int) -> int:
-    """Partial sum of coefficients up to x."""
+    """Partial sum of coefficients up to x, over the terms with m <= x."""
     if not 1 <= x <= a.limit:
         raise ValueError(f"summatory point {x} outside 1..{a.limit}")
-    return sum(a.coeffs[:x])
+    return sum(a.values[:bisect_right(a.support, x)])
 
 
 def check_multiplicative(a: CoeffSeries) -> bool:

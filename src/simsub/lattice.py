@@ -477,7 +477,7 @@ def _forms(ambient: Ambient, indices: Sequence[int], max_candidates: int):
         _refuse_if(work + sum(n * n for n in range(1, math.isqrt(limit) + 1)
                               if n * n in indices) > max_candidates, max_candidates)
     c1, c0 = quad.c1, quad.c0
-    table = [[(x.a, x.b) for x in xs] for xs in norm_table(quad, limit)]
+    table = norm_table(quad, limit)
     if ring is None:
         yield from ((m, (d, pair_mul(d, (0, 1), c1, c0))) for m in indices for d in table[m])
         return

@@ -507,25 +507,25 @@ def _norm_box(ring: QuadRing, hi: int) -> tuple[float, float]:
     return root * f * f * 1.001, root * 1.001
 
 
-def _canonical_by_norm(ring: QuadRing, lo: int, hi: int) -> dict[int, list[QuadInt]]:
-    """Canonical associates with lo <= norm <= hi (1 <= lo), by norm, each list in
-    (a, b) order, from one box scan.
+def _canonical_by_norm(ring: QuadRing, lo: int, hi: int) -> dict[int, list[tuple[int, int]]]:
+    """The (a, b) pairs of the canonical associates with lo <= norm <= hi
+    (1 <= lo), by norm, each list in (a, b) order, from one box scan.
 
     A canonical x of norm n has embedding ratio r in [1, fund^4) and
     emb(x) emb'(x) = n, so emb'(x) = sqrt(n / r) <= sqrt(n) and emb(x) =
     sqrt(n r) < sqrt(n) fund^2: the box sized for hi holds every norm below.
     Only its quadrant a > 0, b >= 0 is kept: x is totally positive, so a > 0
-    (is_canonical_associate), and emb(x) - emb'(x) = b (w - w') >= 0.
+    (is_canonical_associate), and emb(x) - emb'(x) = b (w - w') >= 0.  There
+    x of positive norm is canonical iff d a + e b < 0 (_window_side).
     """
     c1, c0 = ring.c1, ring.c0
+    d, e = ring._window
     pairs = sorted((a, b) for a, b in elements_in_embedding_box(ring, *_norm_box(ring, hi))
-                   if a > 0 and b >= 0
+                   if a > 0 and b >= 0 and d * a + e * b < 0
                    and lo <= a * a + c1 * a * b - c0 * b * b <= hi)  # pair_norm, inlined
-    table: dict[int, list[QuadInt]] = {}
+    table: dict[int, list[tuple[int, int]]] = {}
     for a, b in pairs:
-        x = QuadInt(a, b, ring)
-        if is_canonical_associate(x):
-            table.setdefault(x.norm(), []).append(x)
+        table.setdefault(a * a + c1 * a * b - c0 * b * b, []).append((a, b))
     return table
 
 
@@ -538,12 +538,12 @@ def norm_equation(ring: QuadRing, n: int) -> tuple[QuadInt, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tuple(_canonical_by_norm(ring, n, n).get(n, ()))
+    return tuple(QuadInt(a, b, ring) for a, b in _canonical_by_norm(ring, n, n).get(n, ()))
 
 
-def norm_table(ring: QuadRing, limit: int) -> tuple[tuple[QuadInt, ...], ...]:
-    """norm_equation(ring, n) at position n for every n <= limit (position 0
-    is empty), from one box scan sized for the limit."""
+def norm_table(ring: QuadRing, limit: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The (a, b) pairs of norm_equation(ring, n) at position n for every
+    n <= limit (position 0 is empty), from one box scan sized for the limit."""
     table = _canonical_by_norm(ring, 1, limit) if limit >= 0 else {}
     return tuple(tuple(table.get(n, ())) for n in range(limit + 1))
 

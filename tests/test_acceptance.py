@@ -175,9 +175,9 @@ def test_criterion_11_engine_properties():
         n = 40
         eps = epsilon(n)
         for _ in range(1000):
-            a = CoeffSeries(n, tuple([1] + [rng.randint(-3, 3) for _ in range(n - 1)]))
-            b = CoeffSeries(n, tuple([1] + [rng.randint(-3, 3) for _ in range(n - 1)]))
-            c = CoeffSeries(n, tuple([1] + [rng.randint(-3, 3) for _ in range(n - 1)]))
+            a = CoeffSeries.from_coeffs(n, [1] + [rng.randint(-3, 3) for _ in range(n - 1)])
+            b = CoeffSeries.from_coeffs(n, [1] + [rng.randint(-3, 3) for _ in range(n - 1)])
+            c = CoeffSeries.from_coeffs(n, [1] + [rng.randint(-3, 3) for _ in range(n - 1)])
             assert convolve(a, b).coeffs == convolve(b, a).coeffs
             assert convolve(convolve(a, b), c).coeffs == convolve(a, convolve(b, c)).coeffs
             assert convolve(a, eps).coeffs == a.coeffs

@@ -280,7 +280,7 @@ def test_catalog_entry_by_cli_name():
     with pytest.raises(ValueError):
         catalog_entry("no-such-series", 10)
     with pytest.raises(ValueError):
-        CatalogEntry(SeriesName.PHI_C, CoeffSeries(2, (2, 0)))  # a(1) != 1
+        CatalogEntry(SeriesName.PHI_C, CoeffSeries.from_coeffs(2, (2, 0)))  # a(1) != 1
     assert CLI_SERIES == ("zeta-qtau", "zeta-qitau", "zeta-zisqrt2", "zeta-qxi8",
                           "phi-c", "f-cubic")
 

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 from simsub import catalog, cli, cubic, lattice, quadratic, quartic
-from simsub.dirichlet import dirichlet_inverse, summatory
+from simsub.dirichlet import CoeffSeries, dirichlet_inverse, summatory
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -135,6 +135,23 @@ def test_summatory(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["values"] == [{"x": 1, "sum": 1}, {"x": 5, "sum": 3}]
+
+
+def test_coeffs_and_summatory_build_no_dense_table(capsys, monkeypatch):
+    # both commands read only the terms of the series: with the dense table
+    # made to raise on its first read, they print the same bytes
+    calls = [(command, "--series", name, "--limit", "3000", "--format", fmt)
+             for command in ("coeffs", "summatory") for name in catalog.CLI_SERIES
+             for fmt in ("json", "csv")]
+    calls.append(("summatory", "--series", "phi-c", "--limit", "3000", "--at", "7", "--at", "2999"))
+    expected = [run_cli(capsys, *argv) for argv in calls]
+
+    def dense_read(series):
+        raise AssertionError("dense coefficient table built")
+
+    monkeypatch.setattr(CoeffSeries, "coeffs", property(dense_read))
+    assert [run_cli(capsys, *argv) for argv in calls] == expected
+    assert {code for code, _, _ in expected} == {0}
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -29,7 +31,7 @@ def riemann(limit):
 
 def random_series(limit, rng):
     coeffs = [1] + [rng.randint(-4, 4) for _ in range(limit - 1)]
-    return CoeffSeries(limit, tuple(coeffs))
+    return CoeffSeries.from_coeffs(limit, tuple(coeffs))
 
 
 def test_expand_euler_riemann():
@@ -91,7 +93,7 @@ def test_convolve_examples():
     z = riemann(10)
     zz = convolve(z, z)
     assert zz.a(4) == 3  # divisor count
-    a = CoeffSeries(10, (1, 2, 0, -1, 3, 0, 0, 5, 0, 1))
+    a = CoeffSeries.from_coeffs(10, (1, 2, 0, -1, 3, 0, 0, 5, 0, 1))
     assert convolve(a, epsilon(10)).coeffs == a.coeffs
     sigma = convolve(z, shift(z, 1))
     assert sigma.a(4) == 7
@@ -109,7 +111,7 @@ def test_inverse_examples():
     assert mu.a(4) == 0 and mu.a(6) == 1  # Moebius values
     assert dirichlet_inverse(epsilon(30)).coeffs == epsilon(30).coeffs
     with pytest.raises(ValueError):
-        dirichlet_inverse(CoeffSeries(5, (2, 0, 0, 0, 0)))
+        dirichlet_inverse(CoeffSeries.from_coeffs(5, (2, 0, 0, 0, 0)))
 
 
 def test_inverse_is_two_sided():
@@ -146,7 +148,7 @@ def test_scale_argument_summatory_property():
 def test_shift_examples():
     z = riemann(10)
     assert shift(z, 1).a(4) == 4
-    a = CoeffSeries(10, (1, 0, 2, 0, 0, -3, 0, 0, 0, 4))
+    a = CoeffSeries.from_coeffs(10, (1, 0, 2, 0, 0, -3, 0, 0, 0, 4))
     assert shift(a, 0) is a
     assert shift(a, 2).a(10) == 400
 
@@ -184,11 +186,11 @@ def test_summatory_examples():
 
 def test_check_multiplicative():
     assert check_multiplicative(riemann(60))
-    assert not check_multiplicative(CoeffSeries(5, (2, 0, 0, 0, 0)))
+    assert not check_multiplicative(CoeffSeries.from_coeffs(5, (2, 0, 0, 0, 0)))
     # sigma_1 is multiplicative
     z = riemann(60)
     assert check_multiplicative(convolve(z, shift(z, 1)))
-    assert not check_multiplicative(CoeffSeries(6, (1, 1, 1, 1, 1, 2)))
+    assert not check_multiplicative(CoeffSeries.from_coeffs(6, (1, 1, 1, 1, 1, 2)))
 
 
 def test_convolve_associative_commutative():
@@ -202,11 +204,14 @@ def test_convolve_associative_commutative():
 
 
 def test_coeff_series_validation():
+    for limit in (0, -1):
+        with pytest.raises(ValueError):
+            CoeffSeries(limit, (), ())
     with pytest.raises(ValueError):
-        CoeffSeries(0, ())
+        CoeffSeries.from_coeffs(0, ())
     with pytest.raises(ValueError):
-        CoeffSeries(3, (1, 2))
-    s = CoeffSeries(3, (1, 2, 3))
+        CoeffSeries.from_coeffs(3, (1, 2))
+    s = CoeffSeries.from_coeffs(3, (1, 2, 3))
     assert s.a(2) == 2
     with pytest.raises(IndexError):
         s.a(4)
@@ -216,13 +221,20 @@ _SPARSE = (1, 0, -2, 0, 0, 3)  # nonzero at 1, 3 and 6
 
 
 def test_given_support_is_kept():
-    s = CoeffSeries(6, _SPARSE, (1, 3, 6))
-    assert s.support == (1, 3, 6)
-    assert s == CoeffSeries(6, _SPARSE)
-    assert CoeffSeries(6, _SPARSE, [1, 3, 6]).support == (1, 3, 6)
-    assert CoeffSeries(2, (0, 0), ()).support == ()
+    s = CoeffSeries(6, (1, 3, 6), (1, -2, 3))
+    assert s.support == (1, 3, 6) and s.values == (1, -2, 3)
+    assert s.coeffs == _SPARSE
+    dense = CoeffSeries.from_coeffs(6, _SPARSE)
+    assert s == dense and hash(s) == hash(dense)
+    assert dense.support == (1, 3, 6) and dense.values == (1, -2, 3)
+    assert CoeffSeries(6, [1, 3, 6], [1, -2, 3]) == s
+    assert CoeffSeries(2, (), ()) == CoeffSeries.from_coeffs(2, (0, 0))
 
 
+# Each listed index takes its value from _SPARSE, or 5 outside 1..6, so a
+# zero entry of the table becomes a zero value.  A support that misses a
+# nonzero entry of _SPARSE has no case here: with its values, it is the
+# terms of another valid series.
 @pytest.mark.parametrize("support, reason", [
     ((3, 1, 6), "unsorted"),
     ((1, 3, 3, 6), "duplicate"),
@@ -230,12 +242,44 @@ def test_given_support_is_kept():
     ((1, 3, 6, 7), "above the limit"),
     ((1, 2, 3, 6), "lists a zero entry"),
     ((1, 2, 6), "lists a zero entry in place of a nonzero one"),
-    ((1, 3), "misses a nonzero entry"),
-    ((), "misses every nonzero entry"),
 ])
 def test_wrong_support_rejected(support, reason):
+    table = dict(enumerate(_SPARSE, 1))
     with pytest.raises(ValueError):
-        CoeffSeries(6, _SPARSE, support)
+        CoeffSeries(6, support, tuple(table.get(m, 5) for m in support))
+
+
+@pytest.mark.parametrize("values", [(1, -2), (1, -2, 3, 4), ()])
+def test_terms_of_unequal_length_rejected(values):
+    with pytest.raises(ValueError):
+        CoeffSeries(6, (1, 3, 6), values)
+
+
+def test_threads_reading_a_fresh_table_all_get_the_dense_reference():
+    n = 20000
+    reference = _dense_reference(catalog._itau_factor, n).coeffs
+    series = expand_euler(catalog._itau_factor, n)
+    assert "coeffs" not in vars(series)
+    barrier = threading.Barrier(4)
+    tables = [None] * 4
+
+    def read(k):
+        barrier.wait(timeout=30)
+        tables[k] = series.coeffs
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(table == reference for table in tables)
+    assert series.coeffs == reference
 
 
 def dense_nonzero(s):
@@ -250,13 +294,28 @@ def assert_support_is_dense_scan(s):
 
 
 _coeff_lists = st.lists(st.integers(-3, 3), min_size=1, max_size=80)
-_series = _coeff_lists.map(lambda c: CoeffSeries(len(c), tuple(c)))
-_invertible = _coeff_lists.map(lambda c: CoeffSeries(len(c), (1, *c[1:])))
+_series = _coeff_lists.map(lambda c: CoeffSeries.from_coeffs(len(c), tuple(c)))
+_invertible = _coeff_lists.map(lambda c: CoeffSeries.from_coeffs(len(c), (1, *c[1:])))
+
+
+@given(_coeff_lists)
+def test_terms_and_dense_builds_agree(coeffs):
+    limit = len(coeffs)
+    dense = CoeffSeries.from_coeffs(limit, coeffs)
+    terms = CoeffSeries(limit, tuple(m for m, c in enumerate(coeffs, 1) if c),
+                        tuple(c for c in coeffs if c))
+    assert terms == dense and hash(terms) == hash(dense)
+    assert list(terms.nonzero()) == list(dense.nonzero())
+    # a(m) is the first read of the terms-built table, so it builds it
+    assert [terms.a(m) for m in range(1, limit + 1)] == coeffs
+    assert terms.coeffs == dense.coeffs == tuple(coeffs)
+    assert [dense.a(m) for m in range(1, limit + 1)] == coeffs
 
 
 @given(_series, st.lists(st.integers(-3, 3), min_size=80, max_size=80))
 def test_convolution_support_is_dense_scan(a, other):
-    assert_support_is_dense_scan(convolve(a, CoeffSeries(a.limit, tuple(other[:a.limit]))))
+    b = CoeffSeries.from_coeffs(a.limit, other[:a.limit])
+    assert_support_is_dense_scan(convolve(a, b))
 
 
 @given(_invertible)
@@ -397,7 +456,7 @@ def _dense_reference(local_factor, limit):
             rest //= p
             e += 1
         coeffs[m] = coeffs[rest] * expansions[p][e]
-    return CoeffSeries(limit, tuple(coeffs[1:]))
+    return CoeffSeries.from_coeffs(limit, tuple(coeffs[1:]))
 
 
 # Limits to 2000 cross prime squares and cubes (up to 11^3), and the
