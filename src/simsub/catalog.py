@@ -38,7 +38,6 @@ The local factors by splitting type:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 # convolve, dirichlet_inverse, scale_argument and shift are unused here; perfbench/tracer.py
@@ -55,6 +54,7 @@ from .dirichlet import (  # noqa: F401
     scale_argument,
     shift,
 )
+from .frozen import Frozen
 
 # Common local factors, in t = p^(-s), the same at every prime.
 _GEOM = ClassFactor((1,), (1, -1))                    # 1/(1-t)
@@ -95,14 +95,25 @@ class SeriesName(Enum):
     RIEMANN_ZETA = "riemann-zeta"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: SeriesName
-    series: CoeffSeries
+class CatalogEntry(Frozen):
+    __slots__ = ("name", "series")
 
-    def __post_init__(self):
-        if next(self.series.nonzero(), None) != (1, 1):
+    def __init__(self, name: SeriesName, series: CoeffSeries) -> None:
+        if next(series.nonzero(), None) != (1, 1):
             raise ValueError("catalog series must start with a(1) = 1")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "series", series)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.series) == (other.name, other.series)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.series))
+
+    def __repr__(self) -> str:
+        return f"CatalogEntry(name={self.name!r}, series={self.series!r})"
 
 
 def riemann_zeta(limit: int) -> CoeffSeries:

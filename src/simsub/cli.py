@@ -14,7 +14,6 @@ import csv
 import functools
 import json
 import sys
-import traceback
 from bisect import bisect_right
 
 from . import catalog, cubic, lattice, quadratic, quartic
@@ -287,6 +286,7 @@ def run(argv: list[str] | None = None) -> int:
     except Exception as exc:
         # arguments are validated by the parser, so anything else is a bug
         print(f"internal error: {exc!r}", file=sys.stderr)
+        import traceback  # loaded only here, to keep it out of start-up
         traceback.print_exc(file=sys.stderr)
         return 3
 

@@ -62,12 +62,12 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import catalog
 from .dirichlet import divisors, icbrt
 from .errors import InvariantViolation
+from .frozen import Frozen
 from .lattice import (Ambient, EnumerationBudgetExceeded, OracleReport, Submodule, column_hnf,
                       hnf_canonical)
 # canonical_associate is unused here; perfbench/tracer.py patches it by name.
@@ -223,19 +223,30 @@ def signed_permutations(ring=TAU, det_sign: int | None = None):
                 [[signs[i] if j == perm[i] else 0 for j in range(3)] for i in range(3)], ring)
 
 
-@dataclass(frozen=True)
-class QuatTau:
+class QuatTau(Frozen):
     """Primitive quaternion with Z[tau] components."""
 
-    components: tuple[QuadInt, QuadInt, QuadInt, QuadInt]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        if any(c.ring != TAU for c in self.components):
+    def __init__(self, components: tuple[QuadInt, QuadInt, QuadInt, QuadInt]) -> None:
+        if any(c.ring != TAU for c in components):
             raise ValueError("quaternion components must live in the tau ring")
-        if not any(self.components):
+        if not any(components):
             raise ValueError("zero quaternion")
-        if not coprime(self.components):
+        if not coprime(components):
             raise ValueError("quaternion is not primitive")
+        object.__setattr__(self, "components", components)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
+
+    def __repr__(self) -> str:
+        return f"QuatTau(components={self.components!r})"
 
     def norm_sq(self) -> QuadInt:
         return sum((c * c for c in self.components), TAU.zero())
@@ -604,18 +615,32 @@ def hnf_over_ztau(generators: Sequence[Sequence[QuadInt]]) -> Submodule:
     return Submodule(Ambient.Z_TAU3_AS_ZTAU_MODULE, basis)
 
 
-@dataclass(frozen=True)
-class AffineSimilarity:
+class AffineSimilarity(Frozen):
     """x -> scale * R x + translation, mapping Z[tau]^3 into itself."""
 
-    scale: QuadInt
-    rotation: Rotation3
-    translation: tuple[QuadInt, QuadInt, QuadInt]
+    __slots__ = ("scale", "rotation", "translation")
 
-    def __post_init__(self):
-        if self.scale % den(self.rotation):
+    def __init__(self, scale: QuadInt, rotation: Rotation3,
+                 translation: tuple[QuadInt, QuadInt, QuadInt]) -> None:
+        if scale % den(rotation):
             raise ValueError("scale must be divisible by den(R) "
                              "for the map to preserve the module")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation", translation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.scale, self.rotation, self.translation)
+                == (other.scale, other.rotation, other.translation))
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.rotation, self.translation))
+
+    def __repr__(self) -> str:
+        return (f"AffineSimilarity(scale={self.scale!r}, rotation={self.rotation!r}, "
+                f"translation={self.translation!r})")
 
     def linear_matrix(self):
         return _integral_matrix(self.rotation, self.scale)

@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, islice, takewhile, zip_longest
 from operator import lt
 from typing import Iterable, Iterator, Mapping
+
+from .frozen import Frozen
 
 Poly = tuple[int, ...]  # integer polynomial in p, constant term first; () is 0
 
@@ -78,8 +79,7 @@ def icbrt(n: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class CoeffSeries:
+class CoeffSeries(Frozen):
     """Exact coefficients a(1..limit) of a Dirichlet series, kept as its terms.
 
     support is the increasing tuple of the indices m with a(m) != 0, and
@@ -90,24 +90,33 @@ class CoeffSeries:
     from_coeffs builds a series from a dense table instead.
     """
 
-    limit: int
-    support: tuple[int, ...]
-    values: tuple[int, ...]
+    # __dict__ holds coeffs once it is read
+    __slots__ = ("limit", "support", "values", "__dict__")
 
-    def __post_init__(self):
-        support, values = tuple(self.support), tuple(self.values)
-        if self.limit < 1:
+    def __init__(self, limit: int, support: Iterable[int], values: Iterable[int]) -> None:
+        support, values = tuple(support), tuple(values)
+        if limit < 1:
             raise ValueError("limit must be >= 1")
         if len(support) != len(values):
             raise ValueError("support and values differ in length")
         if not all(map(lt, support, islice(support, 1, None))):
             raise ValueError("support is not strictly increasing")
-        if support and not (support[0] >= 1 and support[-1] <= self.limit):
-            raise ValueError(f"support index outside 1..{self.limit}")
+        if support and not (support[0] >= 1 and support[-1] <= limit):
+            raise ValueError(f"support index outside 1..{limit}")
         if not all(values):
             raise ValueError("values hold a zero coefficient")
+        object.__setattr__(self, "limit", limit)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.limit, self.support, self.values)
+                == (other.limit, other.support, other.values))
+
+    def __hash__(self) -> int:
+        return hash((self.limit, self.support, self.values))
 
     @classmethod
     def from_coeffs(cls, limit: int, coeffs: Iterable[int]) -> CoeffSeries:
@@ -150,21 +159,32 @@ def epsilon(limit: int) -> CoeffSeries:
     return CoeffSeries(limit, (1,), (1,))
 
 
-@dataclass(frozen=True)
-class EulerFactor:
+class EulerFactor(Frozen):
     """Local factor num(t)/den(t) at a prime, t the formal p^(-s).
 
     den must have constant term 1 so the ratio expands as an integer
     power series.
     """
 
-    num: tuple[int, ...]
-    den: tuple[int, ...] = (1,)
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if not self.den or self.den[0] != 1:
+    def __init__(self, num: tuple[int, ...], den: tuple[int, ...] = (1,)) -> None:
+        if not den or den[0] != 1:
             raise ValueError("local factor is not expandable: "
                              "denominator constant term must be 1")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"EulerFactor(num={self.num!r}, den={self.den!r})"
 
     def expand(self, n_terms: int) -> list[int]:
         """First n_terms coefficients of num/den by long division."""
@@ -213,8 +233,7 @@ def _poly_at(poly: Poly, p: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ClassFactor:
+class ClassFactor(Frozen):
     """The local factor num(t)/den(t) at every prime p of one class, each
     t^k coefficient an integer polynomial in p.
 
@@ -225,12 +244,10 @@ class ClassFactor:
     linear_terms reads c1 at many primes and builds no factor at any.
     """
 
-    num: tuple[int | Poly, ...]
-    den: tuple[int | Poly, ...] = (1,)
-    _c1: Poly = field(init=False, repr=False, compare=False)
+    __slots__ = ("num", "den", "_c1")
 
-    def __post_init__(self):
-        num, den = tuple(map(_poly, self.num)), tuple(map(_poly, self.den))
+    def __init__(self, num: tuple[int | Poly, ...], den: tuple[int | Poly, ...] = (1,)) -> None:
+        num, den = tuple(map(_poly, num)), tuple(map(_poly, den))
         if not den or den[0] != (1,):
             raise ValueError("local factor is not expandable: "
                              "denominator constant term must be 1")
@@ -239,6 +256,17 @@ class ClassFactor:
         n0, n1 = (num + ((), ()))[:2]  # the t^0 and t^1 coefficients, 0 if absent
         d1 = den[1] if len(den) > 1 else ()
         object.__setattr__(self, "_c1", _poly_add(n1, _poly_mul(d1, tuple(-c for c in n0))))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"ClassFactor(num={self.num!r}, den={self.den!r})"
 
     def __call__(self, p: int) -> EulerFactor:
         return EulerFactor(tuple(_poly_at(c, p) for c in self.num),
@@ -268,23 +296,38 @@ class ClassFactor:
         return primes, values
 
 
-@dataclass(frozen=True)
-class EulerRule:
+class EulerRule(Frozen):
     """Local factors by residue class: classes[p % modulus] at a prime p,
     unless p is one of the exceptional primes, which have their own factor.
 
     Called at p, it gives the EulerFactor at p, so a rule is a local factor
     function wherever one is taken.  An exceptional key that is not prime
-    is never read.
+    is never read.  exceptional defaults to a new empty dict.
     """
 
-    modulus: int
-    classes: tuple[ClassFactor, ...]
-    exceptional: Mapping[int, ClassFactor] = field(default_factory=dict)
+    __slots__ = ("modulus", "classes", "exceptional")
 
-    def __post_init__(self):
-        if self.modulus < 1 or len(self.classes) != self.modulus:
+    def __init__(self, modulus: int, classes: tuple[ClassFactor, ...],
+                 exceptional: Mapping[int, ClassFactor] | None = None) -> None:
+        if modulus < 1 or len(classes) != modulus:
             raise ValueError("a rule needs one class per residue mod its modulus")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "exceptional", {} if exceptional is None else exceptional)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.modulus, self.classes, self.exceptional)
+                == (other.modulus, other.classes, other.exceptional))
+
+    def __hash__(self) -> int:
+        # raises TypeError while exceptional is a dict
+        return hash((self.modulus, self.classes, self.exceptional))
+
+    def __repr__(self) -> str:
+        return (f"EulerRule(modulus={self.modulus!r}, classes={self.classes!r}, "
+                f"exceptional={self.exceptional!r})")
 
     def class_of(self, p: int) -> ClassFactor:
         return self.exceptional.get(p, self.classes[p % self.modulus])

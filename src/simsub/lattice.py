@@ -101,13 +101,13 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 from . import catalog
 from .dirichlet import divisors
 from .errors import InvariantViolation
+from .frozen import Frozen
 from .parallel import map_ordered
 from .quadratic import (SQRT2, TAU, elements_in_embedding_box, is_canonical_associate,
                         norm_table, norm_table_pairs, pair_mul)
@@ -129,26 +129,41 @@ class Ambient(Enum):
     Z_TAU3_AS_ZTAU_MODULE = "ztau3"  # rank-3 free module over Z[tau]
 
 
-@dataclass(frozen=True)
-class MultiplierAction:
-    """Integer matrix of multiplication by a ring generator."""
+class MultiplierAction(Frozen):
+    """Integer matrix of multiplication by a ring generator; minimal_poly
+    lists its coefficients from the constant term up."""
 
-    name: str
-    matrix: tuple[tuple[int, ...], ...]
-    minimal_poly: tuple[int, ...]  # low-order-first coefficients
+    __slots__ = ("name", "matrix", "minimal_poly")
 
-    def __post_init__(self):
-        r = len(self.matrix)
+    def __init__(self, name: str, matrix: tuple[tuple[int, ...], ...],
+                 minimal_poly: tuple[int, ...]) -> None:
+        r = len(matrix)
         acc = [[0] * r for _ in range(r)]
         power = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        for c in self.minimal_poly:
+        for c in minimal_poly:
             for i in range(r):
                 for j in range(r):
                     acc[i][j] += c * power[i][j]
-            power = [[sum(self.matrix[i][k] * power[k][j] for k in range(r))
+            power = [[sum(matrix[i][k] * power[k][j] for k in range(r))
                       for j in range(r)] for i in range(r)]
         if any(v for row in acc for v in row):
-            raise ValueError(f"action {self.name} violates its minimal polynomial")
+            raise ValueError(f"action {name} violates its minimal polynomial")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "minimal_poly", minimal_poly)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.matrix, self.minimal_poly)
+                == (other.name, other.matrix, other.minimal_poly))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.matrix, self.minimal_poly))
+
+    def __repr__(self) -> str:
+        return (f"MultiplierAction(name={self.name!r}, matrix={self.matrix!r}, "
+                f"minimal_poly={self.minimal_poly!r})")
 
 
 _TAU_ACTION_2 = MultiplierAction(
@@ -217,8 +232,7 @@ _RINGS = {
 }
 
 
-@dataclass(frozen=True)
-class Submodule:
+class Submodule(Frozen):
     """Full-rank submodule in canonical column HNF.
 
     basis[i][j] is the row-i entry of the j-th basis vector; entries are
@@ -227,21 +241,33 @@ class Submodule:
     diagonal d is canonical and each b right of it has divmod(b, d)[0] == 0.
     """
 
-    ambient: Ambient | None
-    basis: tuple[tuple, ...]
+    __slots__ = ("ambient", "basis")
 
-    def __post_init__(self):
-        r = len(self.basis)
-        if any(len(row) != r for row in self.basis):
+    def __init__(self, ambient: Ambient | None, basis: tuple[tuple, ...]) -> None:
+        r = len(basis)
+        if any(len(row) != r for row in basis):
             raise ValueError("basis must be square")
-        canonical = _RINGS.get(self.ambient, _INTEGERS)[1]
-        for i, row in enumerate(self.basis):
+        canonical = _RINGS.get(ambient, _INTEGERS)[1]
+        for i, row in enumerate(basis):
             if not canonical(row[i]):
                 raise ValueError("diagonal entries must be canonical")
             if any(row[:i]):
                 raise ValueError("basis must be upper triangular")
             if any(divmod(b, row[i])[0] for b in row[i + 1:]):
                 raise ValueError("off-diagonal entries must be reduced")
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", basis)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient, self.basis) == (other.ambient, other.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.basis))
+
+    def __repr__(self) -> str:
+        return f"Submodule(ambient={self.ambient!r}, basis={self.basis!r})"
 
     @property
     def rank(self) -> int:
@@ -656,21 +682,39 @@ _EXPECTED_SERIES = {
 }
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Frozen):
     """Outcome of comparing brute-force counts against a coefficient table.
 
     The wording is part of the stable output, and the code that builds a
     report sets the parts that differ between tables: mismatch_format
     takes (m, oracle count, expected) for each mismatch row, and note
-    follows the match count.
+    follows the match count.  rows holds (m, oracle count, expected).
     """
 
-    ambient: str
-    limit: int
-    rows: tuple[tuple[int, int, int], ...]  # (m, oracle count, expected)
-    mismatch_format: str = "m={}: oracle {} != expected {}"
-    note: str = ""
+    __slots__ = ("ambient", "limit", "rows", "mismatch_format", "note")
+
+    def __init__(self, ambient: str, limit: int, rows: tuple[tuple[int, int, int], ...],
+                 mismatch_format: str = "m={}: oracle {} != expected {}",
+                 note: str = "") -> None:
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "mismatch_format", mismatch_format)
+        object.__setattr__(self, "note", note)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ambient, self.limit, self.rows, self.mismatch_format, self.note)
+                == (other.ambient, other.limit, other.rows, other.mismatch_format, other.note))
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.limit, self.rows, self.mismatch_format, self.note))
+
+    def __repr__(self) -> str:
+        return (f"OracleReport(ambient={self.ambient!r}, limit={self.limit!r}, "
+                f"rows={self.rows!r}, mismatch_format={self.mismatch_format!r}, "
+                f"note={self.note!r})")
 
     @property
     def mismatches(self) -> tuple[tuple[int, int, int], ...]:

@@ -9,12 +9,12 @@ sign tests, never through floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable
 
 from .errors import InvariantViolation
+from .frozen import Frozen
 
 
 class QuadRing:
@@ -110,13 +110,23 @@ def _int_text(n: int) -> str:
         return f"{'-' * (n < 0)}<{n.bit_length()}-bit int>"
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(Frozen):
     """a + b*w in a QuadRing, exact."""
 
-    a: int
-    b: int
-    ring: QuadRing
+    __slots__ = ("a", "b", "ring")
+
+    def __init__(self, a: int, b: int, ring: QuadRing) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "ring", ring)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.ring) == (other.a, other.b, other.ring)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.ring))
 
     def _coerce(self, other):
         if isinstance(other, int):

@@ -8,8 +8,7 @@ multiplication and norms exact and cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .frozen import Frozen
 from .quadratic import (
     QuadInt,
     QuadRing,
@@ -65,12 +64,22 @@ class QuarticRing:
         return f"QuarticRing({self.name})"
 
 
-@dataclass(frozen=True)
-class QuarticInt:
+class QuarticInt(Frozen):
     """coeffs = (x0, x1, x2, x3) meaning x0 + x1*i + x2*w + x3*i*w."""
 
-    coeffs: tuple[int, int, int, int]
-    ring: QuarticRing
+    __slots__ = ("coeffs", "ring")
+
+    def __init__(self, coeffs: tuple[int, int, int, int], ring: QuarticRing) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "ring", ring)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.ring) == (other.coeffs, other.ring)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.ring))
 
     @classmethod
     def from_parts(cls, re: QuadInt, im: QuadInt, ring: QuarticRing) -> QuarticInt:

@@ -518,23 +518,23 @@ def test_catalog_builds_ask_for_no_factor_above_sqrt(monkeypatch):
     """Phase 2 reads each class's c1 once: no factor is asked for, built or
     read at any prime above sqrt of the expanded limit."""
     asked, limits, counts = [], [], {"built": 0}
-    class_call, post_init = ClassFactor.__call__, EulerFactor.__post_init__
+    class_call, init = ClassFactor.__call__, EulerFactor.__init__
     expand = catalog.expand_euler
 
     def counting_call(self, p):
         asked.append(p)
         return class_call(self, p)
 
-    def counting_post_init(self):
+    def counting_init(self, *args):
         counts["built"] += 1
-        post_init(self)
+        init(self, *args)
 
     def recording_expand(rule, limit):
         limits.append(limit)
         return expand(rule, limit)
 
     monkeypatch.setattr(ClassFactor, "__call__", counting_call)
-    monkeypatch.setattr(EulerFactor, "__post_init__", counting_post_init)
+    monkeypatch.setattr(EulerFactor, "__init__", counting_init)
     monkeypatch.setattr(catalog, "expand_euler", recording_expand)
     for name in catalog.CLI_SERIES + ("riemann-zeta",):
         asked.clear()

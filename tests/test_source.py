@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "simsub"
 
 
@@ -44,8 +46,8 @@ def test_src_starts_no_threads():
         assert not lines, f"{path.name}: thread pool import at lines {lines}"
 
 
-def _numpy_imports(tree):
-    """Lines that import numpy or a numpy submodule."""
+def _imports_of(tree, package):
+    """Lines that import package or one of its submodules."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -53,7 +55,7 @@ def _numpy_imports(tree):
             names = [node.module]
         else:
             continue
-        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+        if any(name == package or name.startswith(package + ".") for name in names):
             yield node.lineno
 
 
@@ -62,8 +64,19 @@ def test_src_imports_no_numpy():
     paths = sorted(SRC.glob("*.py"))
     assert paths
     for path in paths:
-        lines = list(_numpy_imports(ast.parse(path.read_text(), filename=str(path))))
+        lines = list(_imports_of(ast.parse(path.read_text(), filename=str(path)), "numpy"))
         assert not lines, f"{path.name}: numpy import at lines {lines}"
+
+
+def test_src_imports_no_dataclasses():
+    # the value types are slotted classes: a dataclass execs its generated
+    # methods at import, on every start-up
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = list(_imports_of(tree, "dataclasses"))
+        assert not lines, f"{path.name}: dataclasses import at lines {lines}"
 
 
 def _cli_import_loads(module):
@@ -81,6 +94,12 @@ def test_cli_import_leaves_out_concurrent_futures():
 
 def test_cli_import_leaves_out_numpy():
     assert _cli_import_loads("numpy") == "False\n"
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "traceback"])
+def test_cli_import_leaves_out_start_up_weight(module):
+    # traceback is imported where exit code 3 prints one
+    assert _cli_import_loads(module) == "False\n"
 
 
 # names imported only so that perfbench/tracer.py can patch them where their
