@@ -91,7 +91,7 @@ from .quadratic import (  # noqa: F401
 MAX_COMPONENT_TRIPLES = 10_000_000
 
 
-class Rotation3:
+class Rotation3(Frozen):
     """3x3 orthogonal matrix over Q(tau), stored as mat / den.
 
     mat is an integral 3x3 QuadInt matrix and den its least denominator, a
@@ -128,17 +128,14 @@ class Rotation3:
                     raise ValueError("matrix is not orthogonal")
         det = _pdet(m, c1, c0)
         ddd = pair_mul(dd, (den.a, den.b), c1, c0)
-        if det == ddd:
-            self.det_sign = 1
-        elif det == (-ddd[0], -ddd[1]):
-            self.det_sign = -1
-        else:
+        if det not in (ddd, (-ddd[0], -ddd[1])):
             raise InvariantViolation("orthogonal matrix must have determinant +-1")
         if not coprime((den, *(e for row in mat for e in row))):
             raise InvariantViolation(f"{den!r} is not the least denominator")
-        self._key = ((den.a, den.b), *m)
-        self.mat = mat
-        self.den = den
+        object.__setattr__(self, "det_sign", 1 if det == ddd else -1)
+        object.__setattr__(self, "_key", ((den.a, den.b), *m))
+        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def identity(cls, ring=TAU) -> Rotation3:

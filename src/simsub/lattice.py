@@ -9,8 +9,8 @@ rings come from Hermite forms over the real quadratic ring R = Z[tau] or
 Z[sqrt2] instead, in one walk: of rank 1 for Z[tau] itself, of rank 2
 for Z[i,tau] and Z[i,sqrt2].  Both ranks take their diagonal entries
 from one table of canonical associates by norm (`quadratic.norm_table`,
-one box scan for a whole range of indices), and neither reads a catalog
-series or a closed form of the count.
+one integer walk for a whole range of indices), and neither reads a
+catalog series or a closed form of the count.
 
 One Hermite normal form.  Z and Z[tau] are both norm-Euclidean, so one
 column reduction, `column_hnf`, serves both: `hnf_canonical` runs it over
@@ -75,17 +75,20 @@ diagonal product is m, and sorts the ideals of an index by diagonal,
 then in flat HNF order; for Z[tau] that is by (h, l), then by k.
 
 The budget.  `max_candidates` bounds the work of the walk, which `_forms`
-counts exactly before it does it: the pairs the box scan of the norm
-table yields (`quadratic.norm_table_pairs`, from the row bounds of the
-scan itself), plus at rank 2 the y the root search tests, the sum of
-h l = N(e) over the distinct e of the walk, read off the integer HNFs of
-the e.  The box is checked before the scan, by an integer lower bound
-for a huge index or range.  So is a lower bound of the y: the rational
-integer n is a canonical associate (totally positive, embedding ratio
-1) of norm n^2, so at each index n^2 the walk meets e = n, with n^2 y in
-its box.  The sum is checked as the HNFs are built, after the table and
-before the first y is tested.  So no walk does more than max_candidates
-steps, and a range far over it is refused before its table is built.
+counts exactly before it does it: the entries of the norm table
+(`quadratic.norm_table_pairs`, the sum of the row lengths of the cone
+walk that builds the table, each row exactly its entries), plus at rank
+2 the y the root search tests, the sum of h l = N(e) over the distinct e
+of the walk, read off the integer HNFs of the e.  The entries are
+counted before the table is built, and the count stops at the first row
+that passes the ceiling, so a huge index or range is refused at once,
+with no float of it.  A lower bound of the y is checked before the table
+too: the rational integer n is a canonical associate (totally positive,
+embedding ratio 1) of norm n^2, so at each index n^2 the walk meets
+e = n, with n^2 y in its box.  The sum is checked as the HNFs are
+built, after the table and before the first y is tested.  So no walk
+does more than max_candidates steps, and a range far over it is refused
+before its table is built.
 The Z-HNF count bounds only `hnf_sublattices`, which lists Z-HNF bases.
 
 Principality.  A generator re + i*im (re, im in the real quadratic

@@ -17,7 +17,7 @@ from .errors import InvariantViolation
 from .frozen import Frozen
 
 
-class QuadRing:
+class QuadRing(Frozen):
     """One of the two supported real quadratic rings.
 
     Only the golden-ratio ring (c1=1, c0=1) and the root-two ring
@@ -31,19 +31,19 @@ class QuadRing:
 
     def __init__(self, c1: int, c0: int) -> None:
         try:
-            self.name = self._ALLOWED[(c1, c0)]
+            object.__setattr__(self, "name", self._ALLOWED[(c1, c0)])
         except KeyError:
             raise ValueError(f"unsupported quadratic ring: w^2 = {c1}*w + {c0}")
-        self.c1 = c1
-        self.c0 = c0
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c0", c0)
         # the larger and smaller root of x^2 = c1*x + c0, as floats
-        self.omega_float = (c1 + math.sqrt(self.discriminant)) / 2.0
-        self.omega_conj_float = (c1 - math.sqrt(self.discriminant)) / 2.0
+        object.__setattr__(self, "omega_float", (c1 + math.sqrt(self.discriminant)) / 2.0)
+        object.__setattr__(self, "omega_conj_float", (c1 - math.sqrt(self.discriminant)) / 2.0)
         fund = QuadInt(0, 1, self) if self.name == "tau" else QuadInt(1, 1, self)
-        self._fund = fund
+        object.__setattr__(self, "_fund", fund)
         # (d, e) with d*a + e*b the w-coefficient of (a + b w) * fund^-2
         inv_sq = unit_inverse(fund * fund)
-        self._window = (inv_sq.b, inv_sq.a + c1 * inv_sq.b)
+        object.__setattr__(self, "_window", (inv_sq.b, inv_sq.a + c1 * inv_sq.b))
 
     @property
     def discriminant(self) -> int:
@@ -486,18 +486,6 @@ def splitting_class(p: int, ring: QuadRing) -> SplittingClass:
     return SplittingClass.SPLIT if p % 8 in (1, 7) else SplittingClass.INERT
 
 
-def _box_rows(ring: QuadRing, bound1: float, bound2: float):
-    """(b, lo, hi) of each row of the box of elements_in_embedding_box, b
-    increasing: the row holds the pairs (a, b) with lo <= a < hi."""
-    w1, w2 = ring.omega_float, ring.omega_conj_float
-    bmax = int((bound1 + bound2) / (w1 - w2)) + 1
-    for b in range(-bmax, bmax + 1):
-        lo = max(-bound1 - b * w1, -bound2 - b * w2)
-        hi = min(bound1 - b * w1, bound2 - b * w2)
-        if hi >= lo - 1:
-            yield b, math.floor(lo) - 1, math.ceil(hi) + 2
-
-
 def elements_in_embedding_box(ring: QuadRing, bound1: float, bound2: float):
     """The (a, b) pair of each x = a + b*w with |emb(x)| <= bound1 and
     |emb'(x)| <= bound2, a bit padded, b then a increasing.
@@ -507,36 +495,54 @@ def elements_in_embedding_box(ring: QuadRing, bound1: float, bound2: float):
     callers apply their own exact filters, and build a QuadInt only for
     the pairs they keep.
     """
-    return ((a, b) for b, lo, hi in _box_rows(ring, bound1, bound2) for a in range(lo, hi))
+    w1, w2 = ring.omega_float, ring.omega_conj_float
+    bmax = int((bound1 + bound2) / (w1 - w2)) + 1
+    for b in range(-bmax, bmax + 1):
+        lo, hi = max(-bound1 - b * w1, -bound2 - b * w2), min(bound1 - b * w1, bound2 - b * w2)
+        if hi >= lo - 1:
+            yield from ((a, b) for a in range(math.floor(lo) - 1, math.ceil(hi) + 2))
 
 
-def _norm_box(ring: QuadRing, hi: int) -> tuple[float, float]:
-    """The bounds (emb, emb') of the box that holds every canonical associate
-    of norm at most hi; see _canonical_by_norm."""
-    root, f = math.sqrt(hi), ring._fund.embedding_float()
-    return root * f * f * 1.001, root * 1.001
+def _norm_rows(ring: QuadRing, lo: int, hi: int):
+    """(b, start, stop) of each row of the cone walk of _canonical_by_norm,
+    b = 0, 1, 2, ...: the canonical pairs (a, b) with lo <= norm <= hi
+    (1 <= lo) are those with start <= a < stop, on integers only.
+
+    A canonical x = a + b w has a > 0 (is_canonical_associate) and b >= 0
+    (its embedding ratio is at least 1, and emb(x) - emb'(x) = b (w - w')),
+    and then it is canonical iff d a + e b < 0 (_window_side), for (d, e) =
+    ring._window, with d < 0 < e in both rings.  So row b starts at the
+    least such a, e b // -d + 1.  In the cone a > 0, b >= 0 the norm
+    grows with a, as its a-derivative 2 a + c1 b is positive, and
+    4 N(a, b) = (2 a + c1 b)^2 - D b^2: so lo <= N iff 2 a + c1 b is at
+    least the rounded-up square root of D b^2 + 4 lo, and N <= hi iff
+    2 a + c1 b is at most isqrt(D b^2 + 4 hi).  On the window line
+    d a + e b = 0 the norm is N(-e, d) b^2 / d^2, and every a of row b
+    lies past that line, so the rows stop at the first b with
+    N(-e, d) b^2 >= hi d^2: there and beyond, every norm of the row is
+    over hi.  An earlier row may be empty, since the norm at the row start
+    need not grow with b (over Z[sqrt2] it is 8 at b = 2 and 7 at b = 3).
+    """
+    d, e = ring._window
+    c1, disc, line = ring.c1, ring.discriminant, pair_norm((-e, d), ring.c1, ring.c0)
+    b = 0
+    while line * b * b < hi * d * d:
+        up = math.isqrt(disc * b * b + 4 * lo - 1) + 1  # the square root rounded up, lo >= 1
+        yield (b, max(e * b // -d + 1, (up - c1 * b + 1) // 2),
+               (math.isqrt(disc * b * b + 4 * hi) - c1 * b) // 2 + 1)
+        b += 1
 
 
 def _canonical_by_norm(ring: QuadRing, lo: int, hi: int) -> dict[int, list[tuple[int, int]]]:
     """The (a, b) pairs of the canonical associates with lo <= norm <= hi
-    (1 <= lo), by norm, each list in (a, b) order, from one box scan.
-
-    A canonical x of norm n has embedding ratio r in [1, fund^4) and
-    emb(x) emb'(x) = n, so emb'(x) = sqrt(n / r) <= sqrt(n) and emb(x) =
-    sqrt(n r) < sqrt(n) fund^2: the box sized for hi holds every norm below.
-    Only its quadrant a > 0, b >= 0 is kept: x is totally positive, so a > 0
-    (is_canonical_associate), and emb(x) - emb'(x) = b (w - w') >= 0.  There
-    x of positive norm is canonical iff d a + e b < 0 (_window_side).
-    """
+    (1 <= lo), by norm, each list in (a, b) order, from the rows of
+    _norm_rows, which lists every such pair once and no other."""
     c1, c0 = ring.c1, ring.c0
-    d, e = ring._window
-    pairs = sorted((a, b) for a, b in elements_in_embedding_box(ring, *_norm_box(ring, hi))
-                   if a > 0 and b >= 0 and d * a + e * b < 0
-                   and lo <= a * a + c1 * a * b - c0 * b * b <= hi)  # pair_norm, inlined
     table: dict[int, list[tuple[int, int]]] = {}
-    for a, b in pairs:
-        table.setdefault(a * a + c1 * a * b - c0 * b * b, []).append((a, b))
-    return table
+    for b, start, stop in _norm_rows(ring, lo, hi):
+        for a in range(start, stop):
+            table.setdefault(a * a + c1 * a * b - c0 * b * b, []).append((a, b))  # pair_norm
+    return {n: sorted(pairs) for n, pairs in table.items()}
 
 
 @lru_cache(maxsize=4096)
@@ -553,25 +559,24 @@ def norm_equation(ring: QuadRing, n: int) -> tuple[QuadInt, ...]:
 
 def norm_table(ring: QuadRing, limit: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The (a, b) pairs of norm_equation(ring, n) at position n for every
-    n <= limit (position 0 is empty), from one box scan sized for the limit."""
-    table = _canonical_by_norm(ring, 1, limit) if limit >= 0 else {}
+    n <= limit (position 0 is empty), from one cone walk for the limit."""
+    table = _canonical_by_norm(ring, 1, limit)
     return tuple(tuple(table.get(n, ())) for n in range(limit + 1))
 
 
 def norm_table_pairs(ring: QuadRing, limit: int, ceiling: int) -> int:
-    """The pairs the box scan of norm_table(ring, limit) yields, or a lower
-    bound of them that is over ceiling.
+    """The number of entries of norm_table(ring, limit), or, once the rows
+    summed so far pass ceiling, that partial sum.
 
-    The bound needs no float of the limit.  Let s = isqrt(limit) // 4.  Both
-    embeddings of w have size below 2 in both rings, so a pair with |a|,
-    |b| <= s has |a + b w| <= 3 s <= isqrt(limit), within both bounds of
-    _norm_box(ring, limit); the scan yields every pair of the exact box, so
-    it yields these (2 s + 1)^2 pairs.  Past that bound no row is walked; a
-    4,000-digit limit would overflow the float bounds.
+    Each row of the cone walk holds exactly its entries (see _norm_rows),
+    so the sum of the row lengths is the entry count, on integers only.
+    A 4,000-digit limit passes a ceiling at row 0.
     """
-    bound = (2 * (math.isqrt(limit) // 4) + 1) ** 2
-    return bound if bound > ceiling else sum(
-        hi - lo for _, lo, hi in _box_rows(ring, *_norm_box(ring, limit)))
+    pairs = 0
+    for _, start, stop in _norm_rows(ring, 1, limit):
+        if (pairs := pairs + max(stop - start, 0)) > ceiling:
+            break
+    return pairs
 
 
 def units_up_to_height(ring: QuadRing, height: int) -> list[QuadInt]:

@@ -19,7 +19,7 @@ from .quadratic import (
 )
 
 
-class QuarticRing:
+class QuarticRing(Frozen):
     """Z[i,w] for w = tau or sqrt(2), over the basis {1, i, w, i*w}.
 
     Elements multiply as P + i*Q over the real quadratic ring `quad`, so
@@ -29,11 +29,12 @@ class QuarticRing:
     __slots__ = ("quad", "name", "mu")
 
     def __init__(self, quad: QuadRing) -> None:
-        self.quad = quad
-        self.name = "itau" if quad.name == "tau" else "isqrt2"
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "name", "itau" if quad.name == "tau" else "isqrt2")
         # mu is the infinite-order unit used in unit normal forms:
         # tau itself, or lambda = 1 + sqrt(2).
-        self.mu = QuarticInt.from_parts(quad.fundamental_unit, quad.zero(), self)
+        object.__setattr__(self, "mu",
+                           QuarticInt.from_parts(quad.fundamental_unit, quad.zero(), self))
 
     def zero(self) -> QuarticInt:
         return QuarticInt((0, 0, 0, 0), self)

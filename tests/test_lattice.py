@@ -1,8 +1,9 @@
 import math
 import random
+import time
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simsub import catalog, lattice, quadratic
 from simsub.lattice import (
@@ -22,8 +23,9 @@ from simsub.lattice import (
     verify_series,
 )
 from simsub.errors import InvariantViolation
-from simsub.quadratic import (SQRT2, TAU, QuadInt, elements_in_embedding_box, norm_equation,
-                              norm_table, pair_mul, pair_norm, sign_embedding)
+from simsub.quadratic import (SQRT2, TAU, QuadInt, elements_in_embedding_box,
+                              is_canonical_associate, norm_equation, norm_table, pair_mul,
+                              pair_norm, sign_embedding)
 from simsub.quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 CEILING = lattice.DEFAULT_MAX_CANDIDATES
@@ -203,6 +205,47 @@ def test_norm_table_matches_norm_equation(ring):
     assert len(table) == 1001 and table[0] == ()
     for n in range(1, 1001):
         assert tuple(QuadInt(a, b, ring) for a, b in table[n]) == norm_equation(ring, n), n
+
+
+def _box_scan_by_norm(ring, lo, hi):
+    # the slow reference: every pair of a padded float box that holds each
+    # canonical associate of norm at most hi (emb' <= sqrt(hi), emb < sqrt(hi)
+    # fund^2, as the embedding ratio lies in [1, fund^4)), kept by the exact tests
+    root, f = math.sqrt(hi), ring.fundamental_unit.embedding_float()
+    box = elements_in_embedding_box(ring, root * f * f * 1.001, root * 1.001)
+    table = {}
+    for a, b in sorted(p for p in box if lo <= pair_norm(p, ring.c1, ring.c0) <= hi):
+        if is_canonical_associate(QuadInt(a, b, ring)):
+            table.setdefault(pair_norm((a, b), ring.c1, ring.c0), []).append((a, b))
+    return table
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([TAU, SQRT2]), st.integers(1, 20_000), st.integers(0, 20_000))
+@example(SQRT2, 1, 1000)   # a row past an empty row holds an entry
+@example(SQRT2, 7, 8)      # row 4 is empty, row 5 holds 8 + 5 sqrt2, of norm 14
+@example(TAU, 2, 0)        # row 0 starts at a = 2: a = 1 has norm 1 < lo
+@example(TAU, 10_000, 10_000)
+def test_cone_walk_matches_the_box_scan(ring, lo, width):
+    hi = min(lo + width, 20_000)
+    assert quadratic._canonical_by_norm(ring, lo, hi) == _box_scan_by_norm(ring, lo, hi)
+
+
+@pytest.mark.parametrize("ring, rows", [(TAU, 100), (SQRT2, 200)])
+def test_cone_walk_stops_at_the_window_line(ring, rows):
+    # to the square limit 100^2 the walk takes the rows with b^2 < 100^2 d^2,
+    # d = -1 over Z[tau] and -2 over Z[sqrt2]: the row on the line is not walked
+    assert [b for b, _, _ in quadratic._norm_rows(ring, 1, 10 ** 4)] == list(range(rows))
+
+
+@pytest.mark.parametrize("ring", [TAU, SQRT2])
+def test_norm_table_pairs_counts_the_table(ring):
+    for limit in (1, 2, 97, 1000, 20_000):
+        pairs = quadratic.norm_table_pairs(ring, limit, 10 ** 12)
+        assert pairs == sum(map(len, norm_table(ring, limit))), limit
+    start = time.perf_counter()
+    assert quadratic.norm_table_pairs(ring, 10 ** 4000, CEILING) > CEILING
+    assert time.perf_counter() - start < 1.0
 
 
 @given(st.sampled_from([Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4]),
@@ -520,12 +563,12 @@ def test_verify_series_zisqrt2_300():
 
 
 def test_resource_guard(monkeypatch):
-    # 101 splits in Z[tau]: the walk scans 607 box pairs and tests 202 y
+    # 101 splits in Z[tau]: the walk reads 46 table entries and tests 202 y
     with pytest.raises(EnumerationBudgetExceeded):
-        count_ideals(Ambient.Z_ITAU_AS_Z4, 101, max_candidates=800)
+        count_ideals(Ambient.Z_ITAU_AS_Z4, 101, max_candidates=240)
     with pytest.raises(EnumerationBudgetExceeded):
         hnf_sublattices(4, 101, max_candidates=10)
-    # 2,253 y to 100, past the ceiling once the box of 603 pairs is admitted
+    # 2,253 y to 100, past the ceiling once the table of 44 entries is admitted
     with pytest.raises(EnumerationBudgetExceeded):
         verify_series(Ambient.Z_ITAU_AS_Z4, 100, max_candidates=2000)
 
@@ -541,22 +584,22 @@ def test_resource_guard(monkeypatch):
 
 
 def _walk_work(monkeypatch, ambient, indices):
-    """Box pairs the norm-table scan yields plus the y the root search tests,
-    counted while _counts walks the indices."""
+    """Entries of the norm table the walk reads plus the y the root search
+    tests, counted while _counts walks the indices."""
     work = [0]
-    box, test = quadratic.elements_in_embedding_box, lattice._is_multiple
+    table, test = lattice.norm_table, lattice._is_multiple
 
-    def counted_box(*args):
-        for pair in box(*args):
-            work[0] += 1
-            yield pair
+    def counted_table(*args):
+        entries = table(*args)
+        work[0] += sum(map(len, entries))
+        return entries
 
     def counted_test(*args):
         work[0] += 1
         return test(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(quadratic, "elements_in_embedding_box", counted_box)
+        patch.setattr(lattice, "norm_table", counted_table)
         patch.setattr(lattice, "_is_multiple", counted_test)
         _counts(ambient, indices, 10 ** 12)
     return work[0]
@@ -575,8 +618,8 @@ def test_budget_predicts_the_walk_exactly(monkeypatch, ambient):
 
 
 def test_large_range_is_refused_before_its_table(monkeypatch):
-    # the box to 10^6 is under the default ceiling (4,705,613 pairs over
-    # Z[tau], 8,278,465 over Z[sqrt2]), but each square n^2 <= 10^6 puts the
+    # the table to 10^6 is under the default ceiling (430,407 entries over
+    # Z[tau], 623,251 over Z[sqrt2]), but each square n^2 <= 10^6 puts the
     # n^2 y of e = n in the walk: 333,833,500 y, refused before any table
     def no_table(*args):
         raise AssertionError("norm table built for a refused range")

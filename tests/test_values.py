@@ -9,8 +9,8 @@ from simsub.catalog import CatalogEntry, SeriesName, zeta_q_tau
 from simsub.cubic import AffineSimilarity, QuatTau, Rotation3
 from simsub.dirichlet import ClassFactor, CoeffSeries, EulerFactor, EulerRule
 from simsub.lattice import Ambient, MultiplierAction, OracleReport, Submodule
-from simsub.quadratic import TAU, QuadInt
-from simsub.quartic import ITAU, QuarticInt
+from simsub.quadratic import SQRT2, TAU, QuadInt, QuadRing
+from simsub.quartic import ISQRT2, ITAU, QuarticInt, QuarticRing
 
 ZERO, ONE = TAU.zero(), TAU.one()
 _GEOM = ClassFactor((1,), (1, -1))
@@ -84,6 +84,34 @@ def test_value_type(cls, fields, args, other_args, text):
     assert repr(x) == text
     for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert twin == x and repr(twin) == text
+
+
+# the rings and the rotations keep their own __eq__, __hash__ and __repr__:
+# (instance, an unequal instance, the slots, repr)
+RINGS_AND_ROTATIONS = [
+    (TAU, SQRT2, QuadRing.__slots__, "QuadRing(tau)"),
+    (ITAU, ISQRT2, QuarticRing.__slots__, "QuarticRing(itau)"),
+    (Rotation3.from_int_rows(((0, 1, 0), (-1, 0, 0), (0, 0, 1))), Rotation3.identity(),
+     Rotation3.__slots__, "Rotation3((((0+0*tau), (1+0*tau), (0+0*tau)), ((-1+0*tau), "
+     "(0+0*tau), (0+0*tau)), ((0+0*tau), (0+0*tau), (1+0*tau))), (1+0*tau))"),
+]
+
+
+@pytest.mark.parametrize("x, other, slots, text", RINGS_AND_ROTATIONS,
+                         ids=[type(case[0]).__name__ for case in RINGS_AND_ROTATIONS])
+def test_rings_and_rotations_are_frozen(x, other, slots, text):
+    fields = {name: getattr(x, name) for name in slots}
+    for name in slots:
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):  # no instance dict takes a new name either
+        x.extra = 1
+    assert {name: getattr(x, name) for name in slots} == fields
+    assert x != other and repr(x) == text
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert twin == x and hash(twin) == hash(x) and repr(twin) == text
 
 
 def test_value_type_defaults():
