@@ -117,10 +117,10 @@ def cmd_enumerate(args) -> int:
             raise UsageError(f"--filter all would list more bases than the ceiling "
                              f"{MAX_LISTED_BASES}")
         subs = lattice.hnf_sublattices(rank, args.index, ambient, args.max_candidates)
+    elif args.filter == "principal":
+        subs = lattice.list_principal_ideals(ambient, args.index, args.max_candidates)
     else:
         subs = lattice.list_ideals(ambient, args.index, args.max_candidates)
-        if args.filter == "principal":
-            subs = [s for s in subs if lattice.is_principal(s)]
     # each basis is written as it is formatted, straight from its tuples: a
     # listing holds up to MAX_LISTED_BASES of them
     if args.format == "json":

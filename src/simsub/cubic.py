@@ -77,14 +77,13 @@ from .quadratic import (  # noqa: F401
     canonical_associate,
     canonical_unit,
     coprime,
-    elements_in_embedding_box,
     exact_div,
     gcd as qgcd,
     is_canonical_associate,
     norm_equation,
     pair_mul,
-    pair_sign,
     sign_embedding,
+    squares_under,
 )
 
 # Ceiling on the predicted component triples of one rotation enumeration.
@@ -363,18 +362,9 @@ def is_unit_similarity(alpha: QuadInt, rotation: Rotation3) -> bool:
 
 def _components(s: QuadInt):
     """(x, x^2 coordinates, x^2 embeddings) for each x with s - x^2 totally >= 0."""
-    e1 = s.embedding_float()
-    e2 = s.conj_embedding_float()
-    c1, c0 = TAU.c1, TAU.c0
     w1, w2 = TAU.omega_float, TAU.omega_conj_float
-    out = []
-    for x in elements_in_embedding_box(TAU, math.sqrt(e1) * 1.000001,
-                                       math.sqrt(e2) * 1.000001):
-        qa, qb = pair_mul(x, x, c1, c0)
-        ra, rb = s.a - qa, s.b - qb  # s - x^2, and its conjugate below
-        if pair_sign((ra, rb), c1, c0) >= 0 and pair_sign((ra + c1 * rb, -rb), c1, c0) >= 0:
-            out.append((QuadInt(*x, TAU), qa, qb, qa + qb * w1, qa + qb * w2))
-    return out
+    return [(QuadInt(*x, TAU), qa, qb, qa + qb * w1, qa + qb * w2)
+            for x, (qa, qb) in squares_under(TAU, (s.a, s.b))]
 
 
 def _primitive_quaternions(s: QuadInt, lam: tuple[int, int] | None = None

@@ -8,9 +8,10 @@ at a time by exact back substitution (`is_invariant`).  The ideals of the
 rings come from Hermite forms over the real quadratic ring R = Z[tau] or
 Z[sqrt2] instead, in one walk: of rank 1 for Z[tau] itself, of rank 2
 for Z[i,tau] and Z[i,sqrt2].  Both ranks take their diagonal entries
-from one table of canonical associates by norm (`quadratic.norm_table`,
-one integer walk for a whole range of indices), and neither reads a
-catalog series or a closed form of the count.
+from a table of canonical associates by norm (one integer walk over the
+norms the indices need, `quadratic._canonical_by_norm`), and neither
+reads a catalog series or a closed form of the count.  The principal
+ideals of the rank-4 rings come from a third walk, over their generators.
 
 One Hermite normal form.  Z and Z[tau] are both norm-Euclidean, so one
 column reduction, `column_hnf`, serves both: `hnf_canonical` runs it over
@@ -71,31 +72,70 @@ One walk for both ranks.  `_forms` yields, for each ideal, its index m
 and the integer columns named above: d and tau d at rank 1, the four
 columns of the Hermite form at rank 2.  `_counts` counts them, and
 `_ideals` takes the Z-HNF of each by `hnf_canonical`, checks that its
-diagonal product is m, and sorts the ideals of an index by diagonal,
-then in flat HNF order; for Z[tau] that is by (h, l), then by k.
+diagonal product is m, keeps one basis per ideal, and sorts the ideals
+of an index by diagonal, then in flat HNF order; for Z[tau] that is by
+(h, l), then by k.  Rank 1 reads only the norms of its indices, so it
+walks the table over [first index, last index]; rank 2 reads the norms
+m / n^2 and n, so it walks the table from norm 1.
+
+Principal ideals over Z[w], rank 2.  Let O = Z[i,w] = R + R i.  Complex
+conjugation fixes R, so alpha = P + Q i has the relative norm
+alpha conj(alpha) = P^2 + Q^2 in R, which generates the R-ideal
+N(alpha O), and [O : alpha O] is its norm to Z.  Each real embedding of
+R extends to a complex one of O that maps conj to complex conjugation,
+so both embeddings of P^2 + Q^2 are squared absolute values: for
+alpha != 0 it is totally positive, of norm [O : alpha O] > 0.  The
+fundamental unit mu (tau, or 1 + sqrt2) has norm -1, so the totally
+positive units of R are the mu^(2l), and the canonical associate of
+P^2 + Q^2 is (P^2 + Q^2) mu^(2l) = N(alpha mu^l) for one l: each
+principal ideal of index m has a generator with P^2 + Q^2 = d, for the
+one canonical d of norm m associate to the relative norm of any of its
+generators.  The units of O are the i^k mu^l (see
+`quartic.quartic_unit_normal_form`), of relative norm mu^(2l), so the
+generators with relative norm d are exactly the alpha i^k: +-alpha and
++-i alpha, four per ideal.  Conversely every P + Q i with P^2 + Q^2 = d
+generates an ideal of index N(d) = m.  Q^2 is totally >= 0, so d - P^2
+is too, and both embeddings of P are at most the square roots of those
+of d in size: one finite box per d (`quadratic.root_box`, floats only
+size it).  `_principal_forms` keeps the box pairs P with d - P^2 totally
+>= 0, by the exact `pair_sign` of both embeddings
+(`quadratic.squares_under`), keys them by P^2, and for each key looks up
+d - P^2 among the keys: the Q of the key found are the partners of
+every P of the key.  It yields the
+columns of regular_rep(P + Q i), that is alpha times 1, i, w and i w,
+and `_ideals` takes them to one basis per ideal.  An ideal I of index n
+is principal iff some generator alpha of the walk at n lies in I: then
+alpha O lies in I and has its index, so it is I (`is_principal`).
 
 The budget.  `max_candidates` bounds the work of the walk, which `_forms`
-counts exactly before it does it: the entries of the norm table
-(`quadratic.norm_table_pairs`, the sum of the row lengths of the cone
-walk that builds the table, each row exactly its entries), plus at rank
-2 the y the root search tests, the sum of h l = N(e) over the distinct e
-of the walk, read off the integer HNFs of the e.  The entries are
-counted before the table is built, and the count stops at the first row
-that passes the ceiling, so a huge index or range is refused at once,
-with no float of it.  A lower bound of the y is checked before the table
-too: the rational integer n is a canonical associate (totally positive,
-embedding ratio 1) of norm n^2, so at each index n^2 the walk meets
-e = n, with n^2 y in its box.  The sum is checked as the HNFs are
-built, after the table and before the first y is tested.  So no walk
-does more than max_candidates steps, and a range far over it is refused
-before its table is built.
-The Z-HNF count bounds only `hnf_sublattices`, which lists Z-HNF bases.
+counts exactly before it does it: the rows and entries of the norm table
+(`quadratic.norm_table_pairs`: one step per row of the cone walk that
+builds the table, counted in closed form, plus the row lengths, each
+row exactly its entries), plus at rank 2 the y the root search tests,
+the sum of h l = N(e) over the distinct e of the walk, read off the
+integer HNFs of the e.  The table's work is counted before the table is
+built, and the count stops at the first row that passes the ceiling, so
+a huge index or range is refused at once, with no float of it.  A lower
+bound of the y is checked before the table too: the rational integer n
+is a canonical associate (totally positive, embedding ratio 1) of norm
+n^2, so at each index n^2 the walk meets e = n, with n^2 y in its box.
+The sum is checked as the HNFs are built, after the table and before
+the first y is tested.  So no walk does more than max_candidates steps,
+and a range far over it is refused before its table is built.
 
-Principality.  A generator re + i*im (re, im in the real quadratic
-ring) has relative norm re^2 + im^2.  The search squares each element
-of its box once, as an integer pair, and passes a candidate on to the
-exact membership and HNF checks only when the integer norm of the summed
-squares equals the index.
+The principal walk counts the table's rows and entries, then, after the
+table and before the first pair, the pairs of each d's box.  Before the
+table it checks a lower bound of the boxes.  A canonical d of norm N has
+embedding ratio in [1, mu^4) and product N, so its smaller embedding is
+over sqrt(N) / mu^2 > sqrt(N) / 6 (mu^2 is about 2.62 and 5.83).  With
+s = isqrt(isqrt(N // 2916)), 9 s^2 <= sqrt(N) / 6; |w| and |w'| are
+below 2 in both rings, so each P = a + b w with |a|, |b| <= s has both
+embeddings at most 3 s in size, P^2 <= d, and P lies in the box of d:
+(2 s + 1)^2 pairs.  The walk counts them for each d of norm in
+[max(lo, hi // 2), hi], at the least norm, when its indices are all of
+lo..hi (at hi alone otherwise), from the entry counts of the cone rows,
+before the table is built.
+The Z-HNF count bounds only `hnf_sublattices`, which lists Z-HNF bases.
 """
 
 from __future__ import annotations
@@ -112,9 +152,9 @@ from .dirichlet import divisors
 from .errors import InvariantViolation
 from .frozen import Frozen
 from .parallel import map_ordered
-from .quadratic import (SQRT2, TAU, elements_in_embedding_box, is_canonical_associate,
-                        norm_table, norm_table_pairs, pair_mul)
-from .quartic import ISQRT2, ITAU, QuarticInt, regular_rep
+from .quadratic import (SQRT2, TAU, _canonical_by_norm, _norm_rows, is_canonical_associate,
+                        norm_table, norm_table_pairs, pair_mul, root_box, squares_under)
+from .quartic import ISQRT2, ITAU, regular_rep
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
 
@@ -481,6 +521,14 @@ def _square_parts(indices: Sequence[int]) -> Iterator[tuple[int, int, int]]:
             if m % (n * n) == 0)
 
 
+def _window(indices: Sequence[int]) -> tuple[int, int]:
+    """(first, last) of the increasing indices, (1, 0) for none; ValueError below 1."""
+    lo, hi = (indices[0], indices[-1]) if indices else (1, 0)
+    if lo < 1:
+        raise ValueError("index must be >= 1")
+    return lo, hi
+
+
 def _forms(ambient: Ambient, indices: Sequence[int], max_candidates: int):
     """(m, columns) of each ideal of the increasing indices, index by index.
 
@@ -497,19 +545,21 @@ def _forms(ambient: Ambient, indices: Sequence[int], max_candidates: int):
     that is not a ring.
     """
     quad, ring = _ring(ambient)
-    if indices and indices[0] < 1:
-        raise ValueError("index must be >= 1")
-    limit = indices[-1] if indices else 0
+    lo, limit = _window(indices)
+    c1, c0 = quad.c1, quad.c0
+    if ring is None:
+        _refuse_if(norm_table_pairs(quad, limit, max_candidates, lo) > max_candidates,
+                   max_candidates)
+        table = _canonical_by_norm(quad, lo, limit)
+        yield from ((m, (d, pair_mul(d, (0, 1), c1, c0)))
+                    for m in indices for d in table.get(m, ()))
+        return
     work = norm_table_pairs(quad, limit, max_candidates)
     _refuse_if(work > max_candidates, max_candidates)
-    if ring is not None:  # a lower bound of the y: at each index n^2 the walk meets e = n
-        _refuse_if(work + sum(n * n for n in range(1, math.isqrt(limit) + 1)
-                              if n * n in indices) > max_candidates, max_candidates)
-    c1, c0 = quad.c1, quad.c0
+    # a lower bound of the y: at each index n^2 the walk meets e = n
+    _refuse_if(work + sum(n * n for n in range(1, math.isqrt(limit) + 1)
+                          if n * n in indices) > max_candidates, max_candidates)
     table = norm_table(quad, limit)
-    if ring is None:
-        yield from ((m, (d, pair_mul(d, (0, 1), c1, c0))) for m in indices for d in table[m])
-        return
     hnfs = {}  # e -> the integer HNF (h, k, l) of e R; the root search tests h l y
     for _, _, k in _square_parts(indices):
         for e in table[k]:
@@ -537,19 +587,19 @@ def _ideals(ambient: Ambient, forms) -> Iterator[Submodule]:
     by diagonal, then in flat HNF order.
 
     Each form becomes the Z-HNF of its columns, whose index is checked
-    against m.
+    against m; forms that span one ideal (the four generators of a
+    principal ideal) give it once.
     """
     positions = _positions(ambient_rank(ambient))
     for m, group in itertools.groupby(forms, key=lambda f: f[0]):
-        bases = []
+        bases = set()
         for _, columns in group:
             basis = hnf_canonical(columns)
             if math.prod(row[i] for i, row in enumerate(basis)) != m:
                 raise InvariantViolation(f"ideal spanned by {columns} has index other than {m}")
-            bases.append(basis)
-        bases.sort(key=lambda b: (tuple(row[i] for i, row in enumerate(b)),
-                                  tuple(b[i][j] for i, j in positions)))
-        for basis in bases:
+            bases.add(basis)
+        for basis in sorted(bases, key=lambda b: (tuple(row[i] for i, row in enumerate(b)),
+                                                  tuple(b[i][j] for i, j in positions))):
             yield Submodule(ambient, basis)
 
 
@@ -573,82 +623,67 @@ def list_ideals(ambient: Ambient, m: int,
 
 
 # ---------------------------------------------------------------------------
-# principality
+# principal ideals: generators P + Q i with P^2 + Q^2 = d
 
 
-def _norm_targets(quad, n: int, bound: float) -> list[tuple[int, int]]:
-    """(u, v) of each totally positive w = u + v*omega with N(w) = n >= 1 and
-    both float embeddings at most the bound.
+def _principal_forms(ambient: Ambient, indices: Sequence[int], max_candidates: int):
+    """(m, columns) of each generator P + Q i with P^2 + Q^2 a canonical d of
+    norm m, for the increasing indices, index by index.
 
-    N(w) = n gives (2u + c1 v)^2 = D v^2 + 4n, and w is totally positive iff
-    its trace 2u + c1 v is the positive root; |v| (omega - omega') is
-    |emb(w) - emb'(w)| < bound.  One exact isqrt per v.
+    The columns are those of regular_rep(P + Q i); each principal ideal of
+    index m is reached by exactly four of them (see "Principal ideals over
+    Z[w], rank 2" in the module docstring).  Before the first pair it
+    raises EnumerationBudgetExceeded as "The budget" there states, and
+    ValueError for an index below 1 or an ambient that is not a rank-4 ring.
     """
-    w1, w2 = quad.omega_float, quad.omega_conj_float
-    c1, disc = quad.c1, quad.discriminant
-    vmax = int(bound / (w1 - w2)) + 1
-    out = []
-    for v in range(-vmax, vmax + 1):
-        t = disc * v * v + 4 * n
-        root = math.isqrt(t)
-        if root * root != t or (root - c1 * v) % 2:
-            continue
-        u = (root - c1 * v) // 2
-        if u + v * w1 <= bound and u + v * w2 <= bound:
-            out.append((u, v))
-    return out
+    quad, ring = _ring(ambient)
+    if ring is None:
+        raise ValueError("principality is defined for the rank-4 ring ambients")
+    lo, hi = _window(indices)
+    work = norm_table_pairs(quad, hi, max_candidates, lo)
+    _refuse_if(work > max_candidates, max_candidates)
+    # a lower bound of the boxes, before the table: the (2 s + 1)^2 pairs
+    # |a|, |b| <= s of each d of norm at least top
+    top = max(lo, hi // 2) if len(indices) == hi - lo + 1 else hi
+    s = math.isqrt(math.isqrt(top // 2916))
+    entries = sum(max(stop - start, 0) for _, start, stop in _norm_rows(quad, top, hi))
+    _refuse_if(work + (2 * s + 1) ** 2 * entries > max_candidates, max_candidates)
+    table = _canonical_by_norm(quad, lo, hi)
+    for m in indices:
+        for d in table.get(m, ()):
+            work += sum(stop - start for _, start, stop in root_box(quad, d))
+            _refuse_if(work > max_candidates, max_candidates)
+    for m in indices:
+        for u, v in table.get(m, ()):
+            squares = {}  # P^2 -> the P
+            for p, p2 in squares_under(quad, (u, v)):
+                squares.setdefault(p2, []).append(p)
+            for (pu, pv), ps in squares.items():
+                for q in squares.get((u - pu, v - pv), ()):
+                    for p in ps:
+                        yield m, tuple(zip(*regular_rep(ring.from_pairs(p, q))))
+
+
+def list_principal_ideals(ambient: Ambient, m: int,
+                          max_candidates: int = DEFAULT_MAX_CANDIDATES) -> list[Submodule]:
+    """Principal ideals of index m of a rank-4 ring, in the order of list_ideals."""
+    return list(_ideals(ambient, _principal_forms(ambient, (m,), max_candidates)))
 
 
 def is_principal(sub: Submodule) -> bool:
-    """Whether an ideal is generated by a single element.
+    """Whether an ideal of a rank-4 ring is generated by a single element.
 
-    A generator must be an ideal element whose absolute norm equals the
-    index.  Units i^k mu^l move any generator into the fundamental domain
-    where both archimedean square-magnitudes are at most sqrt(index)*mu1;
-    we scan that box enlarged by a factor 2 per embedding, so an empty
-    scan proves non-principality.  Floats only size the box.
-
-    A pair re, im of box elements whose embeddings pass the float cap test
-    gives w = re^2 + im^2 with both embeddings in [0, cap + 1e-9], so
-    N(re + i*im) = N(w) = n forces w totally positive: w is one of the
-    _norm_targets under a padded cap.  So looking up w - re^2 among the
-    squared box elements, for each re and target, tries exactly the pairs
-    of the full pair scan with N(w) = n.
+    It is iff one generator alpha of the principal walk at its index lies
+    in it: alpha O then lies in the ideal and has its index.  ValueError
+    for another ambient or a submodule that is not an ideal, and
+    EnumerationBudgetExceeded past the default ceiling.
     """
-    ring = _ring(sub.ambient)[1]
-    if ring is None:
+    if _ring(sub.ambient)[1] is None:
         raise ValueError("principality is defined for the rank-4 ring ambients")
     if not is_invariant(sub, ambient_actions(sub.ambient)):
         raise ValueError("submodule is not an ideal")
-    n = sub.index
-    quad = ring.quad
-    mu1 = quad.fundamental_unit.embedding_float()
-    cap = 2.0 * math.sqrt(n) * mu1
-    side = math.sqrt(cap) * 1.0000001
-    c1, c0 = quad.c1, quad.c0
-    w1, w2 = quad.omega_float, quad.omega_conj_float
-    by_square: dict[tuple[int, int], list] = {}  # the box elements by their square
-    for x in elements_in_embedding_box(quad, side, side):
-        a, b = x
-        e1 = (a + b * w1) ** 2
-        e2 = (a + b * w2) ** 2
-        if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
-            by_square.setdefault(pair_mul(x, x, c1, c0), []).append((e1, a, b, e2))
-    targets = _norm_targets(quad, n, cap * (1 + 1e-9) + 1e-6)
-    for (ru, rv), roots in by_square.items():
-        for u, v in targets:
-            partners = by_square.get((u - ru, v - rv), ())
-            for r1, ra, rb, r2 in roots:
-                for s1, sa, sb, s2 in partners:
-                    if r1 + s1 > cap + 1e-9 or r2 + s2 > cap + 1e-9:
-                        continue
-                    cand = QuarticInt((ra, sa, rb, sb), ring)
-                    if not sub.contains(cand.coeffs):
-                        continue
-                    generated = hnf_canonical(list(zip(*regular_rep(cand))))
-                    if generated == sub.basis:
-                        return True
-    return False
+    return any(sub.contains(columns[0]) for _, columns in
+               _principal_forms(sub.ambient, (sub.index,), DEFAULT_MAX_CANDIDATES))
 
 
 def count_similarity_submodules(ambient: Ambient, m: int,
@@ -663,15 +698,13 @@ def count_similarity_submodules(ambient: Ambient, m: int,
 
 def _similarity_counts(ambient: Ambient, indices: Sequence[int],
                        max_candidates: int) -> list[int]:
-    """count_similarity_submodules of each of the increasing indices, in one walk.
-
-    Each ideal of Z[i,sqrt2] is tested for principality as the walk finds
-    it, so the ideals of the range are never held in one list.
-    """
-    forms = _forms(ambient, indices, max_candidates)
+    """count_similarity_submodules of each of the increasing indices, in one walk:
+    over the ideals, or over the generators of the principal ideals for
+    Z[i,sqrt2], whose ideals of one index at a time are held."""
     if ambient is Ambient.Z_ISQRT2_AS_Z4:
-        forms = ((sub.index, sub) for sub in _ideals(ambient, forms) if is_principal(sub))
-    return _counts(forms, indices)
+        principal = _ideals(ambient, _principal_forms(ambient, indices, max_candidates))
+        return _counts(((sub.index, sub) for sub in principal), indices)
+    return _counts(_forms(ambient, indices, max_candidates), indices)
 
 
 # ---------------------------------------------------------------------------

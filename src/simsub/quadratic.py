@@ -486,21 +486,44 @@ def splitting_class(p: int, ring: QuadRing) -> SplittingClass:
     return SplittingClass.SPLIT if p % 8 in (1, 7) else SplittingClass.INERT
 
 
-def elements_in_embedding_box(ring: QuadRing, bound1: float, bound2: float):
-    """The (a, b) pair of each x = a + b*w with |emb(x)| <= bound1 and
-    |emb'(x)| <= bound2, a bit padded, b then a increasing.
+def embedding_box_rows(ring: QuadRing, bound1: float, bound2: float):
+    """(b, start, stop) for each row b of the box of the x = a + b*w with
+    |emb(x)| <= bound1 and |emb'(x)| <= bound2, a bit padded, b increasing:
+    the pairs of row b are the (a, b) with start <= a < stop.
 
     The box is computed with floats and widened by one unit in each
     integer coordinate, so it may over-include but never under-include;
-    callers apply their own exact filters, and build a QuadInt only for
-    the pairs they keep.
+    callers apply their own exact filters.
     """
     w1, w2 = ring.omega_float, ring.omega_conj_float
     bmax = int((bound1 + bound2) / (w1 - w2)) + 1
     for b in range(-bmax, bmax + 1):
         lo, hi = max(-bound1 - b * w1, -bound2 - b * w2), min(bound1 - b * w1, bound2 - b * w2)
         if hi >= lo - 1:
-            yield from ((a, b) for a in range(math.floor(lo) - 1, math.ceil(hi) + 2))
+            yield b, math.floor(lo) - 1, math.ceil(hi) + 2
+
+
+def root_box(ring: QuadRing, s: tuple[int, int]):
+    """The rows (see embedding_box_rows) of a box that holds every x with
+    s - x^2 totally >= 0, for a totally positive pair s: both embeddings of
+    such an x are at most the square roots of those of s in size.  Floats
+    only size the box."""
+    return embedding_box_rows(ring, math.sqrt(s[0] + s[1] * ring.omega_float),
+                              math.sqrt(s[0] + s[1] * ring.omega_conj_float))
+
+
+def squares_under(ring: QuadRing, s: tuple[int, int]):
+    """(x, x^2), as pairs, for each x with s - x^2 totally >= 0, b then a
+    increasing: the pairs of root_box(ring, s), each squared once and kept
+    by the exact pair_sign of both embeddings of s - x^2 (the conjugate of
+    a + b w is (a + c1 b) - b w)."""
+    c1, c0 = ring.c1, ring.c0
+    for b, start, stop in root_box(ring, s):
+        for a in range(start, stop):
+            x2 = pair_mul((a, b), (a, b), c1, c0)
+            r, t = s[0] - x2[0], s[1] - x2[1]
+            if pair_sign((r, t), c1, c0) >= 0 and pair_sign((r + c1 * t, -t), c1, c0) >= 0:
+                yield (a, b), x2
 
 
 def _norm_rows(ring: QuadRing, lo: int, hi: int):
@@ -524,13 +547,18 @@ def _norm_rows(ring: QuadRing, lo: int, hi: int):
     need not grow with b (over Z[sqrt2] it is 8 at b = 2 and 7 at b = 3).
     """
     d, e = ring._window
-    c1, disc, line = ring.c1, ring.discriminant, pair_norm((-e, d), ring.c1, ring.c0)
-    b = 0
-    while line * b * b < hi * d * d:
+    c1, disc = ring.c1, ring.discriminant
+    for b in range(_row_count(ring, hi)):
         up = math.isqrt(disc * b * b + 4 * lo - 1) + 1  # the square root rounded up, lo >= 1
         yield (b, max(e * b // -d + 1, (up - c1 * b + 1) // 2),
                (math.isqrt(disc * b * b + 4 * hi) - c1 * b) // 2 + 1)
-        b += 1
+
+
+def _row_count(ring: QuadRing, hi: int) -> int:
+    """The number of rows of _norm_rows to hi: the b >= 0 with line b^2 <
+    hi d^2, for line = N(-e, d), that is with b^2 <= (hi d^2 - 1) // line."""
+    d, e = ring._window
+    return math.isqrt((hi * d * d - 1) // pair_norm((-e, d), ring.c1, ring.c0)) + 1 if hi > 0 else 0
 
 
 def _canonical_by_norm(ring: QuadRing, lo: int, hi: int) -> dict[int, list[tuple[int, int]]]:
@@ -564,19 +592,25 @@ def norm_table(ring: QuadRing, limit: int) -> tuple[tuple[tuple[int, int], ...],
     return tuple(tuple(table.get(n, ())) for n in range(limit + 1))
 
 
-def norm_table_pairs(ring: QuadRing, limit: int, ceiling: int) -> int:
-    """The number of entries of norm_table(ring, limit), or, once the rows
-    summed so far pass ceiling, that partial sum.
+def norm_table_pairs(ring: QuadRing, limit: int, ceiling: int, lo: int = 1) -> int:
+    """The work of the cone walk over the norms lo..limit (1 <= lo): one
+    step per row plus its entries, or, once the steps summed so far pass
+    ceiling, that partial sum.
 
     Each row of the cone walk holds exactly its entries (see _norm_rows),
     so the sum of the row lengths is the entry count, on integers only.
-    A 4,000-digit limit passes a ceiling at row 0.
+    An empty row still costs its step: over Z[tau] the norm window
+    [m, m] at m = 23,233,704 has 4,821 rows and no entry.  The rows are
+    counted first, in closed form (_row_count), so a 4,000-digit limit
+    passes a ceiling before any row.
     """
-    pairs = 0
-    for _, start, stop in _norm_rows(ring, 1, limit):
-        if (pairs := pairs + max(stop - start, 0)) > ceiling:
+    work = _row_count(ring, limit)
+    if work > ceiling:
+        return work
+    for _, start, stop in _norm_rows(ring, lo, limit):
+        if (work := work + max(stop - start, 0)) > ceiling:
             break
-    return pairs
+    return work
 
 
 def units_up_to_height(ring: QuadRing, height: int) -> list[QuadInt]:

@@ -51,6 +51,10 @@ class QuarticRing(Frozen):
     def from_int(self, n: int) -> QuarticInt:
         return QuarticInt((n, 0, 0, 0), self)
 
+    def from_pairs(self, re: tuple[int, int], im: tuple[int, int]) -> QuarticInt:
+        """re + i*im, for re and im given as (a, b) pairs of the real quadratic ring."""
+        return QuarticInt((re[0], im[0], re[1], im[1]), self)
+
     def basis(self) -> tuple[QuarticInt, ...]:
         return (self.one(), self.i(), self.omega(),
                 QuarticInt((0, 0, 0, 1), self))

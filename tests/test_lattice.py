@@ -23,12 +23,17 @@ from simsub.lattice import (
     verify_series,
 )
 from simsub.errors import InvariantViolation
-from simsub.quadratic import (SQRT2, TAU, QuadInt, elements_in_embedding_box,
-                              is_canonical_associate, norm_equation, norm_table, pair_mul,
-                              pair_norm, sign_embedding)
+from simsub.quadratic import (SQRT2, TAU, QuadInt, embedding_box_rows, is_canonical_associate,
+                              norm_equation, norm_table, pair_mul, pair_norm, sign_embedding)
 from simsub.quartic import ISQRT2, ITAU, QuarticInt, regular_rep
 
 CEILING = lattice.DEFAULT_MAX_CANDIDATES
+
+
+def _box(ring, bound1, bound2):
+    # the (a, b) pairs of the padded float box, row by row
+    return [(a, b) for b, start, stop in embedding_box_rows(ring, bound1, bound2)
+            for a in range(start, stop)]
 
 
 def _counts(ambient, indices, max_candidates):
@@ -212,7 +217,7 @@ def _box_scan_by_norm(ring, lo, hi):
     # canonical associate of norm at most hi (emb' <= sqrt(hi), emb < sqrt(hi)
     # fund^2, as the embedding ratio lies in [1, fund^4)), kept by the exact tests
     root, f = math.sqrt(hi), ring.fundamental_unit.embedding_float()
-    box = elements_in_embedding_box(ring, root * f * f * 1.001, root * 1.001)
+    box = _box(ring, root * f * f * 1.001, root * 1.001)
     table = {}
     for a, b in sorted(p for p in box if lo <= pair_norm(p, ring.c1, ring.c0) <= hi):
         if is_canonical_associate(QuadInt(a, b, ring)):
@@ -240,11 +245,28 @@ def test_cone_walk_stops_at_the_window_line(ring, rows):
 
 @pytest.mark.parametrize("ring", [TAU, SQRT2])
 def test_norm_table_pairs_counts_the_table(ring):
+    # one step per row of the cone walk, empty or not, plus the entries
     for limit in (1, 2, 97, 1000, 20_000):
-        pairs = quadratic.norm_table_pairs(ring, limit, 10 ** 12)
-        assert pairs == sum(map(len, norm_table(ring, limit))), limit
+        for lo in (1, limit // 2 + 1, limit):
+            rows = len(list(quadratic._norm_rows(ring, lo, limit)))
+            entries = sum(map(len, quadratic._canonical_by_norm(ring, lo, limit).values()))
+            assert quadratic.norm_table_pairs(ring, limit, 10 ** 12, lo) == rows + entries
+        assert quadratic.norm_table_pairs(ring, limit, 10 ** 12) == \
+            len(list(quadratic._norm_rows(ring, 1, limit))) + sum(map(len, norm_table(ring, limit)))
+    assert quadratic.norm_table_pairs(ring, 0, 10 ** 12) == 0
     start = time.perf_counter()
     assert quadratic.norm_table_pairs(ring, 10 ** 4000, CEILING) > CEILING
+    assert quadratic.norm_table_pairs(ring, 10 ** 4000, CEILING, 10 ** 4000) > CEILING
+    assert time.perf_counter() - start < 1.0
+
+
+def test_single_index_walks_read_only_its_norms():
+    # over Z[tau] the window [m, m] at m = 23,233,704 has 4,821 rows and no
+    # entry; the table to m would hold 23 million positions
+    m = 23_233_704
+    assert quadratic.norm_table_pairs(TAU, m, CEILING, m) == 4821
+    start = time.perf_counter()
+    assert list_ideals(Ambient.Z_TAU_AS_Z2, m) == []
     assert time.perf_counter() - start < 1.0
 
 
@@ -327,8 +349,7 @@ def test_ztau_ideals_are_invariant_of_their_index(m):
 
 def test_ztau_ideal_of_wrong_index_raises(monkeypatch):
     # a norm table that lists the unit 1, of norm 1, at norm 2
-    monkeypatch.setattr(lattice, "norm_table",
-                        lambda ring, limit: ((), (), ((1, 0),)))
+    monkeypatch.setattr(lattice, "_canonical_by_norm", lambda ring, lo, hi: {2: [(1, 0)]})
     with pytest.raises(InvariantViolation):
         list_ideals(Ambient.Z_TAU_AS_Z2, 2)
 
@@ -387,7 +408,7 @@ def is_principal_by_quartic(sub):
     cap = 2.0 * math.sqrt(n) * mu1
     side = math.sqrt(cap) * 1.0000001
     pairs = []
-    for a, b in elements_in_embedding_box(ring.quad, side, side):
+    for a, b in _box(ring.quad, side, side):
         x = QuadInt(a, b, ring.quad)
         e1 = x.embedding_float() ** 2
         e2 = x.conj_embedding_float() ** 2
@@ -412,82 +433,17 @@ def is_principal_by_quartic(sub):
 def test_is_principal_matches_quartic_norm_reference(ambient, limit):
     principal = 0
     for m in range(1, limit + 1):
+        expected = []
         for sub in list_ideals(ambient, m):
             got = is_principal(sub)
             assert got == is_principal_by_quartic(sub), (ambient, sub.basis)
             principal += got
+            expected += [sub] * got
+        assert lattice.list_principal_ideals(ambient, m) == expected, (ambient, m)
     if ambient is Ambient.Z_ITAU_AS_Z4:
         assert principal == sum(catalog.zeta_q_itau(limit).coeffs)
     else:
         assert principal == sum(catalog.zeta_zi_sqrt2(limit).coeffs)
-
-
-def _principal_cap(quad, n):
-    # the cap of is_principal, and the padded bound of its target list
-    cap = 2.0 * math.sqrt(n) * quad.fundamental_unit.embedding_float()
-    return cap, cap * (1 + 1e-9) + 1e-6
-
-
-@pytest.mark.parametrize("ring", [ITAU, ISQRT2])
-def test_norm_targets_match_brute_scan(ring):
-    # every n <= 300: one brute scan of the [0, 2 cap]^2 embedding box of n = 300,
-    # by exact norm and total positivity, then the float cap test of each n
-    quad = ring.quad
-    w1, w2 = quad.omega_float, quad.omega_conj_float
-    wide = 2 * _principal_cap(quad, 300)[1]
-    box = [QuadInt(a, b, quad) for a, b in elements_in_embedding_box(quad, wide, wide)]
-    positive = [x for x in box if 1 <= x.norm() <= 300 and x.a > 0
-                and x.a + x.b * w1 <= wide and x.a + x.b * w2 <= wide]
-    assert all(sign_embedding(x) > 0 and sign_embedding(x.conj()) > 0 for x in positive)
-    for n in range(1, 301):
-        bound = _principal_cap(quad, n)[1]
-        expected = sorted((x.a, x.b) for x in positive if x.norm() == n
-                          and x.a + x.b * w1 <= bound and x.a + x.b * w2 <= bound)
-        got = lattice._norm_targets(quad, n, bound)
-        assert sorted(got) == expected and len(set(got)) == len(got), (quad, n)
-
-
-def _norm_passing_pairs(sub):
-    """Coefficients of every box pair of the full pair scan whose re^2 + im^2 has norm n."""
-    ring = {Ambient.Z_ITAU_AS_Z4: ITAU, Ambient.Z_ISQRT2_AS_Z4: ISQRT2}[sub.ambient]
-    quad, n = ring.quad, sub.index
-    cap = _principal_cap(quad, n)[0]
-    side = math.sqrt(cap) * 1.0000001
-    box = []
-    for a, b in elements_in_embedding_box(quad, side, side):
-        x = QuadInt(a, b, quad)
-        e1, e2 = x.embedding_float() ** 2, x.conj_embedding_float() ** 2
-        if e1 <= cap + 1e-9 and e2 <= cap + 1e-9:
-            box.append((e1, e2, x.a, x.b, pair_mul((x.a, x.b), (x.a, x.b), quad.c1, quad.c0)))
-    return sorted((ra, sa, rb, sb) for r1, r2, ra, rb, (ru, rv) in box
-                  for s1, s2, sa, sb, (su, sv) in box
-                  if r1 + s1 <= cap + 1e-9 and r2 + s2 <= cap + 1e-9
-                  and abs(pair_norm((ru + su, rv + sv), quad.c1, quad.c0)) == n)
-
-
-@pytest.mark.parametrize("ambient, limit", [
-    (Ambient.Z_ISQRT2_AS_Z4, 60),
-    (Ambient.Z_ITAU_AS_Z4, 30),
-])
-def test_is_principal_tries_exactly_the_norm_passing_pairs(ambient, limit, monkeypatch):
-    # with every membership test failing, the lookup tries each pair once;
-    # the ideals are listed as invariant already, so the ideal check is skipped
-    tried = []
-
-    def record(sub, vector):
-        tried.append(tuple(vector))
-        return False
-
-    subs = [sub for m in range(1, limit + 1) for sub in list_ideals(ambient, m)]
-    monkeypatch.setattr(lattice, "is_invariant", lambda sub, actions: True)
-    monkeypatch.setattr(Submodule, "contains", record)
-    total = 0
-    for sub in subs:
-        tried.clear()
-        assert not is_principal(sub)
-        assert sorted(tried) == _norm_passing_pairs(sub), sub.basis
-        total += len(tried)
-    assert total >= len(subs)
 
 
 _parts = st.integers(-10 ** 6, 10 ** 6)
@@ -557,18 +513,59 @@ def test_verify_series_zitau_1000():
     assert report.summary() == "1000/1000 match"
 
 
-def test_verify_series_zisqrt2_300():
-    report = verify_series(Ambient.Z_ISQRT2_AS_Z4, 300, max_candidates=10 ** 10)
-    assert report.summary() == "300/300 match"
+def test_verify_series_zisqrt2_1000():
+    report = verify_series(Ambient.Z_ISQRT2_AS_Z4, 1000)
+    assert report.summary() == "1000/1000 match"
+
+
+def test_principal_walk_over_zitau_gives_the_ideal_counts():
+    # Z[i,tau] has class number 1: the walk over generators and the walk over
+    # Hermite forms count the same ideals, two independent walks
+    indices = range(1, 1001)
+    principal = _principal_counts(Ambient.Z_ITAU_AS_Z4, indices, CEILING)
+    assert principal == _counts(Ambient.Z_ITAU_AS_Z4, indices, CEILING)
+
+
+@pytest.mark.parametrize("ambient", [Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4])
+def test_every_principal_ideal_has_exactly_four_generators(ambient):
+    # +-alpha and +-i alpha, and no other generator, have the canonical relative
+    # norm; the ideals they span are as many as the catalog counts
+    generators = {}
+    for m, columns in lattice._principal_forms(ambient, range(1, 301), CEILING):
+        basis = hnf_canonical(columns)
+        generators.setdefault(basis, []).append(columns[0])
+    series = catalog.zeta_q_itau if ambient is Ambient.Z_ITAU_AS_Z4 else catalog.zeta_zi_sqrt2
+    assert len(generators) == sum(series(300).coeffs)
+    for basis, alphas in generators.items():
+        a0, a1, a2, a3 = alphas[0]
+        assert sorted(alphas) == sorted([(a0, a1, a2, a3), (-a0, -a1, -a2, -a3),
+                                         (-a1, a0, -a3, a2), (a1, -a0, a3, -a2)]), basis
+
+
+@pytest.mark.parametrize("ring", [TAU, SQRT2])
+def test_squares_under_keeps_exactly_the_p_with_p_squared_under_d(ring):
+    # for each canonical d of norm <= 300: the P the principal walk keys by
+    # P^2 are the P with d - P^2 totally >= 0, by QuadInt signs over a four
+    # times wider box, in the order of the box rows
+    c1, c0 = ring.c1, ring.c0
+    for d in (p for row in norm_table(ring, 300) for p in row):
+        x = QuadInt(*d, ring)
+        s1, s2 = math.sqrt(x.embedding_float()), math.sqrt(x.conj_embedding_float())
+        wide = [QuadInt(a, b, ring) for a, b in _box(ring, 4 * s1, 4 * s2)]
+        expected = [(p.a, p.b) for p in wide if sign_embedding(x - p * p) >= 0
+                    and sign_embedding((x - p * p).conj()) >= 0]
+        got = list(quadratic.squares_under(ring, d))
+        assert [p for p, _ in got] == expected, d
+        assert all(pair_mul(p, p, c1, c0) == p2 for p, p2 in got), d
 
 
 def test_resource_guard(monkeypatch):
-    # 101 splits in Z[tau]: the walk reads 46 table entries and tests 202 y
+    # 101 splits in Z[tau]: the walk reads 11 table rows and 46 entries and tests 202 y
     with pytest.raises(EnumerationBudgetExceeded):
         count_ideals(Ambient.Z_ITAU_AS_Z4, 101, max_candidates=240)
     with pytest.raises(EnumerationBudgetExceeded):
         hnf_sublattices(4, 101, max_candidates=10)
-    # 2,253 y to 100, past the ceiling once the table of 44 entries is admitted
+    # 2,253 y to 100, past the ceiling once the table of 10 rows and 44 entries is admitted
     with pytest.raises(EnumerationBudgetExceeded):
         verify_series(Ambient.Z_ITAU_AS_Z4, 100, max_candidates=2000)
 
@@ -583,38 +580,66 @@ def test_resource_guard(monkeypatch):
         assert count_similarity_submodules(ambient, 25) >= 1, ambient
 
 
-def _walk_work(monkeypatch, ambient, indices):
-    """Entries of the norm table the walk reads plus the y the root search
-    tests, counted while _counts walks the indices."""
-    work = [0]
-    table, test = lattice.norm_table, lattice._is_multiple
+def _principal_counts(ambient, indices, max_candidates):
+    # the principal ideals of each index, from one walk over their generators
+    forms = lattice._principal_forms(ambient, indices, max_candidates)
+    return lattice._counts(((s.index, s) for s in lattice._ideals(ambient, forms)), indices)
 
-    def counted_table(*args):
-        entries = table(*args)
-        work[0] += sum(map(len, entries))
+
+def _walk_work(monkeypatch, walk, ambient, indices):
+    """Rows and entries of the norm tables the walk builds, plus the y the
+    root search tests and the box pairs the principal walk squares,
+    counted while the walk runs over the indices."""
+    work = [0]
+    table, window, test, square = (lattice.norm_table, lattice._canonical_by_norm,
+                                   lattice._is_multiple, quadratic.pair_mul)
+
+    def counted_table(ring, limit):
+        entries = table(ring, limit)
+        work[0] += len(list(quadratic._norm_rows(ring, 1, limit))) + sum(map(len, entries))
         return entries
 
-    def counted_test(*args):
-        work[0] += 1
-        return test(*args)
+    def counted_window(ring, lo, hi):
+        entries = window(ring, lo, hi)
+        work[0] += len(list(quadratic._norm_rows(ring, lo, hi))) + sum(map(len, entries.values()))
+        return entries
+
+    def counted(fn):
+        def step(*args):
+            work[0] += 1
+            return fn(*args)
+        return step
 
     with monkeypatch.context() as patch:
         patch.setattr(lattice, "norm_table", counted_table)
-        patch.setattr(lattice, "_is_multiple", counted_test)
-        _counts(ambient, indices, 10 ** 12)
+        patch.setattr(lattice, "_canonical_by_norm", counted_window)
+        patch.setattr(lattice, "_is_multiple", counted(test))
+        # quadratic.squares_under squares each box pair once
+        patch.setattr(quadratic, "pair_mul", counted(square))
+        walk(ambient, indices, 10 ** 12)
     return work[0]
 
 
 @pytest.mark.parametrize("ambient", [Ambient.Z_TAU_AS_Z2, Ambient.Z_ITAU_AS_Z4,
                                      Ambient.Z_ISQRT2_AS_Z4])
 def test_budget_predicts_the_walk_exactly(monkeypatch, ambient):
-    # the walk is admitted at a ceiling of its own work and refused one below
-    for indices in (range(1, 49), range(1, 301), (97,), (101,), (211,), ()):
-        work = _walk_work(monkeypatch, ambient, indices)
-        counts = _counts(ambient, indices, work)
-        assert counts == [count_ideals(ambient, m) for m in indices], (ambient, indices)
-        with pytest.raises(EnumerationBudgetExceeded):
-            _counts(ambient, indices, work - 1)
+    # each walk is admitted at a ceiling of its own work and refused one below:
+    # the ideal walk, and for the rank-4 rings the principal walk, whose lower
+    # bound of the boxes is a sizable part of the work at large indices
+    indices_of = (range(1, 49), range(1, 301), (97,), (101,), (211,), (2, 50, 98), ())
+    walks = [(_counts, count_ideals, indices_of)]
+    if ambient is Ambient.Z_ITAU_AS_Z4:
+        walks.append((_principal_counts, count_ideals, indices_of))
+    elif ambient is Ambient.Z_ISQRT2_AS_Z4:
+        walks.append((_principal_counts, count_similarity_submodules,
+                      indices_of + ((10 ** 6,), range(999_999, 10 ** 6 + 1))))
+    for walk, count, indices_list in walks:
+        for indices in indices_list:
+            work = _walk_work(monkeypatch, walk, ambient, indices)
+            counts = walk(ambient, indices, work)
+            assert counts == [count(ambient, m) for m in indices], (ambient, indices)
+            with pytest.raises(EnumerationBudgetExceeded):
+                walk(ambient, indices, work - 1)
 
 
 def test_large_range_is_refused_before_its_table(monkeypatch):
@@ -629,6 +654,20 @@ def test_large_range_is_refused_before_its_table(monkeypatch):
         assert quadratic.norm_table_pairs(ring, 10 ** 6, CEILING) < CEILING
         with pytest.raises(EnumerationBudgetExceeded):
             verify_series(ambient, 10 ** 6)
+
+
+def test_large_principal_range_is_refused_before_its_table(monkeypatch):
+    # the table to 10^6 (623,251 entries and 2,000 rows over Z[sqrt2]) is under
+    # the default ceiling, but the lower bound of the boxes is not: the
+    # 311,613 d of norm at least 5 10^5 hold at least 49 box pairs each
+    def no_table(*args):
+        raise AssertionError("norm table built for a refused range")
+
+    monkeypatch.setattr(lattice, "_canonical_by_norm", no_table)
+    with pytest.raises(EnumerationBudgetExceeded):
+        verify_series(Ambient.Z_ISQRT2_AS_Z4, 10 ** 6)
+    with pytest.raises(EnumerationBudgetExceeded):
+        list(lattice._principal_forms(Ambient.Z_ITAU_AS_Z4, range(1, 10 ** 6 + 1), CEILING))
 
 
 def test_ring_entry_points_refuse_the_rank3_module():
