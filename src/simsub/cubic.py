@@ -24,6 +24,41 @@ canonical denominator d come from exactly the primitive q with |q|^2 =
 g d and content g in {1, 2, 4}, searched at 4d in the classes lam only,
 and |N(s)| <= 16 |N(den R)| always.
 
+The search runs on integer pairs.  A q with |q|^2 = s has components x
+with s - x^2 totally >= 0 (a sum of three squares), which
+quadratic.squares_under lists once per s as (a, b) pairs with their
+squares; floats only size its box.  Each ordered pair (x, y) of them is
+keyed by x^2 + y^2, and the q = (x0, x1, x2, x3) with |q|^2 = s are
+exactly a pair (x0, x1) of some key k followed by a pair (x2, x3) of the
+key s - k, so matching each key with s - k lists every such q once, with
+both signs.  q and -q give one rotation, and of each pair the search
+keeps the q whose first nonzero component has positive real embedding,
+by the exact pair_sign.  The content, M(q) and the primitivity gcd are
+taken on pairs; the scan builds a QuadInt only for the gcd of a q whose
+four component norms share a factor, and a Rotation3 only for each coset
+representative.
+
+The budget counts the steps of the search: for each s (and class lam)
+the len(comps)^2 pairs it keys plus the candidate q it matches, the sum
+over the keys k of the pairs of k times those of s - k.  Both are read off
+the component lists before the first key is built, norm by norm, and
+the count stops at the first norm past the ceiling.  It is the count of
+the walk from an empty cache, checked unless every norm to the bound is
+cached, so whether a bound is admitted does not depend on earlier
+calls.  Before any list comes a lower bound.  Each rational integer
+m' <= isqrt(bound) is a canonical associate (totally positive, embedding
+ratio 1) of norm m'^2 <= bound, so the search at s = m' runs.  For
+t = isqrt(m' // 7), each x = a + b tau with |a|, |b| <= t has both
+embeddings at most t (1 + tau) = t tau^2 in size, so x^2 <= t^2 tau^4 <
+7 t^2 <= m' in both embeddings (tau^4 is about 6.85), and x is a
+component of s: (2 t + 1)^2 components and (2 t + 1)^4 keyed pairs.
+Summed over the m' in (m, isqrt(bound)], each with t >= isqrt(m // 7),
+that is at least (isqrt(bound) - m) (2 isqrt(m // 7) + 1)^4, taken at
+m = 2 isqrt(bound) // 3, in closed form.  So a bound far over the
+ceiling is refused at once, and no bound over it enumerates a norm.  The
+lower bound passes the ceiling from bound 350,464 on, the exact count
+from 704 on.
+
 A Rotation3 is stored as one integral matrix over its denominator, R =
 mat / den, and its invariants are checked once, on integers:
 mat mat^T = den^2 I, det mat = +-den^3, den canonical, and no prime of den
@@ -62,6 +97,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from collections import Counter
 from typing import Mapping, Sequence
 
 from . import catalog
@@ -76,18 +112,19 @@ from .quadratic import (  # noqa: F401
     TAU,
     canonical_associate,
     canonical_unit,
-    coprime,
     exact_div,
     gcd as qgcd,
     is_canonical_associate,
     norm_equation,
     pair_mul,
-    sign_embedding,
+    pair_norm,
+    pair_sign,
     squares_under,
 )
 
-# Ceiling on the predicted component triples of one rotation enumeration.
-MAX_COMPONENT_TRIPLES = 10_000_000
+# Ceiling on the steps of one rotation enumeration: component pairs keyed plus
+# candidate quaternions matched (check_rotation_budget).
+MAX_ROTATION_STEPS = 10_000_000
 
 
 class Rotation3(Frozen):
@@ -129,7 +166,7 @@ class Rotation3(Frozen):
         ddd = pair_mul(dd, (den.a, den.b), c1, c0)
         if det not in (ddd, (-ddd[0], -ddd[1])):
             raise InvariantViolation("orthogonal matrix must have determinant +-1")
-        if not coprime((den, *(e for row in mat for e in row))):
+        if qgcd(den, *(e for row in mat for e in row)) != ring.one():
             raise InvariantViolation(f"{den!r} is not the least denominator")
         object.__setattr__(self, "det_sign", 1 if det == ddd else -1)
         object.__setattr__(self, "_key", ((den.a, den.b), *m))
@@ -229,7 +266,7 @@ class QuatTau(Frozen):
             raise ValueError("quaternion components must live in the tau ring")
         if not any(components):
             raise ValueError("zero quaternion")
-        if not coprime(components):
+        if qgcd(*components) != TAU.one():
             raise ValueError("quaternion is not primitive")
         object.__setattr__(self, "components", components)
 
@@ -249,11 +286,12 @@ class QuatTau(Frozen):
 
 
 def _euler_rodrigues(q) -> list[tuple[int, int]]:
-    """Unnormalized rotation matrix of a Z[tau] quaternion, to be divided by |q|^2.
+    """Unnormalized rotation matrix of a Z[tau] quaternion given as four (a, b)
+    pairs, to be divided by |q|^2.
 
     The nine entries come as (a, b) pairs, row by row.
     """
-    a, b, c, d = ((x.a, x.b) for x in q)
+    a, b, c, d = q
     c1, c0 = TAU.c1, TAU.c0
     aa, bb, cc, dd, bc, ad, bd, ac, cd, ab = (
         pair_mul(x, y, c1, c0) for x, y in ((a, a), (b, b), (c, c), (d, d), (b, c),
@@ -265,15 +303,16 @@ def _euler_rodrigues(q) -> list[tuple[int, int]]:
     return list(zip(*coords))
 
 
-def _content(q, s: QuadInt) -> int:
-    """gcd(s, entries of M(q)) for a primitive q with |q|^2 = s, read off q mod 2.
+def _content(q, s: tuple[int, int]) -> int:
+    """gcd(s, entries of M(q)) for a primitive q with |q|^2 = s, read off q mod 2;
+    q is four (a, b) pairs and s one.
 
     4 if the four components share one class mod 2 (nonzero, as q is
     primitive), else 2 if 2 | s, else 1 (module docstring).
     """
-    if len({(c.a % 2, c.b % 2) for c in q}) == 1:
+    if len({(a % 2, b % 2) for a, b in q}) == 1:
         return 4
-    return 2 if s.a % 2 == 0 and s.b % 2 == 0 else 1
+    return 2 if s[0] % 2 == 0 and s[1] % 2 == 0 else 1
 
 
 def _er_rotation(m, d: QuadInt) -> Rotation3:
@@ -289,8 +328,9 @@ def quat_to_rotation(q: QuatTau) -> Rotation3:
     """Exact Euler-Rodrigues rotation of a primitive quaternion:
     M(q) / s = (M(q) / g) / (s / g) for s = |q|^2 and its content g."""
     s = q.norm_sq()
-    g = _content(q.components, s)
-    return _er_rotation([(a // g, b // g) for a, b in _euler_rodrigues(q.components)],
+    pairs = tuple((c.a, c.b) for c in q.components)
+    g = _content(pairs, (s.a, s.b))
+    return _er_rotation([(a // g, b // g) for a, b in _euler_rodrigues(pairs)],
                         QuadInt(s.a // g, s.b // g, TAU))
 
 
@@ -360,50 +400,49 @@ def is_unit_similarity(alpha: QuadInt, rotation: Rotation3) -> bool:
 # rotation enumeration
 
 
-def _components(s: QuadInt):
-    """(x, x^2 coordinates, x^2 embeddings) for each x with s - x^2 totally >= 0."""
-    w1, w2 = TAU.omega_float, TAU.omega_conj_float
-    return [(QuadInt(*x, TAU), qa, qb, qa + qb * w1, qa + qb * w2)
-            for x, (qa, qb) in squares_under(TAU, (s.a, s.b))]
-
-
-def _primitive_quaternions(s: QuadInt, lam: tuple[int, int] | None = None
-                           ) -> list[tuple[QuadInt, QuadInt, QuadInt, QuadInt]]:
-    """Every primitive q in Z[tau]^4 with |q|^2 = s exactly, one of each pair +-q;
-    with lam, only those with every component congruent to a + b tau mod 2
-    for lam = (a, b).
-
-    Three nested loops run over components whose squares fit under s in
-    both embeddings (floats only prune partial sums, with padding); the
-    fourth component is the exact square root of what is left, looked up
-    in a dict of squares.  The first nonzero component of each listed q
-    has positive real embedding.
+def _searches(n: int):
+    """(d, g, s, comps) for each quaternion search of denominator norm n: d
+    canonical of norm n, g in (1, 2, 4), s = g d as an (a, b) pair, and comps
+    the (x, x^2) pairs of squares_under(TAU, s), listed once per s and at
+    g = 4 split into the three nonzero classes lam mod 2 (module docstring).
     """
-    comps = _components(s)
-    if lam is not None:
-        comps = [c for c in comps if (c[0].a % 2, c[0].b % 2) == lam]
-    lead = [c for c in comps if not c[0] or sign_embedding(c[0]) > 0]
-    roots = {(c[1], c[2]): c[0] for c in lead}
-    cap1 = s.embedding_float() * (1 + 1e-9) + 1e-9
-    cap2 = s.conj_embedding_float() * (1 + 1e-9) + 1e-9
-    sa, sb = s.a, s.b
-    out = []
-    for x0, a0, b0, f0, g0 in lead:
-        for x1, a1, b1, f1, g1 in (comps if x0 else lead):
-            f01 = f0 + f1
-            g01 = g0 + g1
-            if f01 > cap1 or g01 > cap2:
-                continue
-            for x2, a2, b2, f2, g2 in (comps if x0 or x1 else lead):
-                if f01 + f2 > cap1 or g01 + g2 > cap2:
-                    continue
-                x3 = roots.get((sa - a0 - a1 - a2, sb - b0 - b1 - b2))
-                if x3 is None:
-                    continue
-                out.append((x0, x1, x2, x3))
-                if x3 and (x0 or x1 or x2):
-                    out.append((x0, x1, x2, -x3))
-    return [q for q in out if qgcd(*q) == TAU.one()]
+    for d in norm_equation(TAU, n):
+        for g in (1, 2, 4):
+            s = (g * d.a, g * d.b)
+            comps = list(squares_under(TAU, s))
+            for lam in (((1, 0), (0, 1), (1, 1)) if g == 4 else (None,)):
+                yield d, g, s, [c for c in comps if lam in (None, (c[0][0] % 2, c[0][1] % 2))]
+
+
+def _quaternions(s: tuple[int, int], comps):
+    """Every q = (x0, x1, x2, x3) over the components of comps with |q|^2 = s,
+    both signs, as four (a, b) pairs: each ordered pair (x, y) of comps keyed
+    by x^2 + y^2, and the pairs (x0, x1) of each key k matched with the pairs
+    (x2, x3) of the key s - k."""
+    pairs: dict[tuple[int, int], list] = {}  # x^2 + y^2 -> the (x, y)
+    for (x, (xa, xb)), (y, (ya, yb)) in itertools.product(comps, repeat=2):
+        pairs.setdefault((xa + ya, xb + yb), []).append((x, y))
+    for (ka, kb), front in pairs.items():
+        for x2, x3 in pairs.get((s[0] - ka, s[1] - kb), ()):
+            for x0, x1 in front:
+                yield x0, x1, x2, x3
+
+
+def _primitive_quaternions(s: tuple[int, int], comps) -> list:
+    """The primitive q of _quaternions(s, comps), one of each pair +-q: the
+    one whose first nonzero component has positive real embedding, by the
+    exact pair_sign.
+
+    A prime dividing all four components divides their four norms, so q is
+    primitive when math.gcd of the norms is 1; otherwise quadratic.gcd
+    decides.
+    """
+    sign = {x: pair_sign(x, TAU.c1, TAU.c0) for x, _ in comps}
+    norm = {x: pair_norm(x, TAU.c1, TAU.c0) for x, _ in comps}
+    return [q for q in _quaternions(s, comps)
+            if (sign[q[0]] or sign[q[1]] or sign[q[2]] or sign[q[3]]) > 0
+            and (math.gcd(norm[q[0]], norm[q[1]], norm[q[2]], norm[q[3]]) == 1
+                 or qgcd(*(QuadInt(a, b, TAU) for a, b in q)) == TAU.one())]
 
 
 def _coset_keys(key) -> set[tuple]:
@@ -438,17 +477,14 @@ def _rotations_of_norm(n: int) -> tuple[Rotation3, ...]:
     with a member missing.
     """
     found: set[tuple] = set()
-    for d in norm_equation(TAU, n):
-        for g in (1, 2, 4):
-            s = d * g
-            for lam in (((1, 0), (0, 1), (1, 1)) if g == 4 else (None,)):
-                for q in _primitive_quaternions(s, lam):
-                    if _content(q, s) != g:
-                        continue
-                    key = ((d.a, d.b), *((a // g, b // g) for a, b in _euler_rodrigues(q)))
-                    if key in found:
-                        raise InvariantViolation(f"rotation of {q!r} listed twice")
-                    found.add(key)
+    for d, g, s, comps in _searches(n):
+        for q in _primitive_quaternions(s, comps):
+            if _content(q, s) != g:
+                continue
+            key = ((d.a, d.b), *((a // g, b // g) for a, b in _euler_rodrigues(q)))
+            if key in found:
+                raise InvariantViolation(f"rotation of {q!r} listed twice")
+            found.add(key)
     reps = []
     for key in sorted(found):
         if key not in found:
@@ -463,30 +499,30 @@ def _rotations_of_norm(n: int) -> tuple[Rotation3, ...]:
     return tuple(reps)
 
 
-def _predicted_triples(bound: int) -> int:
-    """Estimated component triples that enumerating norms 1..bound visits.
-
-    For one s the loops visit about the Z[tau]^3 points of a product of two
-    3-balls of squared radii emb(s) and emb'(s), (4 pi/3)^2 |N(s)|^1.5 / 5^1.5.
-    Canonical d of norm n average 0.4304 per n (the residue of the Dedekind
-    zeta function of Q(sqrt 5)), and s = g d over g = 1, 2, 4 weighs
-    |N(d)|^1.5 by 1 + 8 + 3 = 12: at g = 4, N(s)^1.5 = 64 N(d)^1.5, and
-    each of the three residue classes keeps 1/4 of the components, so
-    3/64 of the triples; summing n^1.5 up to the bound gives
-    bound^2.5 / 2.5.  Bounds past 10^9, far over any ceiling, are clamped
-    so that the estimate stays a finite float.
-    """
-    per_s = (4 * math.pi / 3) ** 2 / 5 ** 1.5
-    return math.ceil(per_s * 12 * 0.4304 * min(bound, 10 ** 9) ** 2.5 / 2.5)
+def _search_steps(s: tuple[int, int], comps) -> int:
+    """The steps of _quaternions(s, comps): the len(comps)^2 pairs it keys
+    plus the candidates it matches, the pairs of each key k times those of
+    key s - k."""
+    keys = Counter((xa + ya, xb + yb) for _, (xa, xb) in comps for _, (ya, yb) in comps)
+    return len(comps) ** 2 + sum(m * keys[s[0] - ka, s[1] - kb] for (ka, kb), m in keys.items())
 
 
 def check_rotation_budget(bound: int) -> None:
-    """Raise EnumerationBudgetExceeded if a scan to this bound is over the ceiling."""
-    predicted = _predicted_triples(bound)
-    if predicted > MAX_COMPONENT_TRIPLES:
-        raise EnumerationBudgetExceeded(
-            f"rotation enumeration predicts {predicted} component triples, "
-            f"over the ceiling {MAX_COMPONENT_TRIPLES}")
+    """Raise EnumerationBudgetExceeded if enumerating the norms 1..bound takes
+    over MAX_ROTATION_STEPS steps: component pairs keyed plus candidate
+    quaternions matched, counted exactly from the component lists, norm by
+    norm, after a lower bound with no list (module docstring)."""
+    m = 2 * math.isqrt(bound) // 3
+    steps = (math.isqrt(bound) - m) * (2 * math.isqrt(m // 7) + 1) ** 4
+    if steps <= MAX_ROTATION_STEPS:
+        steps = 0
+        for n in range(1, bound + 1):
+            steps += sum(_search_steps(s, comps) for _, _, s, comps in _searches(n))
+            if steps > MAX_ROTATION_STEPS:
+                break
+    if steps > MAX_ROTATION_STEPS:
+        raise EnumerationBudgetExceeded(f"rotation enumeration takes at least {steps} steps, "
+                                        f"over the ceiling {MAX_ROTATION_STEPS}")
 
 
 # norm -> coset representatives; filled on demand, shared by every bound
@@ -495,11 +531,13 @@ _norm_cache_lock = threading.Lock()
 
 
 def _rotations_by_norm(bound: int) -> dict[int, tuple[Rotation3, ...]]:
-    """{n: _rotations_of_norm(n)}, one R per coset R {P}, for n = 1..bound."""
+    """{n: _rotations_of_norm(n)}, one R per coset R {P}, for n = 1..bound;
+    the budget is checked unless every norm to the bound is cached."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    check_rotation_budget(bound)
     with _norm_cache_lock:
+        if any(n not in _norm_cache for n in range(1, bound + 1)):
+            check_rotation_budget(bound)
         for n in range(1, bound + 1):
             if n not in _norm_cache:
                 _norm_cache[n] = _rotations_of_norm(n)

@@ -99,9 +99,10 @@ is too, and both embeddings of P are at most the square roots of those
 of d in size: one finite box per d (`quadratic.root_box`, floats only
 size it).  `_principal_forms` keeps the box pairs P with d - P^2 totally
 >= 0, by the exact `pair_sign` of both embeddings
-(`quadratic.squares_under`), keys them by P^2, and for each key looks up
-d - P^2 among the keys: the Q of the key found are the partners of
-every P of the key.  It yields the
+(`quadratic.squares_under`), and keys one P of each square by P^2: x^2 =
+y^2 only for y = +-x in a domain, so a key stands for +-P.  For each key
+it looks up d - P^2 among the keys, and the +-Q of the key found are the
+partners of +-P.  It yields the
 columns of regular_rep(P + Q i), that is alpha times 1, i, w and i w,
 and `_ideals` takes them to one basis per ideal.  An ideal I of index n
 is principal iff some generator alpha of the walk at n lies in I: then
@@ -655,13 +656,18 @@ def _principal_forms(ambient: Ambient, indices: Sequence[int], max_candidates: i
             _refuse_if(work > max_candidates, max_candidates)
     for m in indices:
         for u, v in table.get(m, ()):
-            squares = {}  # P^2 -> the P
-            for p, p2 in squares_under(quad, (u, v)):
-                squares.setdefault(p2, []).append(p)
-            for (pu, pv), ps in squares.items():
-                for q in squares.get((u - pu, v - pv), ()):
-                    for p in ps:
-                        yield m, tuple(zip(*regular_rep(ring.from_pairs(p, q))))
+            # P^2 -> one of the two P: x^2 = y^2 only for y = +-x
+            squares = {p2: p for p, p2 in squares_under(quad, (u, v))}
+            for (pu, pv), p in squares.items():
+                q = squares.get((u - pu, v - pv))
+                if q is not None:
+                    for sp, sq in itertools.product(_signs(p), _signs(q)):
+                        yield m, tuple(zip(*regular_rep(ring.from_pairs(sp, sq))))
+
+
+def _signs(p: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """+-p, once each: (p,) for p = 0."""
+    return ((p, (-p[0], -p[1])) if p != (0, 0) else (p,))
 
 
 def list_principal_ideals(ambient: Ambient, m: int,

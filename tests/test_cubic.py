@@ -8,7 +8,7 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from simsub import catalog, cubic
 from simsub.cubic import (
@@ -42,6 +42,7 @@ from simsub.quadratic import (
     norm_equation,
     sign_embedding,
     splitting_class,
+    squares_under,
     unit_inverse,
 )
 
@@ -52,6 +53,14 @@ def tau(a, b):
 
 def quat(*pairs):
     return QuatTau(tuple(tau(a, b) for a, b in pairs))
+
+
+def primitive_quaternions(s, lam=None):
+    """cubic._primitive_quaternions at s over the components in the class lam
+    mod 2 (all of them for None), with QuadInt components."""
+    comps = [c for c in squares_under(TAU, (s.a, s.b))
+             if lam in (None, (c[0][0] % 2, c[0][1] % 2))]
+    return [tuple(tau(*x) for x in q) for q in cubic._primitive_quaternions((s.a, s.b), comps)]
 
 
 # Reference route: the Euler-Rodrigues matrix in QuadInt arithmetic, each
@@ -483,9 +492,9 @@ def test_incomplete_rotation_coset_raises(monkeypatch):
     # one q of |q|^2 = 1 goes missing, so one coset of norm 1 has 23 members
     plain = cubic._primitive_quaternions
 
-    def one_dropped(s, lam=None):
-        qs = plain(s, lam)
-        return qs[1:] if s == TAU.one() else qs
+    def one_dropped(s, comps):
+        qs = plain(s, comps)
+        return qs[1:] if s == (1, 0) else qs
 
     monkeypatch.setattr(cubic, "_norm_cache", {})
     monkeypatch.setattr(cubic, "_primitive_quaternions", one_dropped)
@@ -506,14 +515,14 @@ def test_euler_rodrigues_content_divides_4():
         for d in norm_equation(TAU, n):
             for g in (1, 2, 4):
                 s = d * g
-                for q in cubic._primitive_quaternions(s):
+                for q in primitive_quaternions(s):
                     assert QuatTau(q).norm_sq() == s
                     content = s
                     for row in euler_rodrigues_by_quadint(*q):
                         for e in row:
                             content = gcd(content, e)
                     assert content in (TAU.one(), tau(2, 0), tau(4, 0))
-                    assert cubic._content(q, s) == content.a, q
+                    assert cubic._content([(c.a, c.b) for c in q], (s.a, s.b)) == content.a, q
                     contents[content.a, _in_one_nonzero_class_mod_2(q)] += 1
     assert set(contents) == {(1, False), (2, False), (4, True)}
 
@@ -527,7 +536,7 @@ def test_content4_quaternions_are_the_class_of_every_content_4_q():
         for d in norm_equation(TAU, n):
             for g in (1, 2, 4):
                 s = d * g
-                every = cubic._primitive_quaternions(s)
+                every = primitive_quaternions(s)
                 for q in every if g == 4 else ():
                     content = s
                     for row in euler_rodrigues_by_quadint(*q):
@@ -537,27 +546,44 @@ def test_content4_quaternions_are_the_class_of_every_content_4_q():
                         assert _in_one_nonzero_class_mod_2(q), q
                         content4 += 1
                 for lam in ((1, 0), (0, 1), (1, 1)):
-                    got = cubic._primitive_quaternions(s, lam)
+                    got = primitive_quaternions(s, lam)
                     assert len(got) == len(set(got))
                     assert set(got) == {q for q in every if _in_one_nonzero_class_mod_2(q)
                                         and (q[0].a % 2, q[0].b % 2) == lam}, (s, lam)
     assert content4 > 0
 
 
-def test_primitive_quaternions_match_brute_force():
-    # s with square factors, where non-primitive q = pi q' exist
-    for s in (tau(4, 0), tau(8, 0), tau(9, 0), tau(8, 4)):
-        squares = {x: x * x for x, *_ in cubic._components(s)}
-        expected = set()
-        for q in itertools.product(squares, repeat=4):
-            if (sum(squares[c].a for c in q) == s.a
-                    and sum(squares[c].b for c in q) == s.b
-                    and sign_embedding(next(c for c in q if c)) > 0
-                    and not any(all(not c % pi for c in q)
-                                for pi, _ in prime_factors(next(c for c in q if c)))):
-                expected.add(q)
-        got = cubic._primitive_quaternions(s)
-        assert len(got) == len(set(got)) and set(got) == expected, s
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 9), st.integers(-6, 6), st.sampled_from([None, (1, 0), (0, 1), (1, 1)]))
+@example(4, 0, None)  # s with square factors, where non-primitive q = pi q' exist
+@example(8, 0, None)
+@example(9, 0, None)
+@example(8, 4, None)
+@example(4, 0, (1, 0))
+@example(8, 4, (0, 1))
+def test_pair_walk_matches_brute_force(a, b, lam):
+    # totally positive s = a + b tau: every q over the components of s in the
+    # class lam mod 2 (all of them for None) with |q|^2 = s, first nonzero
+    # component of positive real embedding and no common prime factor by
+    # the prime_factors reference, each exactly once
+    s = tau(a, b)
+    assume(s.norm() > 0)  # with a > 0, totally positive
+    box = (tau(x, y) for x in range(-6, 7) for y in range(-6, 7))
+    comps = [x for x in box if sign_embedding(s - x * x) >= 0
+             and sign_embedding((s - x * x).conj()) >= 0]
+    assert {(x.a, x.b) for x in comps} == {x for x, _ in squares_under(TAU, (a, b))}
+    comps = [x for x in comps if lam in (None, (x.a % 2, x.b % 2))]
+    squares = {x: x * x for x in comps}
+    expected = set()
+    for q in itertools.product(comps, repeat=4):
+        if (sum(squares[c].a for c in q) == s.a
+                and sum(squares[c].b for c in q) == s.b
+                and sign_embedding(next(c for c in q if c)) > 0
+                and not any(all(not c % pi for c in q)
+                            for pi, _ in prime_factors(next(c for c in q if c)))):
+            expected.add(q)
+    got = primitive_quaternions(s, lam)
+    assert len(got) == len(set(got)) and set(got) == expected, (s, lam)
 
 
 def _unrestricted_rotations_of_norm(n):
@@ -565,7 +591,7 @@ def _unrestricted_rotations_of_norm(n):
     found = {}
     for d in norm_equation(TAU, n):
         for g in (1, 2, 4):
-            for q in cubic._primitive_quaternions(d * g):
+            for q in primitive_quaternions(d * g):
                 rot = quat_to_rotation(QuatTau(q))
                 if rot.den == d:
                     found.setdefault(rot.key(), []).append(rot)
@@ -580,41 +606,85 @@ def test_rotations_of_norm_match_unrestricted_enumeration():
         assert got == tuple(r.key() for r in _unrestricted_rotations_of_norm(n)), n
 
 
-def _visited_triples(s, comps):
-    """Component triples that the loops of cubic._primitive_quaternions look up."""
-    lead = [c for c in comps if not c[0] or sign_embedding(c[0]) > 0]
-    cap1 = s.embedding_float() * (1 + 1e-9) + 1e-9
-    cap2 = s.conj_embedding_float() * (1 + 1e-9) + 1e-9
-    return sum(1 for x0, _, _, f0, g0 in lead
-               for x1, _, _, f1, g1 in (comps if x0 else lead)
-               if f0 + f1 <= cap1 and g0 + g1 <= cap2
-               for x2, _, _, f2, g2 in (comps if x0 or x1 else lead)
-               if f0 + f1 + f2 <= cap1 and g0 + g1 + g2 <= cap2)
+def _walk_steps(monkeypatch, bound):
+    """The steps of the walk to the bound, norm by norm: the len(comps)^2
+    pairs that cubic._quaternions keys from its input plus the candidates
+    it yields, counted while rotation_counts(bound) runs on an empty cache
+    under a ceiling that admits it."""
+    steps = Counter()
+    walk, of_norm = cubic._quaternions, cubic._rotations_of_norm
+    norm = [None]
+
+    def counted(s, comps):
+        steps[norm[0]] += len(comps) ** 2
+        for q in walk(s, comps):
+            steps[norm[0]] += 1
+            yield q
+
+    def at_norm(n):
+        norm[0] = n
+        return of_norm(n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cubic, "_norm_cache", {})
+        patch.setattr(cubic, "_quaternions", counted)
+        patch.setattr(cubic, "_rotations_of_norm", at_norm)
+        patch.setattr(cubic, "MAX_ROTATION_STEPS", 10 ** 12)
+        rotation_counts(bound)
+    return [sum(steps[n] for n in range(1, b + 1)) for b in range(bound + 1)]
 
 
-def test_predicted_triples_against_counted_triples():
-    visited = 0
-    for n in range(1, 17):
-        for d in norm_equation(TAU, n):
-            for g in (1, 2):
-                visited += _visited_triples(d * g, cubic._components(d * g))
-            comps = cubic._components(d * 4)
-            visited += sum(_visited_triples(d * 4, [c for c in comps
-                                                    if (c[0].a % 2, c[0].b % 2) == lam])
-                           for lam in ((1, 0), (0, 1), (1, 1)))
-    assert visited == 2084
-    assert cubic._predicted_triples(16) == 3320
-    assert visited <= cubic._predicted_triples(16) <= 2 * visited
+def test_budget_counts_the_walk_exactly(monkeypatch):
+    # at every bound <= 30 the budget admits the walk at a ceiling of its own
+    # steps and refuses it one below, before any norm is enumerated
+    steps = _walk_steps(monkeypatch, 30)
+    assert steps[16] == 5962 and steps[30] == 18402
+    monkeypatch.setattr(cubic, "_norm_cache", {})
+    monkeypatch.setattr(cubic, "_rotations_of_norm", _no_enumeration)
+    for bound in range(1, 31):
+        monkeypatch.setattr(cubic, "MAX_ROTATION_STEPS", steps[bound])
+        cubic.check_rotation_budget(bound)
+        monkeypatch.setattr(cubic, "MAX_ROTATION_STEPS", steps[bound] - 1)
+        with pytest.raises(EnumerationBudgetExceeded):
+            rotation_counts(bound)
+    assert cubic._norm_cache == {}
+    # a bound whose norms are all cached takes no count; one with a norm
+    # missing counts the walk from an empty cache, whatever is cached
+    searches = cubic._searches
+    monkeypatch.setattr(cubic, "_searches", _no_enumeration)
+    monkeypatch.setattr(cubic, "_norm_cache", dict.fromkeys(range(1, 31), ()))
+    assert rotation_counts(30) == dict.fromkeys(range(1, 31), 0)
+    monkeypatch.setattr(cubic, "_searches", searches)
+    monkeypatch.setattr(cubic, "_norm_cache", dict.fromkeys(range(1, 30), ()))
+    monkeypatch.setattr(cubic, "MAX_ROTATION_STEPS", steps[30] - 1)
+    with pytest.raises(EnumerationBudgetExceeded):
+        rotation_counts(30)
 
 
 def test_first_refused_rotation_bound(monkeypatch):
     monkeypatch.setattr(cubic, "_norm_cache", {})
     monkeypatch.setattr(cubic, "_rotations_of_norm", _no_enumeration)
-    cubic.check_rotation_budget(394)
+    cubic.check_rotation_budget(703)
     with pytest.raises(EnumerationBudgetExceeded, match="ceiling 10000000"):
-        cubic.check_rotation_budget(395)
+        cubic.check_rotation_budget(704)
     with pytest.raises(EnumerationBudgetExceeded):
-        rotation_counts(395)
+        rotation_counts(704)
+    assert cubic._norm_cache == {}
+
+
+def test_huge_rotation_bound_is_refused_before_any_component_list(monkeypatch):
+    # the lower bound alone refuses from 350,464 on, at once; below it the
+    # count lists the components of each norm
+    def no_search(n):
+        raise AssertionError(f"components of norm {n} listed")
+
+    monkeypatch.setattr(cubic, "_norm_cache", {})
+    monkeypatch.setattr(cubic, "_searches", no_search)
+    for bound in (350_464, 10 ** 6, 2 * 10 ** 200):
+        with pytest.raises(EnumerationBudgetExceeded, match="ceiling 10000000"):
+            rotation_counts(bound)
+    with pytest.raises(AssertionError, match="listed"):
+        cubic.check_rotation_budget(350_463)
     assert cubic._norm_cache == {}
 
 
@@ -624,7 +694,7 @@ def test_integral_route_matches_quadrat_route(g):
     seen = 0
     for n in range(1, 10):
         for d in norm_equation(TAU, n):
-            for q in cubic._primitive_quaternions(d * g):
+            for q in primitive_quaternions(d * g):
                 rows = rows_by_quadrat(q)
                 rot = quat_to_rotation(QuatTau(q))
                 assert key_by_quadrat(quadrat_rows(rot)) == key_by_quadrat(rows)
@@ -710,9 +780,9 @@ def test_rotation_counts_agree_across_bounds():
 def test_duplicate_rotation_raises(monkeypatch):
     plain = cubic._primitive_quaternions
 
-    def with_negatives(s, lam=None):
-        qs = plain(s, lam)
-        return qs + [tuple(-c for c in q) for q in qs]
+    def with_negatives(s, comps):
+        qs = plain(s, comps)
+        return qs + [tuple((-a, -b) for a, b in q) for q in qs]
 
     monkeypatch.setattr(cubic, "_primitive_quaternions", with_negatives)
     with pytest.raises(InvariantViolation):

@@ -131,3 +131,39 @@ def test_src_imports_no_unused_name():
     for path in paths:
         unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
         assert set(unused) == _TRACER_SEAMS.get(path.name, set()), f"{path.name}: {unused}"
+
+
+_FLOAT_ATTRIBUTES = {"omega_float", "omega_conj_float", "embedding_float",
+                     "conj_embedding_float"}
+
+
+def _reachable_functions(tree, entry_points):
+    """The module-level functions (and the methods of the classes) of the
+    tree that the entry points reach by name, with the entry points."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+    reached, todo = set(), list(entry_points)
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        todo.extend(node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name))
+    return {name: defs[name] for name in reached}
+
+
+def test_rotation_enumeration_reads_no_float():
+    # the rotation oracle runs on integer pairs: floats only size the boxes of
+    # quadratic.squares_under, and never decide a rotation or the budget
+    tree = ast.parse((SRC / "cubic.py").read_text())
+    path = _reachable_functions(tree, ("rotation_counts", "enumerate_rotations",
+                                       "verify_rotation_counts", "check_rotation_budget"))
+    assert {"_quaternions", "_primitive_quaternions", "_searches", "_rotations_of_norm",
+            "check_rotation_budget", "Rotation3"} <= set(path)
+    for name, node in path.items():
+        floats = [sub.lineno for sub in ast.walk(node)
+                  if isinstance(sub, ast.Attribute) and sub.attr in _FLOAT_ATTRIBUTES
+                  or isinstance(sub, ast.Constant) and isinstance(sub.value, float)]
+        assert not floats, f"cubic.{name}: float at lines {floats}"
