@@ -578,9 +578,11 @@ def verify_cubic(bound: int) -> tuple[OracleReport, OracleReport]:
 
     Rotation counts per denominator norm against 24 * phi-c, then the
     submodule counts at the cubes n^3 against f-cubic.  The rotation
-    budget is checked before any coefficient table is built.
+    budget is checked before any coefficient table is built: the rotation
+    table is filled first, and _rotations_by_norm counts the budget once,
+    before it enumerates.
     """
-    check_rotation_budget(bound)
+    _rotations_by_norm(bound)
     phi = catalog.phi_c(bound)
     rotations = verify_rotation_counts(bound, {m: 24 * phi.a(m) for m in range(1, bound + 1)})
     fc = catalog.f_cubic(bound ** 3)

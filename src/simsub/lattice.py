@@ -72,7 +72,7 @@ One walk for both ranks.  `_forms` yields, for each ideal, its index m
 and the integer columns named above: d and tau d at rank 1, the four
 columns of the Hermite form at rank 2.  `_counts` counts them, and
 `_ideals` takes the Z-HNF of each by `hnf_canonical`, checks that its
-diagonal product is m, keeps one basis per ideal, and sorts the ideals
+diagonal product is m and that no basis repeats, and sorts the ideals
 of an index by diagonal, then in flat HNF order; for Z[tau] that is by
 (h, l), then by k.  Rank 1 reads only the norms of its indices, so it
 walks the table over [first index, last index]; rank 2 reads the norms
@@ -102,11 +102,26 @@ size it).  `_principal_forms` keeps the box pairs P with d - P^2 totally
 (`quadratic.squares_under`), and keys one P of each square by P^2: x^2 =
 y^2 only for y = +-x in a domain, so a key stands for +-P.  For each key
 it looks up d - P^2 among the keys, and the +-Q of the key found are the
-partners of +-P.  It yields the
-columns of regular_rep(P + Q i), that is alpha times 1, i, w and i w,
-and `_ideals` takes them to one basis per ideal.  An ideal I of index n
-is principal iff some generator alpha of the walk at n lies in I: then
-alpha O lies in I and has its index, so it is I (`is_principal`).
+partners of +-P.
+
+One generator per ideal, by a sign rule.  Let sgn be the sign of the
+real embedding with w > 0 (`pair_sign`): it is odd, and nonzero away
+from 0.  The four generators of alpha O are (P, Q), (-P, -Q), (-Q, P)
+and (Q, -P).  With Q != 0 their sign pairs (sgn P, sgn Q) are the four
+of {+-1}^2; with Q = 0 they are (+-1, 0) and (0, +-1), and so for P = 0.
+So exactly one generator has sgn P > 0 and sgn Q >= 0.  A key P^2 with
+a partner Q^2 stands for the pairs (+-P, +-Q), the generators of alpha O
+and of conj(alpha) O = (P - Q i) O: the walk skips the key P = 0 and
+otherwise flips P and Q into that quadrant and yields the one pair.  If
+the key P^2 yields (P, Q), the key Q^2 yields (Q, P) = i (P - Q i), a
+generator of the conjugate ideal.  alpha O = conj(alpha) O iff P - Q i
+is one of the four generators of alpha O, that is iff Q = 0, P = 0 or
+P = +-Q; then only one key yields, as the key P = 0 is skipped and
+P = +-Q is one key.  So each principal ideal is yielded exactly once,
+as the columns of regular_rep(P + Q i), that is alpha times 1, i, w and
+i w, which `_ideals` takes to its basis.  An ideal I of index n is
+principal iff the generator alpha of some ideal of the walk at n lies in
+I: then alpha O lies in I and has its index, so it is I (`is_principal`).
 
 The budget.  `max_candidates` bounds the work of the walk, which `_forms`
 counts exactly before it does it: the rows and entries of the norm table
@@ -154,7 +169,8 @@ from .errors import InvariantViolation
 from .frozen import Frozen
 from .parallel import map_ordered
 from .quadratic import (SQRT2, TAU, _canonical_by_norm, _norm_rows, is_canonical_associate,
-                        norm_table, norm_table_pairs, pair_mul, root_box, squares_under)
+                        norm_table, norm_table_pairs, pair_mul, pair_sign, root_box,
+                        squares_under)
 from .quartic import ISQRT2, ITAU, regular_rep
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
@@ -588,8 +604,9 @@ def _ideals(ambient: Ambient, forms) -> Iterator[Submodule]:
     by diagonal, then in flat HNF order.
 
     Each form becomes the Z-HNF of its columns, whose index is checked
-    against m; forms that span one ideal (the four generators of a
-    principal ideal) give it once.
+    against m.  Every walk yields one form per ideal (the principal walk
+    one generator, by its sign rule), so InvariantViolation is raised for
+    a basis reached twice, as for a wrong index.
     """
     positions = _positions(ambient_rank(ambient))
     for m, group in itertools.groupby(forms, key=lambda f: f[0]):
@@ -598,6 +615,8 @@ def _ideals(ambient: Ambient, forms) -> Iterator[Submodule]:
             basis = hnf_canonical(columns)
             if math.prod(row[i] for i, row in enumerate(basis)) != m:
                 raise InvariantViolation(f"ideal spanned by {columns} has index other than {m}")
+            if basis in bases:
+                raise InvariantViolation(f"ideal spanned by {columns} reached twice")
             bases.add(basis)
         for basis in sorted(bases, key=lambda b: (tuple(row[i] for i, row in enumerate(b)),
                                                   tuple(b[i][j] for i, j in positions))):
@@ -631,9 +650,12 @@ def _principal_forms(ambient: Ambient, indices: Sequence[int], max_candidates: i
     """(m, columns) of each generator P + Q i with P^2 + Q^2 a canonical d of
     norm m, for the increasing indices, index by index.
 
-    The columns are those of regular_rep(P + Q i); each principal ideal of
-    index m is reached by exactly four of them (see "Principal ideals over
-    Z[w], rank 2" in the module docstring).  Before the first pair it
+    The columns are those of regular_rep(P + Q i), for one generator per
+    principal ideal of index m: of its four generators +-alpha, +-i alpha
+    the one with P > 0 and Q >= 0 in the embedding w > 0.  The keys P^2
+    and Q^2 of d give alpha O and conj(alpha) O; these coincide only for
+    Q = 0, P = 0 or P = +-Q, and then only one key yields (see "One
+    generator per ideal" in the module docstring).  Before the first pair it
     raises EnumerationBudgetExceeded as "The budget" there states, and
     ValueError for an index below 1 or an ambient that is not a rank-4 ring.
     """
@@ -654,20 +676,21 @@ def _principal_forms(ambient: Ambient, indices: Sequence[int], max_candidates: i
         for d in table.get(m, ()):
             work += sum(stop - start for _, start, stop in root_box(quad, d))
             _refuse_if(work > max_candidates, max_candidates)
+    c1, c0 = quad.c1, quad.c0
     for m in indices:
         for u, v in table.get(m, ()):
             # P^2 -> one of the two P: x^2 = y^2 only for y = +-x
             squares = {p2: p for p, p2 in squares_under(quad, (u, v))}
             for (pu, pv), p in squares.items():
                 q = squares.get((u - pu, v - pv))
-                if q is not None:
-                    for sp, sq in itertools.product(_signs(p), _signs(q)):
-                        yield m, tuple(zip(*regular_rep(ring.from_pairs(sp, sq))))
-
-
-def _signs(p: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    """+-p, once each: (p,) for p = 0."""
-    return ((p, (-p[0], -p[1])) if p != (0, 0) else (p,))
+                if q is None or p == (0, 0):
+                    continue
+                # the one generator of +-P, +-Q with P > 0 and Q >= 0
+                if pair_sign(p, c1, c0) < 0:
+                    p = (-p[0], -p[1])
+                if pair_sign(q, c1, c0) < 0:
+                    q = (-q[0], -q[1])
+                yield m, tuple(zip(*regular_rep(ring.from_pairs(p, q))))
 
 
 def list_principal_ideals(ambient: Ambient, m: int,

@@ -166,9 +166,17 @@ class QuarticInt(Frozen):
 
 
 def regular_rep(x: QuarticInt) -> tuple[tuple[int, ...], ...]:
-    """4x4 integer matrix of multiplication by x; columns are x * basis_j."""
-    cols = [(x * e).coeffs for e in x.ring.basis()]
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
+    """4x4 integer matrix of multiplication by x; columns are x * basis_j.
+
+    With w^2 = c1 w + c0, x w = y0 + y1 i + y2 w + y3 i w for y0, y1 =
+    c0 x2, c0 x3 and y2, y3 = x0 + c1 x2, x1 + c1 x3; x i and x i w are
+    i times x and x w, and i (a, b, c, d) = (-b, a, -d, c).
+    """
+    x0, x1, x2, x3 = x.coeffs
+    quad = x.ring.quad
+    y0, y1 = quad.c0 * x2, quad.c0 * x3
+    y2, y3 = x0 + quad.c1 * x2, x1 + quad.c1 * x3
+    return ((x0, -x1, y0, -y1), (x1, x0, y1, y0), (x2, -x3, y2, -y3), (x3, x2, y3, y2))
 
 
 def abs_norm(x: QuarticInt) -> int:

@@ -672,6 +672,32 @@ def test_first_refused_rotation_bound(monkeypatch):
     assert cubic._norm_cache == {}
 
 
+def test_verify_cubic_counts_the_rotation_budget_once(monkeypatch):
+    # on an empty cache the budget is counted once, before the rotation table
+    # and every coefficient table; a refused bound builds neither
+    calls = []
+    check = cubic.check_rotation_budget
+
+    def counted(bound):
+        calls.append(bound)
+        check(bound)
+
+    def no_table(bound):
+        raise AssertionError("phi-c built before the rotation budget")
+
+    monkeypatch.setattr(cubic, "_norm_cache", {})
+    monkeypatch.setattr(cubic, "check_rotation_budget", counted)
+    rotations, submodules = cubic.verify_cubic(4)
+    assert rotations.ok and submodules.ok
+    assert calls == [4]
+    monkeypatch.setattr(cubic, "_norm_cache", {})
+    monkeypatch.setattr(cubic, "MAX_ROTATION_STEPS", 0)
+    monkeypatch.setattr(catalog, "phi_c", no_table)
+    with pytest.raises(EnumerationBudgetExceeded):
+        cubic.verify_cubic(4)
+    assert cubic._norm_cache == {} and calls == [4, 4]
+
+
 def test_huge_rotation_bound_is_refused_before_any_component_list(monkeypatch):
     # the lower bound alone refuses from 350,464 on, at once; below it the
     # count lists the components of each norm

@@ -527,19 +527,34 @@ def test_principal_walk_over_zitau_gives_the_ideal_counts():
 
 
 @pytest.mark.parametrize("ambient", [Ambient.Z_ITAU_AS_Z4, Ambient.Z_ISQRT2_AS_Z4])
-def test_every_principal_ideal_has_exactly_four_generators(ambient):
-    # +-alpha and +-i alpha, and no other generator, have the canonical relative
-    # norm; the ideals they span are as many as the catalog counts
-    generators = {}
-    for m, columns in lattice._principal_forms(ambient, range(1, 301), CEILING):
-        basis = hnf_canonical(columns)
-        generators.setdefault(basis, []).append(columns[0])
+def test_every_principal_ideal_has_exactly_one_generator(ambient):
+    # the walk yields one generator alpha = P + Q i per principal ideal: its
+    # bases are distinct and as many as the catalog counts; the associates
+    # +-alpha and +-i alpha span the same basis, and alpha alone of them has
+    # P > 0 and Q >= 0, by QuadInt signs
+    ring = ITAU if ambient is Ambient.Z_ITAU_AS_Z4 else ISQRT2
+    forms = list(lattice._principal_forms(ambient, range(1, 301), CEILING))
+    bases = [hnf_canonical(columns) for _, columns in forms]
+    assert len(set(bases)) == len(bases)
     series = catalog.zeta_q_itau if ambient is Ambient.Z_ITAU_AS_Z4 else catalog.zeta_zi_sqrt2
-    assert len(generators) == sum(series(300).coeffs)
-    for basis, alphas in generators.items():
-        a0, a1, a2, a3 = alphas[0]
-        assert sorted(alphas) == sorted([(a0, a1, a2, a3), (-a0, -a1, -a2, -a3),
-                                         (-a1, a0, -a3, a2), (a1, -a0, a3, -a2)]), basis
+    assert len(bases) == sum(series(300).coeffs)
+    for (_, columns), basis in zip(forms, bases):
+        a0, a1, a2, a3 = alpha = columns[0]
+        associates = [alpha, (-a0, -a1, -a2, -a3), (-a1, a0, -a3, a2), (a1, -a0, a3, -a2)]
+        for coeffs in associates:
+            x = QuarticInt(coeffs, ring)
+            assert hnf_canonical([(x * e).coeffs for e in ring.basis()]) == basis, alpha
+        assert [x for x in associates if sign_embedding(QuadInt(x[0], x[2], ring.quad)) > 0
+                and sign_embedding(QuadInt(x[1], x[3], ring.quad)) >= 0] == [alpha]
+
+
+def test_repeated_basis_raises():
+    # two forms of one ideal: 1 and -1 both span the whole ring
+    unit_columns = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    minus_unit = tuple(tuple(-c for c in col) for col in unit_columns)
+    forms = iter([(1, unit_columns), (1, minus_unit)])
+    with pytest.raises(InvariantViolation, match="twice"):
+        list(lattice._ideals(Ambient.Z_ITAU_AS_Z4, forms))
 
 
 @pytest.mark.parametrize("ring", [TAU, SQRT2])

@@ -80,6 +80,19 @@ def test_regular_rep_examples():
     )
 
 
+_COEFF = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+
+
+@given(st.sampled_from([ITAU, ISQRT2]), st.tuples(_COEFF, _COEFF, _COEFF, _COEFF))
+@example(ITAU, (1, 2, 3, 4))
+@example(ISQRT2, (1, 2, 3, 4))
+def test_regular_rep_columns_are_products_with_the_basis(ring, coeffs):
+    # column j of the matrix is x times basis element j, by ring multiplication
+    x = QuarticInt(coeffs, ring)
+    columns = tuple(zip(*regular_rep(x)))
+    assert columns == tuple((x * e).coeffs for e in ring.basis())
+
+
 def test_abs_norm_examples():
     assert ITAU.i().abs_norm() == 1
     assert ITAU.from_int(2).abs_norm() == 16
